@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success/compliant/property holds; 1 violations found, comparison
-not equal, or property not derivable; 2 usage or parse errors; 3 internal
-limits (state-space guard).
+not equal, or property not derivable; 2 usage, parse or input errors (a trace
+or architecture the semantics reject, events the mapping cannot derive from),
+each reported as one ``error:`` line; 3 internal limits (state-space guard).
 """
 
 from __future__ import annotations
@@ -13,28 +14,26 @@ import sys
 from pathlib import Path
 
 from . import architecture as arch_mod
-from .architecture import Architecture, EnumerationLimit, Universe, is_pattern
+from .architecture import ArchSemanticsError, Architecture, EnumerationLimit, Universe, is_pattern
 from .compliance import check_trace
 from .dsl import (
-    Document,
     ParseError,
     parse_architecture,
     parse_arch_trace,
     parse_has_query,
     parse_policy,
     parse_trace,
-    serialize,
     serialize_architecture,
     sniff_kind,
 )
 from .logic import conclusions, deduce, eval_semantic
 from .mapping import (
     MappingContext,
+    MappingError,
     check_correspondence,
     compare_architectures,
     compare_policies,
     derive_architecture,
-    image_trace,
 )
 from .model import SP
 from .semantics import SemanticsError
@@ -136,8 +135,7 @@ def cmd_check_trace(args) -> int:
         print(report.render())
     else:
         for v in report.violations:
-            where = "" if v.event_index is None else f" at event {v.event_index}"
-            print(f"{v.rule}{where} ({v.datum.ident}): {v.detail}")
+            print(f"{v.rule} at event {v.event_index} ({v.datum.ident}): {v.detail}")
         for w in report.warnings:
             print(f"warning: {w}")
         print("compliant" if report.compliant else
@@ -256,6 +254,17 @@ def cmd_enumerate(args) -> int:
 # Argument parsing
 
 
+def _bound(text: str) -> int:
+    """A length or state bound: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="datactl",
@@ -293,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query")
     p.add_argument("--mode", choices=("deduce", "enumerate", "both"), default="both")
     p.add_argument("--archtrace", help="architecture trace for the deduction rules")
-    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
-    p.add_argument("--max-states", type=int)
+    p.add_argument("--max-len", type=_bound, default=DEFAULT_MAX_LEN)
+    p.add_argument("--max-states", type=_bound)
     common(p)
     p.set_defaults(func=cmd_eval_has)
 
@@ -321,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="count reachable architecture states")
     p.add_argument("arch")
-    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
-    p.add_argument("--max-states", type=int)
+    p.add_argument("--max-len", type=_bound, default=DEFAULT_MAX_LEN)
+    p.add_argument("--max-states", type=_bound)
     common(p)
     p.set_defaults(func=cmd_enumerate)
 
@@ -337,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, SemanticsError, SystemExit2) as err:
+    except (ParseError, SemanticsError, MappingError, ArchSemanticsError, SystemExit2) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

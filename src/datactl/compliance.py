@@ -1,13 +1,21 @@
 """Trace audit against the five compliance rules C1-C5.
 
 Violations are collected exhaustively; a trace is compliant iff the list is
-empty.  Rules are evaluated over the precomputed prefix states, so the five
-checks are independent of each other.
+empty.  The audit is one left fold over the events, in the manner of an
+online monitor for temporal properties (Basin, Klaedtke, Mueller & Zalinescu,
+J. ACM 62(2), 2015): it keeps each datum's current entry plus a little state
+per datum for the rules, and after each event it judges only the datum that
+event touched.  That suffices because a step changes no other datum (the frame
+property) and sanctions only accumulate, so any finding about another datum
+was already made when that datum last changed.  Time is linear in the number
+of events; memory grows with the number of data, not with the trace length.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .model import SP, ActivitySets, DataRef
 from .semantics import (
@@ -19,9 +27,9 @@ from .semantics import (
     UNACT2,
     USE,
     AbstractEvent,
-    AbstractState,
     SemanticsError,
-    iter_states,
+    StateEntry,
+    step,
 )
 
 RULES = ("C1", "C2", "C3", "C4", "C5")
@@ -35,11 +43,11 @@ class Violation:
     rule: str
     datum: DataRef
     detail: str
-    event_index: int | None = None  # 1-based; None for state-level C3/C4 findings
+    # 1-based; for C3/C4, the event after which the state first breaks the rule
+    event_index: int
 
     def render(self) -> str:
-        idx = "-" if self.event_index is None else str(self.event_index)
-        return f"{self.rule}\t{idx}\t{self.datum.ident}\t{self.detail}"
+        return f"{self.rule}\t{self.event_index}\t{self.datum.ident}\t{self.detail}"
 
 
 @dataclass
@@ -59,205 +67,108 @@ class ComplianceReport:
         return "\n".join(lines)
 
 
-def _states(trace: list[AbstractEvent], sets: ActivitySets | None) -> list[AbstractState]:
-    return list(iter_states(trace, sets))
+def _audit(
+    events: Iterable[AbstractEvent], sets: ActivitySets | None
+) -> tuple[dict[str, list[Violation]], list[str]]:
+    """The audit fold: each rule's violations in event order, and C2's warnings.
 
-
-def _check_c1(trace, states, sets) -> list[Violation]:
-    out = []
-    for i, e in enumerate(trace, start=1):
-        if e.kind != USE:
-            continue
-        entry = states[i - 1].get(e.dt)
-        if entry is None:
-            continue
-        extra = (e.purposes or frozenset()) - entry.policy.ap
-        for purpose in sorted(extra):
-            out.append(
-                Violation("C1", e.dt, f"purpose {purpose!r} not authorized", event_index=i)
-            )
-    return out
-
-
-def _check_c2(trace, states, sets, warnings: list[str]) -> list[Violation]:
-    out = []
-    for i, e in enumerate(trace, start=1):
-        if e.kind not in _C2_KINDS:
-            continue
-        entry = states[i - 1].get(e.dt)
-        if entry is None:
-            continue
-        if e.kind == DELETE:
-            # A delete event carries no performer; attribute it to the most
-            # recent deletion request for the same datum when one exists.
-            initiator = None
-            for prev in reversed(trace[: i - 1]):
-                if prev.kind == DELETEREQ and prev.dt == e.dt:
-                    initiator = prev.actor
-                    break
-            if initiator is None:
-                warnings.append(
-                    f"C2 skipped for delete at event {i}: no preceding deletereq names a performer"
-                )
-                continue
-            actor, action = initiator, "delete"
-        else:
-            actor, action = e.actor, e.action
-        if actor not in entry.policy.acp.can_do(action):
-            out.append(
-                Violation(
-                    "C2",
-                    e.dt,
-                    f"{actor!r} not permitted to perform {action!r}",
-                    event_index=i,
-                )
-            )
-    return out
-
-
-def _act_additions(trace, states, sets):
-    """For each datum, who entered the holder set through a declared action,
-    as (event index, time, user) records split by unary/binary family."""
-    via_act1: dict[DataRef, list[tuple[int, int, str]]] = {}
-    via_act2: dict[DataRef, list[tuple[int, int, str]]] = {}
-    for i, e in enumerate(trace, start=1):
-        if e.kind not in (ACT1, ACT2):
-            continue
-        entry = states[i - 1].get(e.dt)
-        if entry is None:
-            continue
-        pol = entry.policy
-        if e.actor not in pol.acp.can_do(e.action):
-            continue  # guard failed, state unchanged, nobody entered
-        base = e.action if sets is None else (sets.base_of(e.action) or e.action)
-        if e.kind == ACT1:
-            gained = pol.has.by_set(base, e.actor)
-            bucket = via_act1
-        else:
-            gained = pol.has.by_set(base, e.actor) & pol.has.been_set(base, e.tar)
-            bucket = via_act2
-        for user in gained:
-            bucket.setdefault(e.dt, []).append((i, e.t, user))
-    return via_act1, via_act2
-
-
-def _check_c3(trace, states, sets) -> list[Violation]:
-    """Every holder must be the owner or have entered through a declared action
-    at a position no later than the state under inspection.
-
-    The provider's possession is governed by C4 and is not re-judged here.
+    Raises the transition function's :class:`SemanticsError` unchanged.
     """
-    via_act1, via_act2 = _act_additions(trace, states, sets)
-    out = []
-    flagged: set[tuple[DataRef, str]] = set()
-    for i in range(1, len(states)):
-        state = states[i]
-        for dt, entry in state.entries.items():
-            if entry is None:
-                continue
-            for tar in sorted(entry.h_has - {SP}):
-                if tar == dt.ow:
-                    continue
-                sanctioned = any(
-                    k <= i and t_prime <= entry.t and user == tar
-                    for bucket in (via_act1, via_act2)
-                    for (k, t_prime, user) in bucket.get(dt, [])
-                )
-                if sanctioned or (dt, tar) in flagged:
-                    continue
+    found: dict[str, list[Violation]] = {rule: [] for rule in RULES}
+    c1, c2, c3, c4, c5 = found.values()
+    warnings: list[str] = []
+    entries: dict[DataRef, StateEntry | None] = {}
+    last_request: dict[DataRef, str | None] = {}  # C2: performer of the latest deletereq
+    sanctioned_at: dict[tuple[DataRef, str], int] = {}  # C3: least t of a sanctioning act
+    flagged: set[tuple[DataRef, str]] = set()  # C3: holders already reported
+    sp_flagged: set[DataRef] = set()  # C4: data already reported
+    requests: list[tuple[int, AbstractEvent, int]] = []  # C5: (index, request, deadline)
+    deleted_at: dict[DataRef, list[int]] = {}  # C5: delete times per datum
+
+    for i, e in enumerate(events, start=1):
+        dt, kind = e.dt, e.kind
+        before = entries.get(dt)
+        after = entries[dt] = step(before, e, i, sets)
+        if before is not None:  # every event but own reads the entry it acts on
+            pol = before.policy
+            if kind == USE:
+                for purpose in sorted((e.purposes or frozenset()) - pol.ap):
+                    c1.append(Violation("C1", dt, f"purpose {purpose!r} not authorized", i))
+            elif kind == DELETEREQ:
+                last_request[dt] = e.actor
+                # the step has rejected requests that no manual deletion delay allows
+                requests.append((i, e, e.t + pol.dm.delay("man")))
+            elif kind in _C2_KINDS:
+                actor, action = e.actor, e.action
+                if kind == DELETE:
+                    # A delete event carries no performer; attribute it to the most
+                    # recent deletion request for the same datum when one exists.
+                    deleted_at.setdefault(dt, []).append(e.t)
+                    actor, action = last_request.get(dt), "delete"
+                if kind == DELETE and actor is None:
+                    warnings.append(
+                        f"C2 skipped for delete at event {i}: no preceding deletereq names a performer"
+                    )
+                elif actor not in pol.acp.can_do(action):
+                    c2.append(Violation("C2", dt, f"{actor!r} not permitted to perform {action!r}", i))
+                elif kind in (ACT1, ACT2):
+                    # The guard passed: the act sanctions whoever it adds to the holders.
+                    base = e.action if sets is None else (sets.base_of(e.action) or e.action)
+                    gained = pol.has.by_set(base, e.actor)
+                    if kind == ACT2:
+                        gained = gained & pol.has.been_set(base, e.tar)
+                    for user in gained:
+                        key = (dt, user)
+                        sanctioned_at[key] = min(e.t, sanctioned_at.get(key, e.t))
+        if after is None or after is before:
+            continue  # deleted, or unchanged and so already judged
+
+        # C3: every holder is the owner or entered through a declared action no
+        # later than the entry's time.  The provider's possession is C4's.
+        for tar in sorted(after.h_has - {SP, dt.ow}):
+            since = sanctioned_at.get((dt, tar))
+            if (since is None or since > after.t) and (dt, tar) not in flagged:
                 flagged.add((dt, tar))
-                out.append(
-                    Violation(
-                        "C3",
-                        dt,
-                        f"{tar!r} holds the datum without ownership or a sanctioning action",
-                        event_index=i,
-                    )
-                )
-    return out
+                c3.append(Violation(
+                    "C3", dt, f"{tar!r} holds the datum without ownership or a sanctioning action", i
+                ))
+        if SP in after.h_has and dt not in sp_flagged and not after.policy.storage.sp_readable():
+            sp_flagged.add(dt)
+            c4.append(Violation(
+                "C4", dt, "service provider holds the datum but the policy grants no"
+                " readable storage at the provider", i
+            ))
 
-
-def _check_c4(trace, states, sets) -> list[Violation]:
-    out = []
-    flagged: set[DataRef] = set()
-    for i in range(1, len(states)):
-        for dt, entry in states[i].entries.items():
-            if entry is None or dt in flagged:
-                continue
-            if SP in entry.h_has and not entry.policy.storage.sp_readable():
-                flagged.add(dt)
-                out.append(
-                    Violation(
-                        "C4",
-                        dt,
-                        "service provider holds the datum but the policy grants no"
-                        " readable storage at the provider",
-                        event_index=i,
-                    )
-                )
-    return out
-
-
-def _check_c5(trace, states, sets) -> list[Violation]:
-    out = []
-    for i, e in enumerate(trace, start=1):
-        if e.kind != DELETEREQ:
-            continue
-        entry = states[i - 1].get(e.dt)
-        if entry is None:
-            continue
-        dd = entry.policy.dm.delay("man")
-        if dd is None:
-            continue  # semantics would have rejected the request already
-        deadline = e.t + dd
-        honoured = any(
-            other.kind == DELETE and other.dt == e.dt and e.t < other.t <= deadline
-            for other in trace
-        )
-        if not honoured:
-            out.append(
-                Violation(
-                    "C5",
-                    e.dt,
-                    f"no deletion in ({e.t}, {deadline}] after the request at t={e.t}",
-                    event_index=i,
-                )
-            )
-    return out
-
-
-_RULE_CHECKS = {
-    "C1": _check_c1,
-    "C3": _check_c3,
-    "C4": _check_c4,
-    "C5": _check_c5,
-}
+    # C5 after the fold, over every delete in the trace, so that the verdict
+    # does not depend on event times growing with trace position.
+    for times in deleted_at.values():
+        times.sort()
+    for i, e, deadline in requests:
+        times = deleted_at.get(e.dt, [])
+        k = bisect_right(times, e.t)  # the first delete strictly after the request
+        if k == len(times) or times[k] > deadline:
+            c5.append(Violation(
+                "C5", e.dt, f"no deletion in ({e.t}, {deadline}] after the request at t={e.t}", i
+            ))
+    return found, warnings
 
 
 def check_rule(
-    rule: str, trace: list[AbstractEvent], sets: ActivitySets | None = None
+    rule: str, trace: Iterable[AbstractEvent], sets: ActivitySets | None = None
 ) -> list[Violation]:
     """Evaluate a single rule; raises on an unknown rule id or a broken trace."""
     if rule not in RULES:
         raise ValueError(f"unknown compliance rule {rule!r}")
-    states = _states(trace, sets)
-    if rule == "C2":
-        return _check_c2(trace, states, sets, warnings=[])
-    return _RULE_CHECKS[rule](trace, states, sets)
+    return _audit(trace, sets)[0][rule]
 
 
 def check_trace(
-    trace: list[AbstractEvent], sets: ActivitySets | None = None
+    trace: Iterable[AbstractEvent], sets: ActivitySets | None = None
 ) -> ComplianceReport:
-    """Full audit: all five rules, violations ordered by rule then position."""
-    report = ComplianceReport()
+    """Full audit in one pass over ``trace``: all five rules, violations
+    ordered by rule then position."""
     try:
-        states = _states(trace, sets)
+        found, warnings = _audit(trace, sets)
     except SemanticsError as err:
         raise SemanticsError(f"trace does not execute: {err}", err.index) from err
-    report.violations.extend(_check_c1(trace, states, sets))
-    report.violations.extend(_check_c2(trace, states, sets, report.warnings))
-    report.violations.extend(_check_c3(trace, states, sets))
-    report.violations.extend(_check_c4(trace, states, sets))
-    report.violations.extend(_check_c5(trace, states, sets))
-    return report
+    return ComplianceReport([v for rule in RULES for v in found[rule]], warnings)

@@ -491,7 +491,7 @@ def check_correspondence(
             _biconditional("P5", None, ident, pol.storage.sp_readable(), _arch_h8(pa_here, x),
                            "provider-storage rule", "provider-possession rule")
         )
-        if pol.dm.modes or pa.of_type(Delete):
+        if pol.dm.modes or pa_here.of_type(Delete):
             report.results.append(
                 _biconditional("P6", None, ident, pol.dm.delay("man") is not None,
                                _arch_h10(pa_here, x), "deletion-delay rule", "deletion rule")

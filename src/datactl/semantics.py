@@ -2,7 +2,9 @@
 
 The state maps each datum to either an entry (time, value, performance record,
 policy, holders) or to the undefined marker ``None``.  Transitions are pure:
-``apply_event`` returns a fresh state and touches only the event's datum.
+``step`` maps one datum's entry to its successor, and ``apply_event`` lifts it
+to the whole state, which then differs from its predecessor at most at the
+event's datum.
 """
 
 from __future__ import annotations
@@ -164,13 +166,119 @@ def possible_events(sets: ActivitySets, dt: DataRef, pol: Policy) -> list[EventT
     return templates
 
 
-def _require_entry(state: AbstractState, e: AbstractEvent, j: int | None) -> StateEntry:
-    entry = state.get(e.dt)
-    if entry is None:
-        raise SemanticsError(
-            f"{e.surface_name} on undefined datum {e.dt.ident!r}", j
+def step(
+    entry: StateEntry | None,
+    e: AbstractEvent,
+    j: int | None = None,
+    sets: ActivitySets | None = None,
+) -> StateEntry | None:
+    """One transition of the event's datum: its entry before ``e`` to its
+    entry after, ``None`` standing for undefined.  A step that changes nothing
+    returns ``entry`` itself.  ``j`` is the event's trace position; it is
+    carried for fidelity with the transition signature and for error messages.
+
+    ``sets`` is needed only for un-actions, to resolve the base action whose
+    performance record and has-grants are consulted.
+    """
+    kind = e.kind
+
+    if kind == OWN:
+        if entry is not None:
+            raise SemanticsError(f"duplicate own for datum {e.dt.ident!r}", j)
+        if e.policy is None:
+            raise SemanticsError("own event carries no policy", j)
+        return StateEntry(
+            t=e.t,
+            v=e.value,
+            actby=ActBy(),
+            policy=e.policy,
+            h_has=frozenset({e.actor}),
         )
-    return entry
+
+    if entry is None:
+        raise SemanticsError(f"{e.surface_name} on undefined datum {e.dt.ident!r}", j)
+    pol = entry.policy
+
+    if kind == USE:
+        return entry  # usage never changes the state
+
+    if kind == STORE:
+        if pol.storage.sp_readable():
+            return replace(entry, t=e.t, h_has=entry.h_has | {SP})
+        return entry
+
+    if kind == DELETEREQ:
+        if pol.dm.delay("man") is None:
+            raise SemanticsError(
+                f"deletereq for {e.dt.ident!r} but its policy allows no manual deletion", j
+            )
+        return entry  # request itself leaves the state untouched
+
+    if kind == DELETE:
+        return None
+
+    if kind == GROUPACT:
+        return replace(
+            entry,
+            t=e.t,
+            policy=pol.grant_can(e.action, e.tar),
+            h_has=entry.h_has | {e.tar},
+        )
+
+    if kind == UNGROUPACT:
+        return replace(
+            entry,
+            t=e.t,
+            policy=pol.revoke_can(e.action, e.tar),
+            h_has=entry.h_has - {e.tar},
+        )
+
+    if kind == GROUPHAS:
+        return replace(entry, t=e.t, policy=pol.grant_group(e.tar), h_has=entry.h_has | {e.tar})
+
+    if kind == UNGROUPHAS:
+        return replace(entry, t=e.t, policy=pol.revoke_group(e.tar), h_has=entry.h_has - {e.tar})
+
+    if kind in ACT_KINDS:
+        base = e.action
+        if kind in (UNACT1, UNACT2):
+            if sets is not None:
+                base = sets.base_of(e.action) or e.action
+        if e.actor not in pol.acp.can_do(e.action):
+            return entry  # permission guard: unauthorized actions are no-ops
+
+        if kind == ACT1:
+            return replace(
+                entry,
+                t=e.t,
+                actby=entry.actby.add_by(base, e.actor),
+                h_has=entry.h_has | pol.has.by_set(base, e.actor),
+            )
+        if kind == UNACT1:
+            return replace(
+                entry,
+                t=e.t,
+                actby=entry.actby.remove_by(base, e.actor),
+                h_has=entry.h_has - pol.has.by_set(base, e.actor),
+            )
+        if kind == ACT2:
+            gained = pol.has.by_set(base, e.actor) & pol.has.been_set(base, e.tar)
+            return replace(
+                entry,
+                t=e.t,
+                actby=entry.actby.add_by(base, e.actor).add_been(base, e.tar),
+                h_has=entry.h_has | gained,
+            )
+        # UNACT2
+        lost = pol.has.by_set(base, e.actor) & pol.has.been_set(base, e.tar)
+        return replace(
+            entry,
+            t=e.t,
+            actby=entry.actby.remove_by(base, e.actor).remove_been(base, e.tar),
+            h_has=entry.h_has - lost,
+        )
+
+    raise SemanticsError(f"unknown event kind {kind!r}", j)
 
 
 def apply_event(
@@ -179,118 +287,11 @@ def apply_event(
     j: int | None = None,
     sets: ActivitySets | None = None,
 ) -> AbstractState:
-    """One transition step.  ``j`` is the event's trace position; it is carried
-    for fidelity with the transition signature but has no observable effect.
-
-    ``sets`` is needed only for un-actions, to resolve the base action whose
-    performance record and has-grants are consulted.
-    """
-    kind = e.kind
-
-    if kind == OWN:
-        if state.get(e.dt) is not None:
-            raise SemanticsError(f"duplicate own for datum {e.dt.ident!r}", j)
-        if e.policy is None:
-            raise SemanticsError("own event carries no policy", j)
-        entry = StateEntry(
-            t=e.t,
-            v=e.value,
-            actby=ActBy(),
-            policy=e.policy,
-            h_has=frozenset({e.actor}),
-        )
-        return state.put(e.dt, entry)
-
-    if kind == USE:
-        _require_entry(state, e, j)
-        return state  # usage never changes the state
-
-    entry = _require_entry(state, e, j)
-    pol = entry.policy
-
-    if kind == STORE:
-        if pol.storage.sp_readable():
-            entry = replace(entry, t=e.t, h_has=entry.h_has | {SP})
-            return state.put(e.dt, entry)
-        return state
-
-    if kind == DELETEREQ:
-        if pol.dm.delay("man") is None:
-            raise SemanticsError(
-                f"deletereq for {e.dt.ident!r} but its policy allows no manual deletion", j
-            )
-        return state  # request itself leaves the state untouched
-
-    if kind == DELETE:
-        return state.put(e.dt, None)
-
-    if kind == GROUPACT:
-        entry = replace(
-            entry,
-            t=e.t,
-            policy=pol.grant_can(e.action, e.tar),
-            h_has=entry.h_has | {e.tar},
-        )
-        return state.put(e.dt, entry)
-
-    if kind == UNGROUPACT:
-        entry = replace(
-            entry,
-            t=e.t,
-            policy=pol.revoke_can(e.action, e.tar),
-            h_has=entry.h_has - {e.tar},
-        )
-        return state.put(e.dt, entry)
-
-    if kind == GROUPHAS:
-        entry = replace(entry, t=e.t, policy=pol.grant_group(e.tar), h_has=entry.h_has | {e.tar})
-        return state.put(e.dt, entry)
-
-    if kind == UNGROUPHAS:
-        entry = replace(entry, t=e.t, policy=pol.revoke_group(e.tar), h_has=entry.h_has - {e.tar})
-        return state.put(e.dt, entry)
-
-    if kind in ACT_KINDS:
-        base = e.action
-        if kind in (UNACT1, UNACT2):
-            if sets is not None:
-                base = sets.base_of(e.action) or e.action
-        if e.actor not in pol.acp.can_do(e.action):
-            return state  # permission guard: unauthorized actions are no-ops
-
-        if kind == ACT1:
-            entry = replace(
-                entry,
-                t=e.t,
-                actby=entry.actby.add_by(base, e.actor),
-                h_has=entry.h_has | pol.has.by_set(base, e.actor),
-            )
-        elif kind == UNACT1:
-            entry = replace(
-                entry,
-                t=e.t,
-                actby=entry.actby.remove_by(base, e.actor),
-                h_has=entry.h_has - pol.has.by_set(base, e.actor),
-            )
-        elif kind == ACT2:
-            gained = pol.has.by_set(base, e.actor) & pol.has.been_set(base, e.tar)
-            entry = replace(
-                entry,
-                t=e.t,
-                actby=entry.actby.add_by(base, e.actor).add_been(base, e.tar),
-                h_has=entry.h_has | gained,
-            )
-        else:  # UNACT2
-            lost = pol.has.by_set(base, e.actor) & pol.has.been_set(base, e.tar)
-            entry = replace(
-                entry,
-                t=e.t,
-                actby=entry.actby.remove_by(base, e.actor).remove_been(base, e.tar),
-                h_has=entry.h_has - lost,
-            )
-        return state.put(e.dt, entry)
-
-    raise SemanticsError(f"unknown event kind {kind!r}", j)
+    """One transition of the whole state: :func:`step` on the event's datum,
+    every other datum left as it is."""
+    before = state.get(e.dt)
+    after = step(before, e, j, sets)
+    return state if after is before else state.put(e.dt, after)
 
 
 def run_trace(

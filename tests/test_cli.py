@@ -194,3 +194,70 @@ def test_enumerate_counts_states(capsys, tmp_path):
     arch = write_small_arch(tmp_path)
     code, out, _ = run(capsys, "enumerate", arch, "--max-len", "2")
     assert code == 0 and "reachable states" in out
+
+
+# --- failures map to exit 2 with one error line -----------------------------
+
+
+NO_DELETE_POLICY = """actions {
+  unary like/unlike;
+}
+
+data note1 {
+  ow = alice;
+  ds = {alice};
+  type = Notes;
+  policy {
+    purposes = {support};
+    where = {sploc};
+    how = {enc(spkey)};
+    can like = {alice};
+  }
+}
+"""
+
+
+def test_check_correspondence_without_delete_line(capsys, tmp_path):
+    policy = tmp_path / "nodel.dcp"
+    policy.write_text(NO_DELETE_POLICY)
+    code, out, _ = run(capsys, "check-correspondence", str(policy), "--verbose")
+    assert code in (0, 1) and out.strip().splitlines()[-1].startswith("correspondence")
+    assert "P6 datum=note1: inapplicable" in out
+
+
+def test_mapping_error_is_usage_error(capsys, tmp_path):
+    policy = tmp_path / "nodel.dcp"
+    policy.write_text(NO_DELETE_POLICY)
+    trace = tmp_path / "nodel.dct"
+    trace.write_text('trace {\n  own(t=1, or=alice, dt=note1, value="n");\n'
+                     "  delete(t=2, dt=note1);\n}\n")
+    code, out, err = run(capsys, "derive-arch", str(policy), "--events", str(trace))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "no deletion mode" in err
+
+
+def test_arch_semantics_error_is_usage_error(capsys, tmp_path, monkeypatch):
+    from datactl import cli
+    from datactl.architecture import ArchSemanticsError
+
+    def refuse(*args, **kwargs):
+        raise ArchSemanticsError("inconsistent architecture: d1 has two owners")
+
+    monkeypatch.setattr(cli.arch_mod, "enumerate_states", refuse)
+    code, _, err = run(capsys, "enumerate", write_small_arch(tmp_path))
+    assert code == 2 and err == "error: inconsistent architecture: d1 has two owners\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--max-len", "-1"),
+    ("enumerate", "--max-states", "-5"),
+    ("eval-has", "--max-len", "-1", "--mode", "enumerate"),
+])
+def test_negative_bound_is_usage_error(capsys, tmp_path, argv):
+    arch = write_small_arch(tmp_path)
+    query = tmp_path / "q.dcq"
+    query.write_text("HAS_sp(X{ow=alice, ds={alice}, id=d1})")
+    paths = (arch, str(query)) if argv[0] == "eval-has" else (arch,)
+    code, out, err = run(capsys, argv[0], *paths, *argv[1:])
+    assert code == 2 and out == "" and "must be non-negative" in err

@@ -1,10 +1,13 @@
-"""Unit coverage for each audit rule plus seeded injection detection."""
+"""Unit coverage for each audit rule, seeded injection detection, and a
+differential check of the one-pass auditor against the rules read literally."""
 
 import random
+from pathlib import Path
 
 import pytest
 
-from datactl.compliance import RULES, Violation, check_rule, check_trace
+from datactl.compliance import RULES, ComplianceReport, Violation, check_rule, check_trace
+from datactl.dsl import parse_policy, parse_trace, sniff_kind
 from datactl.model import (
     SP,
     ActionId,
@@ -20,14 +23,18 @@ from datactl.model import (
 )
 from datactl.semantics import (
     ACT1,
+    ACT2,
     DELETE,
     DELETEREQ,
     GROUPHAS,
     OWN,
     STORE,
+    UNACT1,
+    UNACT2,
     USE,
     AbstractEvent,
     SemanticsError,
+    iter_states,
 )
 
 from modelgen import INJECTORS, compliant_trace, random_model
@@ -160,6 +167,8 @@ def test_c5_deadline_is_inclusive():
 def test_unknown_rule_rejected():
     with pytest.raises(ValueError):
         check_rule("C9", base_trace(), SETS)
+    with pytest.raises(ValueError):
+        check_rule("C9", [AbstractEvent(kind=STORE, t=1, dt=DT)], SETS)  # before any event
 
 
 def test_broken_trace_surfaces_position():
@@ -199,3 +208,224 @@ def test_injections_detected_with_exact_rule():
             detected[rule] += 1
     for rule, n in detected.items():
         assert n > 0, f"injector {rule} never applied"
+
+
+# --- differential oracle: the rules judged on every prefix state -------------
+
+
+def _sanctioned(trace, states, sets, i, dt, user, t):
+    """Whether a declared action at a position <= i and a time <= t, whose
+    guard held, added ``user`` to the holders of ``dt``."""
+    for k, a in enumerate(trace[:i], start=1):
+        if a.kind not in (ACT1, ACT2) or a.dt != dt or a.t > t:
+            continue
+        pol = states[k - 1].get(dt).policy
+        if a.actor not in pol.acp.can_do(a.action):
+            continue
+        base = a.action if sets is None else (sets.base_of(a.action) or a.action)
+        gained = pol.has.by_set(base, a.actor)
+        if a.kind == ACT2:
+            gained &= pol.has.been_set(base, a.tar)
+        if user in gained:
+            return True
+    return False
+
+
+def reference_audit(trace, sets):
+    """C1-C5 as stated: C1/C2/C5 at each event against the state before it
+    (C2's delete performer is the latest earlier deletereq, C5 looks at every
+    delete in the trace), C3/C4 on every datum of every prefix state, each
+    finding reported once."""
+    try:
+        states = list(iter_states(trace, sets))
+    except SemanticsError as err:
+        raise SemanticsError(f"trace does not execute: {err}", err.index) from err
+    found = {rule: [] for rule in RULES}
+    warnings = []
+    c3_seen, c4_seen = set(), set()
+    for i, e in enumerate(trace, start=1):
+        pol = states[i - 1].get(e.dt).policy if e.kind != OWN else None
+        if e.kind == USE:
+            for purpose in sorted((e.purposes or frozenset()) - pol.ap):
+                found["C1"].append(
+                    Violation("C1", e.dt, f"purpose {purpose!r} not authorized", i))
+        if e.kind in (ACT1, UNACT1, ACT2, UNACT2, DELETE):
+            actor, action = e.actor, e.action
+            if e.kind == DELETE:
+                requesters = [r.actor for r in trace[: i - 1]
+                              if r.kind == DELETEREQ and r.dt == e.dt]
+                actor, action = (requesters[-1] if requesters else None), "delete"
+            if e.kind == DELETE and actor is None:
+                warnings.append(f"C2 skipped for delete at event {i}: "
+                                "no preceding deletereq names a performer")
+            elif actor not in pol.acp.can_do(action):
+                found["C2"].append(Violation(
+                    "C2", e.dt, f"{actor!r} not permitted to perform {action!r}", i))
+        for dt, entry in states[i].entries.items():
+            if entry is None:
+                continue
+            for tar in sorted(entry.h_has - {SP, dt.ow}):
+                if (dt, tar) not in c3_seen and not _sanctioned(
+                        trace, states, sets, i, dt, tar, entry.t):
+                    c3_seen.add((dt, tar))
+                    found["C3"].append(Violation(
+                        "C3", dt, f"{tar!r} holds the datum without ownership"
+                        " or a sanctioning action", i))
+            if (dt not in c4_seen and SP in entry.h_has
+                    and not entry.policy.storage.sp_readable()):
+                c4_seen.add(dt)
+                found["C4"].append(Violation(
+                    "C4", dt, "service provider holds the datum but the policy"
+                    " grants no readable storage at the provider", i))
+        if e.kind == DELETEREQ:
+            deadline = e.t + pol.dm.delay("man")
+            if not any(d.kind == DELETE and d.dt == e.dt and e.t < d.t <= deadline
+                       for d in trace):
+                found["C5"].append(Violation(
+                    "C5", e.dt, f"no deletion in ({e.t}, {deadline}] after the"
+                    f" request at t={e.t}", i))
+    return ComplianceReport([v for rule in RULES for v in found[rule]], warnings)
+
+
+def assert_same_audit(trace, sets):
+    """check_trace agrees with the reference, on the report or on the error."""
+    try:
+        expected = reference_audit(trace, sets)
+    except SemanticsError as err:
+        with pytest.raises(SemanticsError) as got:
+            check_trace(trace, sets)
+        assert (str(got.value), got.value.index) == (str(err), err.index)
+        return None
+    report = check_trace(trace, sets)
+    assert report == expected, f"{report.render()}\n---\n{expected.render()}"
+    return report
+
+
+def test_oracle_generated_clean_and_injected():
+    for seed in range(100):
+        rng = random.Random(seed)
+        model = random_model(rng)
+        trace = compliant_trace(model, rng, max_len=40)
+        assert_same_audit(trace, model.sets)
+        for inject in INJECTORS.values():
+            mutated = inject(model, list(trace), rng)
+            if mutated is not None:
+                assert_same_audit(mutated, model.sets)
+
+
+def test_oracle_fixture_traces():
+    fix = Path(__file__).resolve().parent.parent / "fixtures" / "facebook"
+    model = parse_policy((fix / "facebook.dcp").read_text())
+    audited = 0
+    for path in sorted(fix.glob("*.dct")):
+        text = path.read_text()
+        if sniff_kind(text) == "trace":
+            assert_same_audit(parse_trace(text, model), model.sets)
+            audited += 1
+    assert audited >= 4
+
+
+def _ev(kind, t, dt=DT, **kw):
+    if kind == OWN:
+        kw = {"actor": dt.ow, "value": "v", "policy": POL, **kw}
+    return AbstractEvent(kind=kind, t=t, dt=dt, **kw)
+
+
+def test_oracle_reowned_datum_carries_flags_and_requester():
+    trace = [
+        _ev(OWN, 1),
+        _ev(GROUPHAS, 2, actor="alice", tar="eve"),
+        _ev(GROUPHAS, 3, actor="alice", tar=SP),
+        _ev(DELETEREQ, 4, actor="bob"),
+        _ev(DELETE, 5),
+        _ev(OWN, 6),
+        _ev(GROUPHAS, 7, actor="alice", tar="eve"),  # eve already reported
+        _ev(GROUPHAS, 8, actor="alice", tar=SP),  # so is the provider's storage
+        _ev(DELETE, 9),  # still attributed to bob's request
+    ]
+    report = assert_same_audit(trace, SETS)
+    assert [(v.rule, v.event_index) for v in report.violations] == [
+        ("C2", 5), ("C2", 9), ("C3", 2), ("C4", 3)]
+
+
+def test_oracle_two_requests_before_one_delete():
+    trace = [
+        _ev(OWN, 1),
+        _ev(DELETEREQ, 2, actor="alice"),
+        _ev(DELETEREQ, 3, actor="bob"),
+        _ev(DELETE, 4),
+    ]
+    report = assert_same_audit(trace, SETS)
+    assert [(v.rule, v.event_index) for v in report.violations] == [("C2", 4)]
+    assert "'bob'" in report.violations[0].detail
+
+
+def test_oracle_guard_failed_act_sanctions_nobody():
+    pol = Policy(ap=POL.ap, dm=POL.dm, storage=POL.storage, acp=POL.acp,
+                 has=HasPolicy(by={"fav": {"bob": frozenset({"carol"}),
+                                           "mallory": frozenset({"carol"})}}))
+    trace = [
+        _ev(OWN, 1, policy=pol),
+        _ev(ACT1, 2, actor="mallory", action="fav"),  # guard fails: a no-op
+        _ev(GROUPHAS, 3, actor="alice", tar="carol"),
+    ]
+    report = assert_same_audit(trace, SETS)
+    assert [(v.rule, v.event_index) for v in report.violations] == [("C2", 2), ("C3", 3)]
+
+
+def test_oracle_non_monotone_times():
+    """Sanctions and deletes are matched by time, not by trace position."""
+    trace = [
+        _ev(OWN, 1),
+        _ev(DELETE, 5),
+        _ev(OWN, 2),
+        _ev(DELETEREQ, 3, actor="alice"),  # deadline 6: honoured by the delete at t=5
+        _ev(ACT1, 4, actor="bob", action="fav"),  # sanctions carol from t=4
+        _ev(ACT1, 9, actor="bob", action="fav"),
+        _ev(GROUPHAS, 5, actor="alice", tar="dave"),
+        _ev(GROUPHAS, 1, actor="alice", tar="eve"),  # entry time drops below t=4
+        _ev(DELETEREQ, 7, actor="alice"),  # the only delete is earlier in time
+    ]
+    report = assert_same_audit(trace, SETS)
+    assert [(v.rule, v.event_index, v.detail.split()[0]) for v in report.violations] == [
+        ("C3", 7, "'dave'"), ("C3", 8, "'carol'"), ("C3", 8, "'eve'"), ("C5", 9, "no")]
+    assert len(report.warnings) == 1
+
+
+def test_oracle_deletes_out_of_time_order():
+    trace = [
+        _ev(OWN, 1),
+        _ev(DELETE, 20),
+        _ev(OWN, 2),
+        _ev(DELETEREQ, 3, actor="alice"),  # deadline 6: honoured by the later delete at t=4
+        _ev(DELETE, 4),
+    ]
+    report = assert_same_audit(trace, SETS)
+    assert report.compliant and len(report.warnings) == 1
+
+
+@pytest.mark.parametrize("trace", [
+    [_ev(STORE, 1)],
+    [_ev(OWN, 1), _ev(USE, 2, purposes=frozenset({"ads"})), _ev(OWN, 3)],
+    [_ev(OWN, 1), _ev(GROUPHAS, 2, actor="alice", tar="eve"), _ev(DELETE, 3), _ev(USE, 4)],
+    [_ev(OWN, 1, policy=Policy(ap=POL.ap, dm=DeletionSpec(()), storage=POL.storage,
+                               acp=POL.acp, has=POL.has)), _ev(DELETEREQ, 2, actor="alice")],
+    [_ev(OWN, 1), _ev("frobnicate", 2)],
+], ids=["undefined", "duplicate-own", "after-delete", "no-manual-deletion", "unknown-kind"])
+def test_oracle_non_executing_traces(trace):
+    with pytest.raises(SemanticsError):
+        reference_audit(trace, SETS)
+    assert_same_audit(trace, SETS)
+
+
+def test_single_pass_over_an_iterator():
+    for seed in range(20):
+        rng = random.Random(seed)
+        model = random_model(rng)
+        trace = INJECTORS["C5"](model, compliant_trace(model, rng, max_len=40), rng)
+        full = check_trace(trace, model.sets)
+        assert check_trace(iter(trace), model.sets) == full
+        assert check_trace((e for e in trace), model.sets) == full
+        for rule in RULES:
+            assert check_rule(rule, iter(trace), model.sets) == [
+                v for v in full.violations if v.rule == rule]
