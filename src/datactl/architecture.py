@@ -9,8 +9,9 @@ checking and are instantiated over the finite universe during enumeration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Union
+import operator
+from dataclasses import dataclass, field, fields, replace
+from typing import Iterable, Mapping, NamedTuple, Union, get_args
 
 from .model import SP
 
@@ -211,6 +212,59 @@ Activity = Union[
 
 
 # ---------------------------------------------------------------------------
+# The activity schema
+#
+# Every activity has the surface shape ``Head[index...](args...)`` and its
+# dataclass fields are that shape: ``user`` and ``tar`` are index slots, and
+# ``action``, ``actions``, ``term``, ``terms`` and ``dd`` are argument slots,
+# in field order.  Parsing, printing, matching and instantiation read the
+# slots from the registry below.
+
+INDEX_SLOTS = ("user", "tar")
+
+
+class ActivitySchema(NamedTuple):
+    cls: type
+    kind: str  # the ArchEvent kind of the activity's instances
+    index: tuple[str, ...]  # index slot names, in surface order
+    args: tuple[str, ...]  # argument slot names, in surface order
+
+    def terms(self, act: Activity) -> tuple[Term, ...]:
+        """The terms the activity names, from its ``term`` or ``terms`` slot."""
+        if "term" in self.args:
+            return (act.term,)  # type: ignore[union-attr]
+        if "terms" in self.args:
+            return tuple(act.terms)  # type: ignore[union-attr]
+        return ()
+
+
+def _schema(cls: type) -> ActivitySchema:
+    names = tuple(f.name for f in fields(cls))
+    schema = ActivitySchema(
+        cls=cls,
+        kind="possess" if cls is PossessOneOf else cls.__name__.lower(),
+        index=tuple(n for n in names if n in INDEX_SLOTS),
+        args=tuple(n for n in names if n not in INDEX_SLOTS),
+    )
+    if schema.index + schema.args != names:
+        raise TypeError(f"{cls.__name__}: index fields must precede argument fields")
+    return schema
+
+
+ACTIVITIES: dict[str, ActivitySchema] = {
+    cls.__name__: _schema(cls) for cls in get_args(Activity)
+}
+"""Head name -> schema, for every activity class."""
+
+
+def schema_of(act: Activity) -> ActivitySchema:
+    schema = ACTIVITIES.get(type(act).__name__)
+    if schema is None or schema.cls is not type(act):
+        raise TypeError(f"unknown activity {act!r}")
+    return schema
+
+
+# ---------------------------------------------------------------------------
 # Permission tables
 
 Grant = Mapping[str, frozenset[str]]
@@ -311,8 +365,6 @@ class GlobalState:
     by: dict[str, Grant]
     been: dict[str, Grant]
     group: frozenset[str]
-    zby: dict[tuple[str, Term], frozenset[str]] = field(default_factory=dict)
-    zbeen: dict[tuple[str, Term], frozenset[str]] = field(default_factory=dict)
 
     def clone(self) -> "GlobalState":
         users = {
@@ -325,8 +377,6 @@ class GlobalState:
             by=self.by,
             been=self.been,
             group=self.group,
-            zby=dict(self.zby),
-            zbeen=dict(self.zbeen),
         )
 
     def can_do(self, action: str) -> frozenset[str]:
@@ -369,6 +419,21 @@ def _involved(e: ArchEvent) -> list[str]:
     if e.tar is not None:
         out.append(e.tar)
     return out
+
+
+def base_action(by: Mapping[str, Grant], un_action: str) -> str:
+    """The action whose ``has by/been`` tables the un-action ``un_action`` reads.
+
+    The tables are keyed by base action, so an un-action clears the holders its
+    base action granted; when the un-action has its own entry in ``by`` that
+    one wins.  This is the one place that resolves it, for the step function
+    and for deduction rules H5/H6 alike.
+    """
+    if un_action in by:
+        return un_action
+    if un_action.startswith("un") and un_action[2:] in by:
+        return un_action[2:]
+    return un_action
 
 
 def apply_arch_event(sigma: GlobalState, e: ArchEvent, index: int | None = None) -> GlobalState:
@@ -434,12 +499,8 @@ def apply_arch_event(sigma: GlobalState, e: ArchEvent, index: int | None = None)
     if kind in ("act1", "unact1"):
         if e.user not in sigma.can_do(e.action):
             return out
-        receivers = sigma.by_set(e.action, e.user)
-        key = (e.action, e.term)
-        if kind == "act1":
-            out.zby[key] = out.zby.get(key, frozenset()) | {e.user}
-        else:
-            out.zby[key] = out.zby.get(key, frozenset()) - {e.user}
+        base = e.action if kind == "act1" else base_action(sigma.by, e.action)
+        receivers = sigma.by_set(base, e.user)
         for j in receivers:
             if j not in out.users or out.users[j] is None:
                 continue
@@ -451,14 +512,8 @@ def apply_arch_event(sigma: GlobalState, e: ArchEvent, index: int | None = None)
     if kind in ("act2", "unact2"):
         if e.user not in sigma.can_do(e.action):
             return out
-        receivers = sigma.by_set(e.action, e.user) & sigma.been_set(e.action, e.tar)
-        key = (e.action, e.term)
-        if kind == "act2":
-            out.zby[key] = out.zby.get(key, frozenset()) | {e.user}
-            out.zbeen[key] = out.zbeen.get(key, frozenset()) | {e.tar}
-        else:
-            out.zby[key] = out.zby.get(key, frozenset()) - {e.user}
-            out.zbeen[key] = out.zbeen.get(key, frozenset()) - {e.tar}
+        base = e.action if kind == "act2" else base_action(sigma.by, e.action)
+        receivers = sigma.by_set(base, e.user) & sigma.been_set(base, e.tar)
         for j in receivers:
             if j not in out.users or out.users[j] is None:
                 continue
@@ -486,80 +541,36 @@ def run_arch_trace(trace: list[ArchEvent], init: GlobalState) -> GlobalState:
 # Compatibility
 
 
+def _match_any_term(patterns: frozenset[Term], concrete: Term) -> bool:
+    return any(match_term(p, concrete) for p in patterns)
+
+
+# Per slot: the event field it constrains and the test (pattern, concrete).
+# ``dd`` constrains no event field.
+_SLOT_MATCH = {
+    "user": ("user", _match_token),
+    "tar": ("tar", _match_token),
+    "action": ("action", operator.eq),
+    "actions": ("actions", operator.eq),
+    "term": ("term", match_term),
+    "terms": ("term", _match_any_term),
+}
+
+# Per activity class: its event kind and its (slot, event field, test) plan.
+_MATCH_PLAN = {
+    schema.cls: (
+        schema.kind,
+        tuple((slot, *_SLOT_MATCH[slot]) for slot in schema.index + schema.args
+              if slot in _SLOT_MATCH),
+    )
+    for schema in ACTIVITIES.values()
+}
+
+
 def _event_matches(e: ArchEvent, act: Activity) -> bool:
-    if isinstance(act, Own):
-        return e.kind == "own" and _match_token(act.user, e.user) and match_term(act.term, e.term)
-    if isinstance(act, Possess):
-        return e.kind == "possess" and match_term(act.term, e.term)
-    if isinstance(act, PossessOneOf):
-        return e.kind == "possess" and any(match_term(t, e.term) for t in act.terms)
-    if isinstance(act, GroupAct):
-        return (
-            e.kind == "groupact"
-            and act.action == e.action
-            and _match_token(act.user, e.user)
-            and _match_token(act.tar, e.tar)
-        )
-    if isinstance(act, UnGroupAct):
-        return (
-            e.kind == "ungroupact"
-            and act.action == e.action
-            and _match_token(act.user, e.user)
-            and _match_token(act.tar, e.tar)
-        )
-    if isinstance(act, GroupHas):
-        return e.kind == "grouphas" and _match_token(act.user, e.user) and _match_token(act.tar, e.tar)
-    if isinstance(act, UnGroupHas):
-        return e.kind == "ungrouphas" and _match_token(act.user, e.user) and _match_token(act.tar, e.tar)
-    if isinstance(act, AddFriends):
-        return (
-            e.kind == "addfriends"
-            and act.actions == e.actions
-            and _match_token(act.user, e.user)
-            and _match_token(act.tar, e.tar)
-        )
-    if isinstance(act, UnFriends):
-        return (
-            e.kind == "unfriends"
-            and act.actions == e.actions
-            and _match_token(act.user, e.user)
-            and _match_token(act.tar, e.tar)
-        )
-    if isinstance(act, DeleteReq):
-        return e.kind == "deletereq" and _match_token(act.user, e.user) and match_term(act.term, e.term)
-    if isinstance(act, Delete):
-        return e.kind == "delete" and match_term(act.term, e.term)
-    if isinstance(act, Act1):
-        return (
-            e.kind == "act1"
-            and act.action == e.action
-            and _match_token(act.user, e.user)
-            and match_term(act.term, e.term)
-        )
-    if isinstance(act, UnAct1):
-        return (
-            e.kind == "unact1"
-            and act.action == e.action
-            and _match_token(act.user, e.user)
-            and match_term(act.term, e.term)
-        )
-    if isinstance(act, Act2):
-        return (
-            e.kind == "act2"
-            and act.action == e.action
-            and _match_token(act.user, e.user)
-            and _match_token(act.tar, e.tar)
-            and match_term(act.term, e.term)
-        )
-    if isinstance(act, UnAct2):
-        return (
-            e.kind == "unact2"
-            and act.action == e.action
-            and _match_token(act.user, e.user)
-            and _match_token(act.tar, e.tar)
-            and match_term(act.term, e.term)
-        )
-    return False
+    kind, plan = _MATCH_PLAN[type(act)]
+    return e.kind == kind and all(test(getattr(act, slot), getattr(e, attr))
+                                  for slot, attr, test in plan)
 
 
 def is_compatible(trace: list[ArchEvent], pa: Architecture) -> tuple[bool, int | None]:
@@ -601,65 +612,25 @@ def _concrete_terms(term: Term, universe: Universe) -> list[Term]:
 
 
 def instantiate_events(pa: Architecture, t: int, universe: Universe) -> list[ArchEvent]:
-    """All concrete events at time ``t`` that instantiate some activity."""
+    """All concrete events at time ``t`` that instantiate some activity.
+
+    Index slots range over the universe's users (an activity without a
+    ``user`` slot is the provider's), term slots over their concrete
+    instances, and the value of an event that carries a term over the
+    universe's values; ``action`` and ``actions`` are copied.
+    """
     events: list[ArchEvent] = []
     for act in pa.activities:
-        if isinstance(act, Own):
-            for term in _concrete_terms(act.term, universe):
-                users = _instantiate_users(act.user, universe)
-                for u, v in itertools.product(users, universe.values):
-                    events.append(ArchEvent("own", t, user=u, term=term, value=v))
-        elif isinstance(act, Possess):
-            for term in _concrete_terms(act.term, universe):
-                for v in universe.values:
-                    events.append(ArchEvent("possess", t, user=SP, term=term, value=v))
-        elif isinstance(act, PossessOneOf):
-            for term in act.terms:
-                for concrete in _concrete_terms(term, universe):
-                    for v in universe.values:
-                        events.append(ArchEvent("possess", t, user=SP, term=concrete, value=v))
-        elif isinstance(act, (GroupAct, UnGroupAct)):
-            kind = "groupact" if isinstance(act, GroupAct) else "ungroupact"
-            for u, tar in itertools.product(
-                _instantiate_users(act.user, universe), _instantiate_users(act.tar, universe)
-            ):
-                events.append(ArchEvent(kind, t, user=u, tar=tar, action=act.action))
-        elif isinstance(act, (GroupHas, UnGroupHas)):
-            kind = "grouphas" if isinstance(act, GroupHas) else "ungrouphas"
-            for u, tar in itertools.product(
-                _instantiate_users(act.user, universe), _instantiate_users(act.tar, universe)
-            ):
-                events.append(ArchEvent(kind, t, user=u, tar=tar))
-        elif isinstance(act, (AddFriends, UnFriends)):
-            kind = "addfriends" if isinstance(act, AddFriends) else "unfriends"
-            for u, tar in itertools.product(
-                _instantiate_users(act.user, universe), _instantiate_users(act.tar, universe)
-            ):
-                events.append(ArchEvent(kind, t, user=u, tar=tar, actions=act.actions))
-        elif isinstance(act, DeleteReq):
-            for term in _concrete_terms(act.term, universe):
-                for u, v in itertools.product(_instantiate_users(act.user, universe), universe.values):
-                    events.append(ArchEvent("deletereq", t, user=u, term=term, value=v))
-        elif isinstance(act, Delete):
-            for term in _concrete_terms(act.term, universe):
-                for v in universe.values:
-                    events.append(ArchEvent("delete", t, user=SP, term=term, value=v))
-        elif isinstance(act, (Act1, UnAct1)):
-            kind = "act1" if isinstance(act, Act1) else "unact1"
-            for term in _concrete_terms(act.term, universe):
-                for u, v in itertools.product(_instantiate_users(act.user, universe), universe.values):
-                    events.append(ArchEvent(kind, t, user=u, action=act.action, term=term, value=v))
-        elif isinstance(act, (Act2, UnAct2)):
-            kind = "act2" if isinstance(act, Act2) else "unact2"
-            for term in _concrete_terms(act.term, universe):
-                for u, tar, v in itertools.product(
-                    _instantiate_users(act.user, universe),
-                    _instantiate_users(act.tar, universe),
-                    universe.values,
-                ):
-                    events.append(
-                        ArchEvent(kind, t, user=u, tar=tar, action=act.action, term=term, value=v)
-                    )
+        schema = schema_of(act)
+        users = _instantiate_users(getattr(act, "user", SP), universe)
+        tars = _instantiate_users(act.tar, universe) if "tar" in schema.index else [None]
+        terms = [c for term in schema.terms(act) for c in _concrete_terms(term, universe)]
+        values = universe.values if terms else (None,)
+        action, actions = getattr(act, "action", None), getattr(act, "actions", ())
+        for term in terms or [None]:
+            for u, tar, v in itertools.product(users, tars, values):
+                events.append(ArchEvent(schema.kind, t, user=u, tar=tar, action=action,
+                                        term=term, value=v, actions=actions))
     return events
 
 

@@ -9,32 +9,18 @@ and parse∘serialize is the identity on every valid document.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .architecture import (
-    Act1,
-    Act2,
+    ACTIVITIES,
     Activity,
-    AddFriends,
     Architecture,
     ArchEvent,
     ArchPerms,
-    Delete,
-    DeleteReq,
     Func,
-    GroupAct,
-    GroupHas,
     KeyVar,
-    Own,
-    Possess,
-    PossessOneOf,
     Term,
-    UnAct1,
-    UnAct2,
-    UnFriends,
-    UnGroupAct,
-    UnGroupHas,
     Var,
     is_consistent,
 )
@@ -74,7 +60,7 @@ from .semantics import (
     AbstractEvent,
 )
 
-KINDS = ("policy", "trace", "architecture", "arch-trace", "query")
+T = TypeVar("T")
 
 _PUNCT = set("{}()[]=,;:/+")
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_?")
@@ -593,23 +579,69 @@ def _parse_term(p: _Parser) -> Term:
         return KeyVar(owner)
     if head in ("enc", "hash", "sig"):
         p.expect("(")
-        args = [_parse_term(p)]
-        while p.accept(","):
-            args.append(_parse_term(p))
+        args = _parse_list(p, _parse_term)
         p.expect(")")
         return Func(head, tuple(args))
     p.fail(f"unknown term head {head!r}", {"X", "key", "enc", "hash", "sig"})
     raise AssertionError
 
 
-def _parse_index(p: _Parser, arity: int) -> list[str]:
-    p.expect("[")
-    users = [p.ident("user")]
-    for _ in range(arity - 1):
-        p.expect(",")
-        users.append(p.ident("user"))
-    p.expect("]")
-    return users
+def _parse_list(p: _Parser, item: Callable[[_Parser], T]) -> list[T]:
+    """One or more comma-separated items."""
+    items = [item(p)]
+    while p.accept(","):
+        items.append(item(p))
+    return items
+
+
+def _parse_dd(p: _Parser) -> int:
+    p.expect("dd")
+    p.expect("=")
+    return p.number()
+
+
+# How to read each argument slot; ``actions`` and ``terms`` take the rest of
+# the argument list.
+_ARG_PARSERS: dict[str, Callable[[_Parser], object]] = {
+    "action": lambda p: p.ident("action name"),
+    "actions": lambda p: tuple(_parse_list(p, lambda p: p.ident("action name"))),
+    "term": _parse_term,
+    "terms": lambda p: frozenset(_parse_list(p, _parse_term)),
+    "dd": _parse_dd,
+}
+
+# Per head: the class, its number of index slots, and a reader per argument
+# slot.  The fields are the index slots followed by the argument slots, so the
+# values read are the class's positional arguments.
+_PARSE_PLANS = {
+    head: (schema.cls, len(schema.index), tuple(_ARG_PARSERS[slot] for slot in schema.args))
+    for head, schema in ACTIVITIES.items()
+}
+
+
+def _parse_activity(p: _Parser) -> Activity:
+    """``Head[index, ...](arg, ...)``, with the slots the head's schema names."""
+    head = p.ident("activity")
+    plan = _PARSE_PLANS.get(head)
+    if plan is None:
+        p.fail(f"unknown activity {head!r}")
+    cls, arity, readers = plan
+    values: list[object] = []
+    if arity:
+        p.expect("[")
+        for k in range(arity):
+            if k:
+                p.expect(",")
+            values.append(p.ident("user"))
+        p.expect("]")
+    if readers:
+        p.expect("(")
+        for k, read in enumerate(readers):
+            if k:
+                p.expect(",")
+            values.append(read(p))
+        p.expect(")")
+    return cls(*values)
 
 
 def parse_architecture(text: str, file: str = "<input>") -> Architecture:
@@ -623,80 +655,7 @@ def parse_architecture(text: str, file: str = "<input>") -> Architecture:
             p.advance()
             perms = _parse_perms_block(p)
             continue
-        head = p.ident("activity")
-        if head == "Own":
-            (u,) = _parse_index(p, 1)
-            p.expect("(")
-            term = _parse_term(p)
-            p.expect(")")
-            activities.add(Own(u, term))
-        elif head == "Possess":
-            p.expect("(")
-            term = _parse_term(p)
-            p.expect(")")
-            activities.add(Possess(term))
-        elif head == "PossessOneOf":
-            p.expect("(")
-            terms = [_parse_term(p)]
-            while p.accept(","):
-                terms.append(_parse_term(p))
-            p.expect(")")
-            activities.add(PossessOneOf(frozenset(terms)))
-        elif head in ("GroupAct", "UnGroupAct"):
-            u, tar = _parse_index(p, 2)
-            p.expect("(")
-            action = p.ident("action name")
-            p.expect(")")
-            cls = GroupAct if head == "GroupAct" else UnGroupAct
-            activities.add(cls(u, tar, action))
-        elif head in ("GroupHas", "UnGroupHas"):
-            u, tar = _parse_index(p, 2)
-            cls = GroupHas if head == "GroupHas" else UnGroupHas
-            activities.add(cls(u, tar))
-        elif head in ("AddFriends", "UnFriends"):
-            u, tar = _parse_index(p, 2)
-            p.expect("(")
-            actions = [p.ident("action name")]
-            while p.accept(","):
-                actions.append(p.ident("action name"))
-            p.expect(")")
-            cls = AddFriends if head == "AddFriends" else UnFriends
-            activities.add(cls(u, tar, tuple(actions)))
-        elif head == "DeleteReq":
-            (u,) = _parse_index(p, 1)
-            p.expect("(")
-            term = _parse_term(p)
-            p.expect(")")
-            activities.add(DeleteReq(u, term))
-        elif head == "Delete":
-            p.expect("(")
-            term = _parse_term(p)
-            p.expect(",")
-            p.expect("dd")
-            p.expect("=")
-            dd = p.number()
-            p.expect(")")
-            activities.add(Delete(term, dd))
-        elif head in ("Act1", "UnAct1"):
-            (u,) = _parse_index(p, 1)
-            p.expect("(")
-            action = p.ident("action name")
-            p.expect(",")
-            term = _parse_term(p)
-            p.expect(")")
-            cls = Act1 if head == "Act1" else UnAct1
-            activities.add(cls(u, action, term))
-        elif head in ("Act2", "UnAct2"):
-            u, tar = _parse_index(p, 2)
-            p.expect("(")
-            action = p.ident("action name")
-            p.expect(",")
-            term = _parse_term(p)
-            p.expect(")")
-            cls = Act2 if head == "Act2" else UnAct2
-            activities.add(cls(u, tar, action, term))
-        else:
-            p.fail(f"unknown activity {head!r}")
+        activities.add(_parse_activity(p))
         p.expect(";")
     p.expect("}")
     p.eof()
@@ -889,13 +848,6 @@ def _require_var(p: _Parser, term: Term) -> Var:
 # Serialization
 
 
-@dataclass
-class Document:
-    kind: str  # member of KINDS
-    payload: object
-    model: PolicyModel | None = None  # trace documents need the model to round-trip
-
-
 def _fmt_set(items: Iterable[str]) -> str:
     return "{" + ", ".join(sorted(items)) + "}"
 
@@ -1021,47 +973,41 @@ def serialize_term(term: Term) -> str:
     raise TypeError(f"unknown term {term!r}")
 
 
+# How to print each argument slot.
+_ARG_PRINTERS: dict[str, Callable] = {
+    "action": str,
+    "actions": ", ".join,
+    "term": serialize_term,
+    "terms": lambda terms: ", ".join(sorted(map(serialize_term, terms))),
+    "dd": lambda dd: f"dd={dd}",
+}
+
+# Per class: the head, its index slots, and its (argument slot, printer) plan.
+_PRINT_PLANS = {
+    schema.cls: (head, schema.index, tuple((slot, _ARG_PRINTERS[slot]) for slot in schema.args))
+    for head, schema in ACTIVITIES.items()
+}
+
+
 def serialize_activity(act: Activity) -> str:
-    if isinstance(act, Own):
-        return f"Own[{act.user}]({serialize_term(act.term)})"
-    if isinstance(act, Possess):
-        return f"Possess({serialize_term(act.term)})"
-    if isinstance(act, PossessOneOf):
-        terms = ", ".join(sorted(serialize_term(t) for t in act.terms))
-        return f"PossessOneOf({terms})"
-    if isinstance(act, GroupAct):
-        return f"GroupAct[{act.user}, {act.tar}]({act.action})"
-    if isinstance(act, UnGroupAct):
-        return f"UnGroupAct[{act.user}, {act.tar}]({act.action})"
-    if isinstance(act, GroupHas):
-        return f"GroupHas[{act.user}, {act.tar}]"
-    if isinstance(act, UnGroupHas):
-        return f"UnGroupHas[{act.user}, {act.tar}]"
-    if isinstance(act, AddFriends):
-        return f"AddFriends[{act.user}, {act.tar}]({', '.join(act.actions)})"
-    if isinstance(act, UnFriends):
-        return f"UnFriends[{act.user}, {act.tar}]({', '.join(act.actions)})"
-    if isinstance(act, DeleteReq):
-        return f"DeleteReq[{act.user}]({serialize_term(act.term)})"
-    if isinstance(act, Delete):
-        return f"Delete({serialize_term(act.term)}, dd={act.dd})"
-    if isinstance(act, Act1):
-        return f"Act1[{act.user}]({act.action}, {serialize_term(act.term)})"
-    if isinstance(act, UnAct1):
-        return f"UnAct1[{act.user}]({act.action}, {serialize_term(act.term)})"
-    if isinstance(act, Act2):
-        return f"Act2[{act.user}, {act.tar}]({act.action}, {serialize_term(act.term)})"
-    if isinstance(act, UnAct2):
-        return f"UnAct2[{act.user}, {act.tar}]({act.action}, {serialize_term(act.term)})"
-    raise TypeError(f"unknown activity {act!r}")
+    plan = _PRINT_PLANS.get(type(act))
+    if plan is None:
+        raise TypeError(f"unknown activity {act!r}")
+    head, index, args = plan
+    out = head
+    if index:
+        out += "[" + ", ".join([getattr(act, slot) for slot in index]) + "]"
+    if args:
+        out += "(" + ", ".join([show(getattr(act, slot)) for slot, show in args]) + ")"
+    return out
 
 
 def serialize_architecture(pa: Architecture) -> str:
     if not pa.activities and pa.perms.is_empty():
         return "architecture {}\n"
     lines = ["architecture {"]
-    for act in sorted(pa.activities, key=serialize_activity):
-        lines.append(f"  {serialize_activity(act)};")
+    for text in sorted(map(serialize_activity, pa.activities)):
+        lines.append(f"  {text};")
     if not pa.perms.is_empty():
         lines.append("  perms {")
         for action in sorted(pa.perms.can):
@@ -1079,12 +1025,6 @@ def serialize_architecture(pa: Architecture) -> str:
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-_ARCH_SURFACE = {
-    "groupact": "group{action}",
-    "ungroupact": "ungroup{action}",
-}
 
 
 def serialize_arch_trace(events: Sequence[ArchEvent]) -> str:
@@ -1124,22 +1064,6 @@ def serialize_query(prop: HasProperty) -> str:
     if isinstance(prop, HasNever):
         return f"HAS_never[{prop.user}]({serialize_term(prop.var)})"
     raise TypeError(f"unknown property {prop!r}")
-
-
-def serialize(doc: Document) -> str:
-    if doc.kind == "policy":
-        return serialize_policy(doc.payload)
-    if doc.kind == "trace":
-        if doc.model is None:
-            raise ValueError("trace documents need their model to serialize")
-        return serialize_trace(doc.payload, doc.model)
-    if doc.kind == "architecture":
-        return serialize_architecture(doc.payload)
-    if doc.kind == "arch-trace":
-        return serialize_arch_trace(doc.payload)
-    if doc.kind == "query":
-        return serialize_query(doc.payload) + "\n"
-    raise ValueError(f"unknown document kind {doc.kind!r}")
 
 
 def sniff_kind(text: str) -> str:

@@ -16,23 +16,26 @@ from typing import Callable, Iterable, Union
 from .architecture import (
     Act1,
     Act2,
+    AddFriends,
     Architecture,
     ArchEvent,
     Delete,
     Func,
     GlobalState,
+    GroupAct,
     KeyVar,
     Own,
     Possess,
     PossessOneOf,
     Term,
-    UnAct1,
-    UnAct2,
     Universe,
     Var,
+    base_action,
     enumerate_states,
+    is_compatible,
     is_pattern,
     match_term,
+    schema_of,
 )
 from .model import SP
 
@@ -155,18 +158,9 @@ def _activity_vars(pa: Architecture) -> list[Var]:
                 visit(arg)
 
     for act in pa.activities:
-        for attr in ("term",):
-            term = getattr(act, attr, None)
-            if term is not None:
-                visit(term)
-        if isinstance(act, PossessOneOf):
-            for term in act.terms:
-                visit(term)
+        for term in schema_of(act).terms(act):
+            visit(term)
     return list(out)
-
-
-def _concrete_user(pattern: str, event_user: str) -> str:
-    return event_user if is_pattern(pattern) else pattern
 
 
 def _gby(pa: Architecture, action: str) -> GrantLookup:
@@ -177,7 +171,9 @@ def _gbeen(pa: Architecture, action: str) -> GrantLookup:
     return shared_lookup(pa.perms.been.get(action, {}))
 
 
-def _h8_conclusions(pa: Architecture) -> list[DeductionResult]:
+def h8_conclusions(pa: Architecture) -> list[DeductionResult]:
+    """H8: the provider reads each variable it possesses in the clear, or
+    under its own key when it also possesses that key."""
     out = []
     possessed: set[Term] = set()
     for act in pa.of_type(Possess):
@@ -210,7 +206,8 @@ def _h8_conclusions(pa: Architecture) -> list[DeductionResult]:
     return out
 
 
-def _h1_applicable(pa: Architecture, j: str, var: Var) -> bool:
+def h1_applicable(pa: Architecture, j: str, var: Var) -> bool:
+    """H1's premise: some Own activity lets ``j`` input ``var``."""
     return any(
         _match_user_term(act.user, j, act.term, var) for act in pa.of_type(Own)
     )
@@ -225,8 +222,6 @@ def _may_perform(pa: Architecture, i: str, action: str) -> bool:
     either the table grants it now, or a grant activity can add ``i`` later."""
     if i in pa.perms.can_do(action):
         return True
-    from .architecture import AddFriends, GroupAct  # local to avoid cycle at import
-
     for act in pa.activities:
         if isinstance(act, GroupAct) and act.action == action and _match_token_user(act.tar, i):
             return True
@@ -239,7 +234,8 @@ def _match_token_user(pattern: str, user: str) -> bool:
     return is_pattern(pattern) or pattern == user
 
 
-def _h2_applicable(pa: Architecture, j: str, var: Var, performers: Iterable[str]) -> bool:
+def h2_applicable(pa: Architecture, j: str, var: Var, performers: Iterable[str]) -> bool:
+    """H2's premise: some unary action on ``var`` can grant ``j`` the value."""
     for act in pa.of_type(Act1):
         if not match_term(act.term, var):
             continue
@@ -252,7 +248,8 @@ def _h2_applicable(pa: Architecture, j: str, var: Var, performers: Iterable[str]
     return False
 
 
-def _h3_applicable(pa: Architecture, j: str, var: Var, users: Iterable[str]) -> bool:
+def h3_applicable(pa: Architecture, j: str, var: Var, users: Iterable[str]) -> bool:
+    """H3's premise: some binary action on ``var`` can grant ``j`` the value."""
     for act in pa.of_type(Act2):
         if not match_term(act.term, var):
             continue
@@ -265,6 +262,12 @@ def _h3_applicable(pa: Architecture, j: str, var: Var, users: Iterable[str]) -> 
                 if j in have_act2_set(i, tar, var.ow, _gby(pa, act.action), _gbeen(pa, act.action)):
                     return True
     return False
+
+
+# The rule each valued event kind triggers: the owner's input (H1), grants
+# (H2, H3) and withdrawals (H5, H6), the latter reading the holder tables of
+# the base action.
+_EVENT_RULES = {"own": "H1", "act1": "H2", "act2": "H3", "unact1": "H5", "unact2": "H6"}
 
 
 def deduce(
@@ -281,110 +284,41 @@ def deduce(
     users = sorted(set(users) | {SP})
     results: list[DeductionResult] = []
 
-    own_acts = pa.of_type(Own)
-    act1_acts = pa.of_type(Act1)
-    act2_acts = pa.of_type(Act2)
-    unact1_acts = pa.of_type(UnAct1)
-    unact2_acts = pa.of_type(UnAct2)
-    delete_acts = pa.of_type(Delete)
-
     for e in trace:
-        if e.kind == "own" and isinstance(e.term, Var):
-            for act in own_acts:
-                if _match_user_term(act.user, e.user, act.term, e.term):
-                    results.append(
-                        DeductionResult(
-                            "H1",
-                            Has(e.user, e.term, e.t),
-                            f"owner {e.user!r} input the value at t={e.t}",
-                        )
-                    )
-                    break
-        elif e.kind == "act1" and isinstance(e.term, Var):
-            for act in act1_acts:
-                if act.action != e.action or not match_term(act.term, e.term):
-                    continue
-                if not is_pattern(act.user) and act.user != e.user:
-                    continue
-                if e.user not in pa.perms.can_do(e.action):
-                    continue
-                for j in sorted(have_act1_set(e.user, e.term.ow, _gby(pa, e.action))):
-                    results.append(
-                        DeductionResult(
-                            "H2",
-                            Has(j, e.term, e.t),
-                            f"{e.action!r} by {e.user!r} grants {j!r} the value",
-                        )
-                    )
-                break
-        elif e.kind == "act2" and isinstance(e.term, Var):
-            for act in act2_acts:
-                if act.action != e.action or not match_term(act.term, e.term):
-                    continue
-                if not is_pattern(act.user) and act.user != e.user:
-                    continue
-                if not is_pattern(act.tar) and act.tar != e.tar:
-                    continue
-                if e.user not in pa.perms.can_do(e.action):
-                    continue
-                holders = have_act2_set(
-                    e.user, e.tar, e.term.ow, _gby(pa, e.action), _gbeen(pa, e.action)
+        # The event must bind a variable and instantiate an activity.
+        rule = _EVENT_RULES.get(e.kind)
+        if rule is None or not isinstance(e.term, Var) or not is_compatible([e], pa)[0]:
+            continue
+        if rule == "H1":
+            results.append(
+                DeductionResult(
+                    "H1", Has(e.user, e.term, e.t), f"owner {e.user!r} input the value at t={e.t}"
                 )
-                for j in sorted(holders):
-                    results.append(
-                        DeductionResult(
-                            "H3",
-                            Has(j, e.term, e.t),
-                            f"{e.action!r} by {e.user!r} on {e.tar!r} grants {j!r} the value",
-                        )
-                    )
-                break
-        elif e.kind == "unact1" and isinstance(e.term, Var):
-            for act in unact1_acts:
-                if act.action != e.action or not match_term(act.term, e.term):
-                    continue
-                if not is_pattern(act.user) and act.user != e.user:
-                    continue
-                if e.user not in pa.perms.can_do(e.action):
-                    continue
-                base = _base_action(pa, e.action)
-                for j in sorted(have_act1_set(e.user, e.term.ow, _gby(pa, base))):
-                    results.append(
-                        DeductionResult(
-                            "H5",
-                            HasNot(j, e.term, e.t),
-                            f"{e.action!r} by {e.user!r} withdraws the value from {j!r}",
-                        )
-                    )
-                break
-        elif e.kind == "unact2" and isinstance(e.term, Var):
-            for act in unact2_acts:
-                if act.action != e.action or not match_term(act.term, e.term):
-                    continue
-                if not is_pattern(act.user) and act.user != e.user:
-                    continue
-                if not is_pattern(act.tar) and act.tar != e.tar:
-                    continue
-                if e.user not in pa.perms.can_do(e.action):
-                    continue
-                base = _base_action(pa, e.action)
-                holders = have_act2_set(
-                    e.user, e.tar, e.term.ow, _gby(pa, base), _gbeen(pa, base)
-                )
-                for j in sorted(holders):
-                    results.append(
-                        DeductionResult(
-                            "H6",
-                            HasNot(j, e.term, e.t),
-                            f"{e.action!r} by {e.user!r} on {e.tar!r} withdraws the value from {j!r}",
-                        )
-                    )
-                break
+            )
+            continue
+        if e.user not in pa.perms.can_do(e.action):
+            continue
+        revokes = rule in ("H5", "H6")
+        action = base_action(pa.perms.by, e.action) if revokes else e.action
+        if rule in ("H2", "H5"):
+            holders = have_act1_set(e.user, e.term.ow, _gby(pa, action))
+            how = f"{e.action!r} by {e.user!r}"
+        else:
+            holders = have_act2_set(
+                e.user, e.tar, e.term.ow, _gby(pa, action), _gbeen(pa, action)
+            )
+            how = f"{e.action!r} by {e.user!r} on {e.tar!r}"
+        for j in sorted(holders):
+            if revokes:
+                conclusion, why = HasNot(j, e.term, e.t), f"{how} withdraws the value from {j!r}"
+            else:
+                conclusion, why = Has(j, e.term, e.t), f"{how} grants {j!r} the value"
+            results.append(DeductionResult(rule, conclusion, why))
 
-    results.extend(_h8_conclusions(pa))
+    results.extend(h8_conclusions(pa))
 
     # H10: a sanctioned deletion within its delay clears every user's copy.
-    for act in delete_acts:
+    for act in pa.of_type(Delete):
         for req in trace:
             if req.kind != "deletereq" or not isinstance(req.term, Var):
                 continue
@@ -410,11 +344,11 @@ def deduce(
         if not isinstance(var, Var) or is_pattern(var.ow):
             continue
         for j in users:
-            if _h1_applicable(pa, j, var):
+            if h1_applicable(pa, j, var):
                 continue
-            if _h2_applicable(pa, j, var, users):
+            if h2_applicable(pa, j, var, users):
                 continue
-            if _h3_applicable(pa, j, var, users):
+            if h3_applicable(pa, j, var, users):
                 continue
             if j == SP and var in h8_vars:
                 continue
@@ -426,17 +360,6 @@ def deduce(
                 )
             )
     return results
-
-
-def _base_action(pa: Architecture, un_action: str) -> str:
-    """The base action whose permitted-holder tables an un-action consults.
-    The architecture's tables are keyed by base action; when the un-action
-    has its own entry that one wins."""
-    if un_action in pa.perms.by:
-        return un_action
-    if un_action.startswith("un") and un_action[2:] in pa.perms.by:
-        return un_action[2:]
-    return un_action
 
 
 def conclusions(results: Iterable[DeductionResult]) -> frozenset[HasProperty]:

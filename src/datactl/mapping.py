@@ -18,7 +18,6 @@ from .architecture import (
     ArchPerms,
     Delete,
     DeleteReq,
-    Func,
     GroupAct,
     GroupHas,
     KeyVar,
@@ -34,7 +33,7 @@ from .architecture import (
     is_consistent,
     is_pattern,
 )
-from .logic import have_act1_set, have_act2_set, shared_lookup
+from .logic import h1_applicable, h2_applicable, h3_applicable, h8_conclusions
 from .model import SP, ActivitySets, DataRef, Policy, PolicyModel
 from .semantics import (
     ACT1,
@@ -355,30 +354,6 @@ def _policy_c3iii(
     return False
 
 
-def _arch_h1(pa: Architecture, j: str, x: Var) -> bool:
-    from .logic import _h1_applicable
-
-    return _h1_applicable(pa, j, x)
-
-
-def _arch_h2(pa: Architecture, j: str, x: Var, users: Iterable[str]) -> bool:
-    from .logic import _h2_applicable
-
-    return _h2_applicable(pa, j, x, list(users))
-
-
-def _arch_h3(pa: Architecture, j: str, x: Var, users: Iterable[str]) -> bool:
-    from .logic import _h3_applicable
-
-    return _h3_applicable(pa, j, x, list(users))
-
-
-def _arch_h8(pa: Architecture, x: Var) -> bool:
-    from .logic import _h8_conclusions
-
-    return any(r.conclusion.var == x for r in _h8_conclusions(pa))
-
-
 def _arch_h10(pa: Architecture, x: Var) -> bool:
     has_delete = any(d.term.matches(x) if isinstance(d.term, Var) else False
                      for d in pa.of_type(Delete))
@@ -446,16 +421,16 @@ def check_correspondence(
         x = var_of(dt)
         ext = frozenset(extendable.get(ident, ()))
         pa_here = pa if pa is not None else per_datum[ident]
+        h8 = any(r.conclusion.var == x for r in h8_conclusions(pa_here))
 
         for j in users:
             c3i = _policy_c3i(j, dt)
             c3ii = _policy_c3ii(j, pol, sets, users, ext)
             c3iii = _policy_c3iii(j, pol, sets, users, ext)
-            h1 = _arch_h1(pa_here, j, x)
-            h2 = _arch_h2(pa_here, j, x, users)
-            h3 = _arch_h3(pa_here, j, x, users)
-            h8_blocks = j == SP and _arch_h8(pa_here, x)
-            h9 = not (h1 or h2 or h3 or h8_blocks)
+            h1 = h1_applicable(pa_here, j, x)
+            h2 = h2_applicable(pa_here, j, x, users)
+            h3 = h3_applicable(pa_here, j, x, users)
+            h9 = not (h1 or h2 or h3 or (j == SP and h8))
 
             # The provider's storage-based possession is a holder clause of its
             # own; mirror it on the policy side so the biconditional stays
@@ -488,7 +463,7 @@ def check_correspondence(
                 )
 
         report.results.append(
-            _biconditional("P5", None, ident, pol.storage.sp_readable(), _arch_h8(pa_here, x),
+            _biconditional("P5", None, ident, pol.storage.sp_readable(), h8,
                            "provider-storage rule", "provider-possession rule")
         )
         if pol.dm.modes or pa_here.of_type(Delete):

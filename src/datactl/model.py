@@ -7,7 +7,7 @@ Everything here is an immutable value; well-formedness is checked by the
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Mapping
 
 # Distinguished principal for the service provider / data controller.
 SP = "sp"
@@ -126,10 +126,6 @@ class StorageSpec:
         return "sploc" in self.wh and (
             ("plain", "none") in self.ho or ("enc", "spkey") in self.ho
         )
-
-
-def _freeze_grant(grant: Mapping[str, Iterable[str]]) -> dict[str, frozenset[str]]:
-    return {k: frozenset(v) for k, v in grant.items()}
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ PASS/FAIL line with its runtime (run with ``pytest -s`` to see them inline)."""
 import random
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -52,7 +53,7 @@ from datactl.semantics import possible_events
 
 from modelgen import INJECTORS, compliant_trace, full_events, random_model
 
-FIX = "fixtures/facebook"
+FIX = Path(__file__).resolve().parent.parent / "fixtures" / "facebook"
 
 
 @contextmanager

@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from datactl.architecture import (
+    ACTIVITIES,
     Act1,
     Act2,
     AddFriends,
@@ -22,11 +23,15 @@ from datactl.architecture import (
     Possess,
     PossessOneOf,
     UnAct1,
+    UnAct2,
+    UnFriends,
     UnGroupAct,
+    UnGroupHas,
     Universe,
     Var,
     KeyVar,
     apply_arch_event,
+    base_action,
     enc,
     enumerate_states,
     initial_state,
@@ -35,6 +40,7 @@ from datactl.architecture import (
     is_consistent,
     run_arch_trace,
 )
+from datactl.dsl import parse_architecture, serialize_architecture
 from datactl.model import SP
 
 X = Var(ow="alice", ds=frozenset({"alice", "bob"}), ident="d1")
@@ -135,6 +141,49 @@ def test_unact1_clears_receivers():
     assert sigma.users["bob"].value(X) is None
 
 
+def test_unact1_clears_the_holders_of_its_base_action():
+    # Derived architectures key `has by` by base action only; the un-action
+    # carries its own name and its own `can` grant.
+    perms = ArchPerms(
+        can={"fav": frozenset({"alice"}), "unfav": frozenset({"alice"})},
+        by={"fav": {"alice": frozenset({"bob"})}},
+    )
+    sigma = initial_state(make_arch(extra=[UnAct1("?i", "unfav", X)], perms=perms), ["alice", "bob"])
+    sigma = apply_arch_event(sigma, ArchEvent("act1", 1, user="alice", action="fav", term=X, value="v"))
+    assert sigma.users["bob"].value(X) == "v"
+    sigma = apply_arch_event(sigma, ArchEvent("unact1", 2, user="alice", action="unfav", term=X))
+    assert sigma.users["bob"].value(X) is None
+    assert sigma.users["bob"].t == 2
+
+
+def test_unact2_clears_the_holders_of_its_base_action():
+    perms = ArchPerms(
+        can={"link": frozenset({"alice"}), "unlink": frozenset({"alice"})},
+        by={"link": {"alice": frozenset({"bob", "carol"})}},
+        been={"link": {"bob": frozenset({"carol"})}},
+    )
+    pa = Architecture(
+        activities=frozenset({Act2("?i", "?j", "link", X), UnAct2("?i", "?j", "unlink", X)}),
+        perms=perms,
+    )
+    sigma = initial_state(pa, ["alice", "bob", "carol"])
+    sigma = apply_arch_event(
+        sigma, ArchEvent("act2", 1, user="alice", tar="bob", action="link", term=X, value="v")
+    )
+    assert sigma.users["carol"].value(X) == "v"
+    sigma = apply_arch_event(
+        sigma, ArchEvent("unact2", 2, user="alice", tar="bob", action="unlink", term=X)
+    )
+    assert sigma.users["carol"].value(X) is None
+
+
+def test_base_action_resolution():
+    by = {"fav": {}, "unpin": {}}
+    assert base_action(by, "unfav") == "fav"
+    assert base_action(by, "unpin") == "unpin"  # the un-action's own entry wins
+    assert base_action(by, "unlink") == "unlink"  # no table either way
+
+
 def test_act2_intersection_receivers():
     perms = ArchPerms(
         can={"link": frozenset({"alice"})},
@@ -204,6 +253,61 @@ def test_possess_one_of_matches_any_branch():
     assert ok
     ok, idx = is_compatible([ArchEvent("possess", 1, user=SP, term=KeyVar("sp"), value="v")], pa)
     assert not ok and idx == 1
+
+
+# --- one schema per activity class --------------------------------------------
+
+X_OW = Var(ow="?o", ds=frozenset({"alice", "bob"}), ident="d1")
+SP_KEY = KeyVar("sp")
+
+# One activity per class, with pattern users.  Possess and PossessOneOf both
+# instantiate to `possess` events, so their samples name different terms.
+SCHEMA_SAMPLES = {
+    Own: Own("?i", X_OW),
+    Possess: Possess(X_OW),
+    PossessOneOf: PossessOneOf(frozenset({enc(X_OW, SP_KEY), SP_KEY})),
+    GroupAct: GroupAct("?i", "?j", "fav"),
+    UnGroupAct: UnGroupAct("?i", "?j", "fav"),
+    GroupHas: GroupHas("?i", "?j"),
+    UnGroupHas: UnGroupHas("?i", "?j"),
+    AddFriends: AddFriends("?i", "?j", ("fav", "link")),
+    UnFriends: UnFriends("?i", "?j", ("fav", "link")),
+    DeleteReq: DeleteReq("?i", X_OW),
+    Delete: Delete(X_OW, 3),
+    Act1: Act1("?i", "fav", X_OW),
+    UnAct1: UnAct1("?i", "unfav", X_OW),
+    Act2: Act2("?i", "?j", "link", X_OW),
+    UnAct2: UnAct2("?i", "?j", "unlink", X_OW),
+}
+
+# Events each sample instantiates to over two users and two values.
+SCHEMA_EVENT_COUNTS = {
+    Own: 8, Possess: 4, PossessOneOf: 4, GroupAct: 4, UnGroupAct: 4, GroupHas: 4,
+    UnGroupHas: 4, AddFriends: 4, UnFriends: 4, DeleteReq: 8, Delete: 4, Act1: 8,
+    UnAct1: 8, Act2: 16, UnAct2: 16,
+}
+
+
+def test_schema_samples_cover_every_activity_class():
+    assert {s.cls for s in ACTIVITIES.values()} == set(SCHEMA_SAMPLES) == set(SCHEMA_EVENT_COUNTS)
+    assert all(head == s.cls.__name__ for head, s in ACTIVITIES.items())
+
+
+@pytest.mark.parametrize("cls", list(SCHEMA_SAMPLES), ids=lambda c: c.__name__)
+def test_activity_schema(cls):
+    act = SCHEMA_SAMPLES[cls]
+    pa = Architecture(activities=frozenset({act}))
+    assert parse_architecture(serialize_architecture(pa)) == pa
+
+    events = instantiate_events(pa, 1, Universe(users=("alice", "bob"), values=("v", "w")))
+    assert len(events) == SCHEMA_EVENT_COUNTS[cls]
+    assert is_compatible(events, pa) == (True, None)
+    for other_cls, other in SCHEMA_SAMPLES.items():
+        if other_cls is cls:
+            continue
+        only_other = Architecture(activities=frozenset({other}))
+        accepted = [e for e in events if is_compatible([e], only_other)[0]]
+        assert accepted == [], f"{other_cls.__name__} accepts {cls.__name__} events"
 
 
 # --- enumeration vs a naive oracle ------------------------------------------

@@ -2,12 +2,13 @@
 exercised against the bundled service fixtures."""
 
 import os
+from pathlib import Path
 
 import pytest
 
 from datactl.cli import main
 
-FIX = "fixtures/facebook"
+FIX = Path(__file__).resolve().parent.parent / "fixtures" / "facebook"
 DCP = f"{FIX}/facebook.dcp"
 
 

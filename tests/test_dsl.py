@@ -2,6 +2,7 @@
 canonical output, and located errors."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +42,7 @@ from datactl.model import SP
 
 from modelgen import compliant_trace, random_model
 
+FIX = Path(__file__).resolve().parent.parent / "fixtures" / "facebook"
 X = Var(ow="alice", ds=frozenset({"alice", "bob"}), ident="d1")
 
 
@@ -111,7 +113,7 @@ def test_policy_round_trip_generated():
 
 
 def test_policy_round_trip_fixture():
-    text = open("fixtures/facebook/facebook.dcp").read()
+    text = open(f"{FIX}/facebook.dcp").read()
     model = parse_policy(text)
     canonical = serialize_policy(model)
     assert parse_policy(canonical) == model
@@ -133,7 +135,7 @@ def test_trace_round_trip_generated():
 
 
 def test_alias_trace_round_trip():
-    text = open("fixtures/facebook/facebook.dcp").read()
+    text = open(f"{FIX}/facebook.dcp").read()
     model = parse_policy(text)
     doc = (
         "trace {\n"
@@ -149,9 +151,9 @@ def test_alias_trace_round_trip():
 
 
 def test_trace_round_trip_fixtures():
-    model = parse_policy(open("fixtures/facebook/facebook.dcp").read())
+    model = parse_policy(open(f"{FIX}/facebook.dcp").read())
     for name in ("fb_all", "fb_clean", "fb_badpurpose", "fb_corr"):
-        path = f"fixtures/facebook/{name}.dct"
+        path = f"{FIX}/{name}.dct"
         events = parse_trace(open(path).read(), model, file=path)
         canonical = serialize_trace(events, model)
         assert parse_trace(canonical, model) == events, name
@@ -192,7 +194,7 @@ def test_architecture_round_trip_sample():
 
 def test_architecture_round_trip_fixtures():
     for name in ("full", "simplified"):
-        path = f"fixtures/facebook/{name}.dca"
+        path = f"{FIX}/{name}.dca"
         pa = parse_architecture(open(path).read(), file=path)
         canonical = serialize_architecture(pa)
         assert parse_architecture(canonical) == pa, name
