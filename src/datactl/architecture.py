@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Mapping, NamedTuple, Union, get_args
 
-from .model import SP
+from .model import SP, Perms
 
 BOTTOM = None  # undefined variable value
 
@@ -22,7 +22,7 @@ def is_pattern(token: str) -> bool:
     return token.startswith("?")
 
 
-def _match_token(pattern: str, concrete: str) -> bool:
+def match_token(pattern: str, concrete: str) -> bool:
     return is_pattern(pattern) or pattern == concrete
 
 
@@ -42,14 +42,14 @@ class Var:
     ident: str
 
     def matches(self, other: "Var") -> bool:
-        if not _match_token(self.ow, other.ow):
+        if not match_token(self.ow, other.ow):
             return False
         if isinstance(self.ds, str):
             if not is_pattern(self.ds):
                 return False
         elif self.ds != other.ds:
             return False
-        return _match_token(self.ident, other.ident)
+        return match_token(self.ident, other.ident)
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class KeyVar:
     owner: str
 
     def matches(self, other: "KeyVar") -> bool:
-        return _match_token(self.owner, other.owner)
+        return match_token(self.owner, other.owner)
 
 
 @dataclass(frozen=True)
@@ -267,40 +267,15 @@ def schema_of(act: Activity) -> ActivitySchema:
 # ---------------------------------------------------------------------------
 # Permission tables
 
-Grant = Mapping[str, frozenset[str]]
-
-
-@dataclass(frozen=True)
-class ArchPerms:
-    """Permission sets at the architecture level.
-
-    The tables are shared by every granting user: the policy-to-architecture
-    mapping copies one policy set to all granters, so the per-granter family
-    collapses to a single table.
-    """
-
-    can: Mapping[str, frozenset[str]] = field(default_factory=dict)
-    by: Mapping[str, Grant] = field(default_factory=dict)
-    been: Mapping[str, Grant] = field(default_factory=dict)
-    group: frozenset[str] = frozenset()
-
-    def can_do(self, action: str) -> frozenset[str]:
-        return self.can.get(action, frozenset())
-
-    def by_set(self, action: str, performer: str) -> frozenset[str]:
-        return self.by.get(action, {}).get(performer, frozenset())
-
-    def been_set(self, action: str, target: str) -> frozenset[str]:
-        return self.been.get(action, {}).get(target, frozenset())
-
-    def is_empty(self) -> bool:
-        return not (self.can or self.by or self.been or self.group)
+ArchPerms = Perms
+"""The architecture-level name of :class:`~datactl.model.Perms`: the mapping
+copies each datum's tables unchanged, so both levels share one type."""
 
 
 @dataclass(frozen=True)
 class Architecture:
     activities: frozenset[Activity] = frozenset()
-    perms: ArchPerms = ArchPerms()
+    perms: Perms = Perms()
 
     def of_type(self, cls) -> list[Activity]:
         return [a for a in self.activities if isinstance(a, cls)]
@@ -358,13 +333,16 @@ class UserState:
 
 @dataclass
 class GlobalState:
-    """Per-user variable states plus the (shared) permission state."""
+    """Per-user variable states plus the (shared) permission state.
+
+    ``can`` and ``group`` change as group events run; the holder tables never
+    change, so they are read from the architecture's ``perms``.
+    """
 
     users: dict[str, UserState | None]
     can: dict[str, frozenset[str]]
-    by: dict[str, Grant]
-    been: dict[str, Grant]
     group: frozenset[str]
+    perms: Perms
 
     def clone(self) -> "GlobalState":
         users = {
@@ -374,19 +352,9 @@ class GlobalState:
         return GlobalState(
             users=users,
             can=dict(self.can),
-            by=self.by,
-            been=self.been,
             group=self.group,
+            perms=self.perms,
         )
-
-    def can_do(self, action: str) -> frozenset[str]:
-        return self.can.get(action, frozenset())
-
-    def by_set(self, action: str, performer: str) -> frozenset[str]:
-        return self.by.get(action, {}).get(performer, frozenset())
-
-    def been_set(self, action: str, target: str) -> frozenset[str]:
-        return self.been.get(action, {}).get(target, frozenset())
 
     def snapshot(self):
         users = tuple(
@@ -402,10 +370,9 @@ def initial_state(pa: Architecture, users: Iterable[str]) -> GlobalState:
     names = set(users) | {SP}
     return GlobalState(
         users={u: UserState() for u in sorted(names)},
-        can={a: s for a, s in pa.perms.can.items()},
-        by=pa.perms.by,
-        been=pa.perms.been,
+        can=dict(pa.perms.can),
         group=pa.perms.group,
+        perms=pa.perms,
     )
 
 
@@ -421,7 +388,7 @@ def _involved(e: ArchEvent) -> list[str]:
     return out
 
 
-def base_action(by: Mapping[str, Grant], un_action: str) -> str:
+def base_action(by: Mapping[str, object], un_action: str) -> str:
     """The action whose ``has by/been`` tables the un-action ``un_action`` reads.
 
     The tables are keyed by base action, so an un-action clears the holders its
@@ -496,29 +463,17 @@ def apply_arch_event(sigma: GlobalState, e: ArchEvent, index: int | None = None)
             st.t = e.t
         return out
 
-    if kind in ("act1", "unact1"):
-        if e.user not in sigma.can_do(e.action):
+    if kind in ("act1", "unact1", "act2", "unact2"):
+        if e.user not in sigma.can.get(e.action, frozenset()):
             return out
-        base = e.action if kind == "act1" else base_action(sigma.by, e.action)
-        receivers = sigma.by_set(base, e.user)
-        for j in receivers:
+        granting = kind in ("act1", "act2")
+        base = e.action if granting else base_action(sigma.perms.by, e.action)
+        tar = e.tar if kind in ("act2", "unact2") else None
+        for j in sigma.perms.holders(base, e.user, tar):
             if j not in out.users or out.users[j] is None:
                 continue
             st = out.users[j]
-            st.bindings[e.term] = e.value if kind == "act1" else BOTTOM
-            st.t = e.t
-        return out
-
-    if kind in ("act2", "unact2"):
-        if e.user not in sigma.can_do(e.action):
-            return out
-        base = e.action if kind == "act2" else base_action(sigma.by, e.action)
-        receivers = sigma.by_set(base, e.user) & sigma.been_set(base, e.tar)
-        for j in receivers:
-            if j not in out.users or out.users[j] is None:
-                continue
-            st = out.users[j]
-            st.bindings[e.term] = e.value if kind == "act2" else BOTTOM
+            st.bindings[e.term] = e.value if granting else BOTTOM
             st.t = e.t
         return out
 
@@ -548,8 +503,8 @@ def _match_any_term(patterns: frozenset[Term], concrete: Term) -> bool:
 # Per slot: the event field it constrains and the test (pattern, concrete).
 # ``dd`` constrains no event field.
 _SLOT_MATCH = {
-    "user": ("user", _match_token),
-    "tar": ("tar", _match_token),
+    "user": ("user", match_token),
+    "tar": ("tar", match_token),
     "action": ("action", operator.eq),
     "actions": ("actions", operator.eq),
     "term": ("term", match_term),

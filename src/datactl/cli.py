@@ -26,7 +26,7 @@ from .dsl import (
     serialize_architecture,
     sniff_kind,
 )
-from .logic import conclusions, deduce, eval_semantic
+from .logic import And, conclusions, deduce, eval_semantic
 from .mapping import (
     MappingContext,
     MappingError,
@@ -160,17 +160,13 @@ def cmd_derive_arch(args) -> int:
 def cmd_eval_has(args) -> int:
     pa = _load_architecture(args.arch)
     prop = parse_has_query(_read(args.query), file=args.query)
-    users = _concrete_users(pa)
-    for attr in ("user",):
-        value = getattr(prop, attr, None)
-        if isinstance(value, str) and value != SP:
-            users |= {value}
+    parts = prop.parts if isinstance(prop, And) else (prop,)
+    users = _concrete_users(pa) | {getattr(p, "user", SP) for p in parts} - {SP}
 
     holds_deduce = holds_semantic = None
     if args.mode in ("deduce", "both"):
         trace = parse_arch_trace(_read(args.archtrace), file=args.archtrace) if args.archtrace else []
         derived = conclusions(deduce(pa, trace, users))
-        parts = prop.parts if hasattr(prop, "parts") else (prop,)
         holds_deduce = all(p in derived for p in parts)
         print(f"deduce: {'derivable' if holds_deduce else 'not derivable'}")
     if args.mode in ("enumerate", "both"):

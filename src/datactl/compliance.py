@@ -109,14 +109,12 @@ def _audit(
                     warnings.append(
                         f"C2 skipped for delete at event {i}: no preceding deletereq names a performer"
                     )
-                elif actor not in pol.acp.can_do(action):
+                elif actor not in pol.perms.can_do(action):
                     c2.append(Violation("C2", dt, f"{actor!r} not permitted to perform {action!r}", i))
                 elif kind in (ACT1, ACT2):
                     # The guard passed: the act sanctions whoever it adds to the holders.
                     base = e.action if sets is None else (sets.base_of(e.action) or e.action)
-                    gained = pol.has.by_set(base, e.actor)
-                    if kind == ACT2:
-                        gained = gained & pol.has.been_set(base, e.tar)
+                    gained = pol.perms.holders(base, e.actor, e.tar if kind == ACT2 else None)
                     for user in gained:
                         key = (dt, user)
                         sanctioned_at[key] = min(e.t, sanctioned_at.get(key, e.t))

@@ -17,7 +17,6 @@ from .architecture import (
     Activity,
     Architecture,
     ArchEvent,
-    ArchPerms,
     Func,
     KeyVar,
     Term,
@@ -35,9 +34,8 @@ from .model import (
     ActivitySets,
     DataRef,
     DeletionSpec,
-    ActionPolicy,
     FriendAlias,
-    HasPolicy,
+    Perms,
     Policy,
     PolicyModel,
     StorageSpec,
@@ -320,10 +318,7 @@ def _parse_policy_block(p: _Parser) -> Policy:
     dm = DeletionSpec()
     wh: frozenset[str] = frozenset()
     ho: frozenset[tuple[str, str]] = frozenset()
-    can: dict[str, frozenset[str]] = {}
-    by: dict[str, dict[str, frozenset[str]]] = {}
-    been: dict[str, dict[str, frozenset[str]]] = {}
-    group: frozenset[str] = frozenset()
+    tables: dict = {"can": {}, "by": {}, "been": {}, "group": frozenset()}  # Perms fields
     while not p.at("}"):
         key = p.ident("policy field")
         if key == "purposes":
@@ -365,26 +360,8 @@ def _parse_policy_block(p: _Parser) -> Policy:
                     break
             p.expect("}")
             ho = frozenset(forms)
-        elif key == "can":
-            action = p.ident("action name")
-            p.expect("=")
-            can[action] = p.name_set()
-        elif key == "has":
-            which = p.ident("by, been, or group")
-            if which == "group":
-                p.expect("=")
-                group = p.name_set()
-            elif which in ("by", "been"):
-                action = p.ident("action name")
-                user = p.ident("user")
-                p.expect("=")
-                table = by if which == "by" else been
-                table.setdefault(action, {})[user] = p.name_set()
-            else:
-                raise ParseError(
-                    f"unknown has table {which!r}", p.tokens[p.pos - 1].span,
-                    frozenset({"by", "been", "group"}),
-                )
+        elif key in ("can", "has"):
+            _parse_perm_line(p, key, tables)
         else:
             raise ParseError(
                 f"unknown policy field {key!r}", p.tokens[p.pos - 1].span,
@@ -396,9 +373,33 @@ def _parse_policy_block(p: _Parser) -> Policy:
         ap=ap,
         dm=dm,
         storage=StorageSpec(wh=wh, ho=ho),
-        acp=ActionPolicy(can),
-        has=HasPolicy(by=by, been=been, group=group),
+        perms=Perms(**tables),
     )
+
+
+def _parse_perm_line(p: _Parser, key: str, tables: dict) -> None:
+    """The rest of a ``can ACT = {...}`` or ``has by|been ACT USER = {...}`` /
+    ``has group = {...}`` line after its keyword ``key``, into ``tables``.
+    Policy blocks and perms blocks share this reader."""
+    if key == "can":
+        action = p.ident("action name")
+        p.expect("=")
+        tables["can"][action] = p.name_set()
+        return
+    which = p.ident("by, been, or group")
+    if which == "group":
+        p.expect("=")
+        tables["group"] = p.name_set()
+    elif which in ("by", "been"):
+        action = p.ident("action name")
+        user = p.ident("user")
+        p.expect("=")
+        tables[which].setdefault(action, {})[user] = p.name_set()
+    else:
+        raise ParseError(
+            f"unknown has table {which!r}", p.tokens[p.pos - 1].span,
+            frozenset({"by", "been", "group"}),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +650,7 @@ def parse_architecture(text: str, file: str = "<input>") -> Architecture:
     p.expect("architecture")
     p.expect("{")
     activities: set[Activity] = set()
-    perms = ArchPerms()
+    perms = Perms()
     while not p.at("}"):
         if p.at("perms"):
             p.advance()
@@ -669,34 +670,17 @@ def parse_architecture(text: str, file: str = "<input>") -> Architecture:
     return pa
 
 
-def _parse_perms_block(p: _Parser) -> ArchPerms:
+def _parse_perms_block(p: _Parser) -> Perms:
     p.expect("{")
-    can: dict[str, frozenset[str]] = {}
-    by: dict[str, dict[str, frozenset[str]]] = {}
-    been: dict[str, dict[str, frozenset[str]]] = {}
-    group: frozenset[str] = frozenset()
+    tables: dict = {"can": {}, "by": {}, "been": {}, "group": frozenset()}  # Perms fields
     while not p.at("}"):
         key = p.ident("perms field")
-        if key == "can":
-            action = p.ident("action name")
-            p.expect("=")
-            can[action] = p.name_set()
-        elif key == "has":
-            which = p.ident("by, been, or group")
-            if which == "group":
-                p.expect("=")
-                group = p.name_set()
-            else:
-                action = p.ident("action name")
-                user = p.ident("user")
-                p.expect("=")
-                table = by if which == "by" else been
-                table.setdefault(action, {})[user] = p.name_set()
-        else:
+        if key not in ("can", "has"):
             p.fail(f"unknown perms field {key!r}", {"can", "has"})
+        _parse_perm_line(p, key, tables)
         p.expect(";")
     p.expect("}")
-    return ArchPerms(can=can, by=by, been=been, group=group)
+    return Perms(**tables)
 
 
 # ---------------------------------------------------------------------------
@@ -751,6 +735,8 @@ def parse_arch_trace(
             raise ParseError(f"timestamps must be non-decreasing: {t} after {last_t}", span)
         last_t = t
         kind, action = _resolve_arch_event_name(name, tar, sets, span)
+        if kind in ("act2", "unact2") and tar is None:
+            raise ParseError("binary event requires a target (tar=...)", span)
         if kind == "possess":
             user = SP
         events.append(
@@ -852,6 +838,21 @@ def _fmt_set(items: Iterable[str]) -> str:
     return "{" + ", ".join(sorted(items)) + "}"
 
 
+def _perm_lines(perms: Perms) -> list[str]:
+    """The ``can`` and ``has`` lines of a permission table, in canonical order;
+    policy blocks and perms blocks share this printer."""
+    lines = [f"can {action} = {_fmt_set(perms.can[action])};"
+             for action in sorted(perms.can) if perms.can[action]]
+    for which, table in (("by", perms.by), ("been", perms.been)):
+        for action in sorted(table):
+            for user in sorted(table[action]):
+                if table[action][user]:
+                    lines.append(f"has {which} {action} {user} = {_fmt_set(table[action][user])};")
+    if perms.group:
+        lines.append(f"has group = {_fmt_set(perms.group)};")
+    return lines
+
+
 def serialize_policy(model: PolicyModel) -> str:
     lines = ["actions {"]
     for base, rev in zip(model.sets.a1, model.sets.ua1):
@@ -882,21 +883,7 @@ def serialize_policy(model: PolicyModel) -> str:
             for form in sorted(pol.storage.ho)
         )
         lines.append(f"    how = {{{forms}}};")
-        for action in sorted(pol.acp.can):
-            if pol.acp.can[action]:
-                lines.append(f"    can {action} = {_fmt_set(pol.acp.can[action])};")
-        for action in sorted(pol.has.by):
-            for user in sorted(pol.has.by[action]):
-                granted = pol.has.by[action][user]
-                if granted:
-                    lines.append(f"    has by {action} {user} = {_fmt_set(granted)};")
-        for action in sorted(pol.has.been):
-            for user in sorted(pol.has.been[action]):
-                granted = pol.has.been[action][user]
-                if granted:
-                    lines.append(f"    has been {action} {user} = {_fmt_set(granted)};")
-        if pol.has.group:
-            lines.append(f"    has group = {_fmt_set(pol.has.group)};")
+        lines += [f"    {line}" for line in _perm_lines(pol.perms)]
         lines.append("  }")
         lines.append("}")
     return "\n".join(lines) + "\n"
@@ -1010,18 +997,7 @@ def serialize_architecture(pa: Architecture) -> str:
         lines.append(f"  {text};")
     if not pa.perms.is_empty():
         lines.append("  perms {")
-        for action in sorted(pa.perms.can):
-            if pa.perms.can[action]:
-                lines.append(f"    can {action} = {_fmt_set(pa.perms.can[action])};")
-        for which, table in (("by", pa.perms.by), ("been", pa.perms.been)):
-            for action in sorted(table):
-                for user in sorted(table[action]):
-                    if table[action][user]:
-                        lines.append(
-                            f"    has {which} {action} {user} = {_fmt_set(table[action][user])};"
-                        )
-        if pa.perms.group:
-            lines.append(f"    has group = {_fmt_set(pa.perms.group)};")
+        lines += [f"    {line}" for line in _perm_lines(pa.perms)]
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

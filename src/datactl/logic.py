@@ -11,7 +11,7 @@ bound are flagged as bounded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 from .architecture import (
     Act1,
@@ -35,13 +35,10 @@ from .architecture import (
     is_compatible,
     is_pattern,
     match_term,
+    match_token,
     schema_of,
 )
 from .model import SP
-
-GrantLookup = Callable[[str, str], frozenset[str]]
-"""(granting user, performer or target) -> permitted user set."""
-
 
 # ---------------------------------------------------------------------------
 # Properties
@@ -96,44 +93,9 @@ HasProperty = Union[HasSp, Has, HasNot, HasNever, And]
 
 
 # ---------------------------------------------------------------------------
-# Permitted-holder abbreviations
+# Deduction
 
 RULES = ("H1", "H2", "H3", "H4", "H5", "H6", "H7", "H8", "H9", "H10")
-
-
-def have_act1_set(i: str, ow: str, gby: GrantLookup) -> frozenset[str]:
-    """Users that both the performer and the owner permit to hold the datum
-    after a unary action by ``i``."""
-    return gby(i, i) & gby(ow, i)
-
-
-def have_act2_set(
-    i: str, tar: str, ow: str, gby: GrantLookup, gbeen: GrantLookup
-) -> frozenset[str]:
-    """Users that performer, owner, and target all permit to hold the datum
-    after a binary action by ``i`` on ``tar``."""
-    return (
-        gby(i, i)
-        & gbeen(i, tar)
-        & gby(ow, i)
-        & gbeen(ow, tar)
-        & gby(tar, i)
-        & gbeen(tar, tar)
-    )
-
-
-def shared_lookup(table) -> GrantLookup:
-    """Adapt a granter-independent permission table (action-free mapping
-    performer -> user set) to the granter-indexed signature."""
-
-    def lookup(_granter: str, key: str) -> frozenset[str]:
-        return table.get(key, frozenset())
-
-    return lookup
-
-
-# ---------------------------------------------------------------------------
-# Deduction
 
 
 @dataclass(frozen=True)
@@ -161,14 +123,6 @@ def _activity_vars(pa: Architecture) -> list[Var]:
         for term in schema_of(act).terms(act):
             visit(term)
     return list(out)
-
-
-def _gby(pa: Architecture, action: str) -> GrantLookup:
-    return shared_lookup(pa.perms.by.get(action, {}))
-
-
-def _gbeen(pa: Architecture, action: str) -> GrantLookup:
-    return shared_lookup(pa.perms.been.get(action, {}))
 
 
 def h8_conclusions(pa: Architecture) -> list[DeductionResult]:
@@ -209,12 +163,8 @@ def h8_conclusions(pa: Architecture) -> list[DeductionResult]:
 def h1_applicable(pa: Architecture, j: str, var: Var) -> bool:
     """H1's premise: some Own activity lets ``j`` input ``var``."""
     return any(
-        _match_user_term(act.user, j, act.term, var) for act in pa.of_type(Own)
+        match_token(act.user, j) and match_term(act.term, var) for act in pa.of_type(Own)
     )
-
-
-def _match_user_term(user_pat: str, user: str, term_pat: Term, var: Var) -> bool:
-    return (is_pattern(user_pat) or user_pat == user) and match_term(term_pat, var)
 
 
 def _may_perform(pa: Architecture, i: str, action: str) -> bool:
@@ -223,15 +173,11 @@ def _may_perform(pa: Architecture, i: str, action: str) -> bool:
     if i in pa.perms.can_do(action):
         return True
     for act in pa.activities:
-        if isinstance(act, GroupAct) and act.action == action and _match_token_user(act.tar, i):
+        if isinstance(act, GroupAct) and act.action == action and match_token(act.tar, i):
             return True
-        if isinstance(act, AddFriends) and action in act.actions and _match_token_user(act.tar, i):
+        if isinstance(act, AddFriends) and action in act.actions and match_token(act.tar, i):
             return True
     return False
-
-
-def _match_token_user(pattern: str, user: str) -> bool:
-    return is_pattern(pattern) or pattern == user
 
 
 def h2_applicable(pa: Architecture, j: str, var: Var, performers: Iterable[str]) -> bool:
@@ -243,7 +189,7 @@ def h2_applicable(pa: Architecture, j: str, var: Var, performers: Iterable[str])
         for i in candidates:
             if not _may_perform(pa, i, act.action):
                 continue
-            if j in have_act1_set(i, var.ow, _gby(pa, act.action)):
+            if j in pa.perms.holders(act.action, i):
                 return True
     return False
 
@@ -259,7 +205,7 @@ def h3_applicable(pa: Architecture, j: str, var: Var, users: Iterable[str]) -> b
             if not _may_perform(pa, i, act.action):
                 continue
             for tar in targets:
-                if j in have_act2_set(i, tar, var.ow, _gby(pa, act.action), _gbeen(pa, act.action)):
+                if j in pa.perms.holders(act.action, i, tar):
                     return True
     return False
 
@@ -301,12 +247,10 @@ def deduce(
         revokes = rule in ("H5", "H6")
         action = base_action(pa.perms.by, e.action) if revokes else e.action
         if rule in ("H2", "H5"):
-            holders = have_act1_set(e.user, e.term.ow, _gby(pa, action))
+            holders = pa.perms.holders(action, e.user)
             how = f"{e.action!r} by {e.user!r}"
         else:
-            holders = have_act2_set(
-                e.user, e.tar, e.term.ow, _gby(pa, action), _gbeen(pa, action)
-            )
+            holders = pa.perms.holders(action, e.user, e.tar)
             how = f"{e.action!r} by {e.user!r} on {e.tar!r}"
         for j in sorted(holders):
             if revokes:
@@ -410,15 +354,19 @@ def eval_semantic(
     Negative existentials and all universal answers are bounded: they hold of
     every enumerated state but a longer trace might differ.
     """
+    return _judge(prop, enumerate_states(pa, max_len, universe, max_states))
+
+
+def _judge(prop: HasProperty, states: list[GlobalState]) -> SemanticVerdict:
+    """The verdict on ``prop`` over the enumerated ``states``; the parts of a
+    conjunction are judged against the same states."""
     if isinstance(prop, And):
-        verdicts = [eval_semantic(pa, p, universe, max_len, max_states) for p in prop.parts]
+        verdicts = [_judge(p, states) for p in prop.parts]
         return SemanticVerdict(
             holds=all(v.holds for v in verdicts),
             bounded=any(v.bounded for v in verdicts),
             detail="; ".join(v.detail for v in verdicts if v.detail),
         )
-
-    states = enumerate_states(pa, max_len, universe, max_states)
 
     if isinstance(prop, HasSp):
         for state in states:

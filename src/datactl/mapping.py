@@ -15,7 +15,6 @@ from .architecture import (
     AddFriends,
     Architecture,
     ArchEvent,
-    ArchPerms,
     Delete,
     DeleteReq,
     GroupAct,
@@ -34,7 +33,8 @@ from .architecture import (
     is_pattern,
 )
 from .logic import h1_applicable, h2_applicable, h3_applicable, h8_conclusions
-from .model import SP, ActivitySets, DataRef, Policy, PolicyModel
+from .dsl import serialize_activity
+from .model import SP, ActivitySets, DataRef, Perms, Policy, PolicyModel
 from .semantics import (
     ACT1,
     ACT2,
@@ -95,21 +95,7 @@ def map_storage(dt: DataRef, pol: Policy) -> frozenset[Activity]:
     return frozenset(out)
 
 
-def map_permissions(dt: DataRef, pol: Policy) -> ArchPerms:
-    """Copy the policy's permission groups into architecture tables.
-
-    The same sets are granted on behalf of every user, so one shared table per
-    action suffices.
-    """
-    return ArchPerms(
-        can={a: s for a, s in pol.acp.can.items() if s},
-        by={a: {u: s for u, s in per.items() if s} for a, per in pol.has.by.items()},
-        been={a: {u: s for u, s in per.items() if s} for a, per in pol.has.been.items()},
-        group=pol.has.group,
-    )
-
-
-def _merge_perms(acc: dict, perms: ArchPerms) -> None:
+def _merge_perms(acc: dict, perms: Perms) -> None:
     for a, s in perms.can.items():
         acc["can"][a] = acc["can"].get(a, frozenset()) | s
     for a, per in perms.by.items():
@@ -148,13 +134,13 @@ def _delete_delay(pol: Policy) -> int:
     return dd
 
 
-def _perms_for_action(pol: Policy, action: str, with_has: bool) -> ArchPerms:
-    can = {action: pol.acp.can_do(action)} if pol.acp.can_do(action) else {}
+def _perms_for_action(pol: Policy, action: str, with_has: bool) -> Perms:
+    can = {action: pol.perms.can_do(action)} if pol.perms.can_do(action) else {}
     if not with_has:
-        return ArchPerms(can=can)
-    by = {action: pol.has.by.get(action, {})} if pol.has.by.get(action) else {}
-    been = {action: pol.has.been.get(action, {})} if pol.has.been.get(action) else {}
-    return ArchPerms(can=can, by=by, been=been)
+        return Perms(can=can)
+    by = {action: pol.perms.by.get(action, {})} if pol.perms.by.get(action) else {}
+    been = {action: pol.perms.been.get(action, {})} if pol.perms.been.get(action) else {}
+    return Perms(can=can, by=by, been=been)
 
 
 def derive_architecture(
@@ -201,7 +187,7 @@ def derive_architecture(
                 activities.add(AddFriends(e.actor, e.tar, alias.actions))
             else:
                 activities.add(GroupHas(e.actor, e.tar))
-            acc["group"] |= pol.has.group
+            acc["group"] |= pol.perms.group
         elif e.kind == UNGROUPHAS:
             if alias is not None:
                 activities.add(UnFriends(e.actor, e.tar, alias.actions))
@@ -226,7 +212,7 @@ def derive_architecture(
 
     pa = Architecture(
         activities=frozenset(activities),
-        perms=ArchPerms(can=acc["can"], by=acc["by"], been=acc["been"], group=acc["group"]),
+        perms=Perms(can=acc["can"], by=acc["by"], been=acc["been"], group=acc["group"]),
     )
     ok, witness = is_consistent(pa)
     if not ok:
@@ -294,9 +280,6 @@ def image_trace(trace: Sequence[AbstractEvent], ctx: MappingContext) -> list[Arc
 # Correspondence
 
 
-PROPS = ("P1", "P2", "P3", "P4", "P5", "P6")
-
-
 @dataclass(frozen=True)
 class CorrespondenceResult:
     prop: str
@@ -334,8 +317,8 @@ def _policy_c3ii(
 ) -> bool:
     for act in sets.a1:
         for i in users:
-            permitted = i in pol.acp.can_do(act.name) or (act.name, i) in extendable
-            if permitted and j in pol.has.by_set(act.name, i):
+            permitted = i in pol.perms.can_do(act.name) or (act.name, i) in extendable
+            if permitted and j in pol.perms.holders(act.name, i):
                 return True
     return False
 
@@ -346,10 +329,10 @@ def _policy_c3iii(
 ) -> bool:
     for act in sets.a2:
         for i in users:
-            if i not in pol.acp.can_do(act.name) and (act.name, i) not in extendable:
+            if i not in pol.perms.can_do(act.name) and (act.name, i) not in extendable:
                 continue
             for tar in users:
-                if j in pol.has.by_set(act.name, i) & pol.has.been_set(act.name, tar):
+                if j in pol.perms.holders(act.name, i, tar):
                     return True
     return False
 
@@ -556,10 +539,10 @@ def compare_policies(p1: Policy, p2: Policy) -> PolicyComparison:
         "dm": _dm_relation(p1.dm, p2.dm),
         "wh": _set_relation(p1.storage.wh, p2.storage.wh),
         "ho": _set_relation(p1.storage.ho, p2.storage.ho),
-        "acp": _grant_relation(p1.acp.can, p2.acp.can),
-        "has.by": _nested_relation(p1.has.by, p2.has.by),
-        "has.been": _nested_relation(p1.has.been, p2.has.been),
-        "has.group": _set_relation(p1.has.group, p2.has.group),
+        "acp": _grant_relation(p1.perms.can, p2.perms.can),
+        "has.by": _nested_relation(p1.perms.by, p2.perms.by),
+        "has.been": _nested_relation(p1.perms.been, p2.perms.been),
+        "has.group": _set_relation(p1.perms.group, p2.perms.group),
     }
     overall = _combine(set(components.values()))
     return PolicyComparison(overall=overall, components=components)
@@ -572,8 +555,8 @@ class ArchComparison:
     only_second: tuple[Activity, ...]
 
     def render(self) -> str:
-        lines = [f"- {a}" for a in self.only_first]
-        lines += [f"+ {a}" for a in self.only_second]
+        lines = [f"- {serialize_activity(a)}" for a in self.only_first]
+        lines += [f"+ {serialize_activity(a)}" for a in self.only_second]
         lines.append(f"overall\t{self.overall}")
         return "\n".join(lines)
 
@@ -591,6 +574,6 @@ def compare_architectures(pa1: Architecture, pa2: Architecture) -> ArchCompariso
         overall = INCOMPARABLE
     return ArchComparison(
         overall=overall,
-        only_first=tuple(sorted(only1, key=repr)),
-        only_second=tuple(sorted(only2, key=repr)),
+        only_first=tuple(sorted(only1, key=serialize_activity)),
+        only_second=tuple(sorted(only2, key=serialize_activity)),
     )

@@ -111,10 +111,6 @@ class DeletionSpec:
                 return dd
         return None
 
-    @property
-    def manual_delay(self) -> int | None:
-        return self.delay("man")
-
 
 @dataclass(frozen=True)
 class StorageSpec:
@@ -129,76 +125,74 @@ class StorageSpec:
 
 
 @dataclass(frozen=True)
-class ActionPolicy:
-    """Per-action permission groups: who may perform each action."""
+class Perms:
+    """The permission table of a datum: who may perform each action, and who
+    may come to hold the datum through an action or through grouping.
 
-    can: Mapping[str, frozenset[str]] = field(default_factory=dict)
-
-    def can_do(self, action: str) -> frozenset[str]:
-        return self.can.get(action, frozenset())
-
-    def grant(self, action: str, user: str) -> "ActionPolicy":
-        can = dict(self.can)
-        can[action] = self.can_do(action) | {user}
-        return ActionPolicy(can)
-
-    def revoke(self, action: str, user: str) -> "ActionPolicy":
-        can = dict(self.can)
-        can[action] = self.can_do(action) - {user}
-        return ActionPolicy(can)
-
-
-@dataclass(frozen=True)
-class HasPolicy:
-    """Who may come to have a datum, per performer / per target / via grouping.
-
-    ``by`` and ``been`` are keyed by base action name, then by user; absent
-    keys read as the empty set.  ``been`` only carries binary actions.
+    ``can`` is keyed by action name.  ``by`` and ``been`` are keyed by base
+    action name, then by performer or target; absent keys read as the empty
+    set.  ``been`` only carries binary actions.  Policies hold one per datum,
+    and an architecture holds one copied from its policies, so the two sides
+    read the same table.  The mapping grants the same sets on behalf of every
+    user, so the architecture's per-granter family of tables is this one table.
     """
 
+    can: Mapping[str, frozenset[str]] = field(default_factory=dict)
     by: Mapping[str, Mapping[str, frozenset[str]]] = field(default_factory=dict)
     been: Mapping[str, Mapping[str, frozenset[str]]] = field(default_factory=dict)
     group: frozenset[str] = frozenset()
 
-    def by_set(self, action: str, performer: str) -> frozenset[str]:
-        return self.by.get(action, {}).get(performer, frozenset())
+    def can_do(self, action: str) -> frozenset[str]:
+        return self.can.get(action, frozenset())
 
-    def been_set(self, action: str, target: str) -> frozenset[str]:
-        return self.been.get(action, {}).get(target, frozenset())
+    def holders(self, action: str, performer: str, target: str | None = None) -> frozenset[str]:
+        """Who comes to hold the datum when ``performer`` does ``action``: the
+        ``by`` set, intersected with the ``been`` set of ``target`` when a
+        target is given (binary actions)."""
+        held = self.by.get(action, {}).get(performer, frozenset())
+        if target is not None:
+            held = held & self.been.get(action, {}).get(target, frozenset())
+        return held
 
-    def with_group(self, group: frozenset[str]) -> "HasPolicy":
-        return HasPolicy(self.by, self.been, group)
+    def users(self) -> frozenset[str]:
+        """Every user the tables name, as a key or as a member."""
+        seen: set[str] = set(self.group)
+        for users in self.can.values():
+            seen.update(users)
+        for table in (self.by, self.been):
+            for per_user in table.values():
+                seen.update(per_user)
+                for granted in per_user.values():
+                    seen.update(granted)
+        return frozenset(seen)
+
+    def is_empty(self) -> bool:
+        return not (self.can or self.by or self.been or self.group)
 
 
 @dataclass(frozen=True)
 class Policy:
-    """The per-datum control tuple: purposes, deletion, storage, action and has groups."""
+    """The per-datum control tuple: purposes, deletion, storage and permissions."""
 
     ap: frozenset[str] = frozenset()
     dm: DeletionSpec = DeletionSpec()
     storage: StorageSpec = StorageSpec()
-    acp: ActionPolicy = ActionPolicy()
-    has: HasPolicy = HasPolicy()
+    perms: Perms = Perms()
 
-    @property
-    def wh(self) -> frozenset[str]:
-        return self.storage.wh
-
-    @property
-    def ho(self) -> frozenset[tuple[str, str]]:
-        return self.storage.ho
+    def _with_can(self, action: str, users: frozenset[str]) -> "Policy":
+        return replace(self, perms=replace(self.perms, can={**self.perms.can, action: users}))
 
     def grant_can(self, action: str, user: str) -> "Policy":
-        return replace(self, acp=self.acp.grant(action, user))
+        return self._with_can(action, self.perms.can_do(action) | {user})
 
     def revoke_can(self, action: str, user: str) -> "Policy":
-        return replace(self, acp=self.acp.revoke(action, user))
+        return self._with_can(action, self.perms.can_do(action) - {user})
 
     def grant_group(self, user: str) -> "Policy":
-        return replace(self, has=self.has.with_group(self.has.group | {user}))
+        return replace(self, perms=replace(self.perms, group=self.perms.group | {user}))
 
     def revoke_group(self, user: str) -> "Policy":
-        return replace(self, has=self.has.with_group(self.has.group - {user}))
+        return replace(self, perms=replace(self.perms, group=self.perms.group - {user}))
 
 
 @dataclass(frozen=True)
@@ -229,17 +223,7 @@ class PolicyModel:
             seen.add(dt.ow)
             seen.update(dt.ds)
         for pol in self.policies.values():
-            for users in pol.acp.can.values():
-                seen.update(users)
-            for per_user in pol.has.by.values():
-                seen.update(per_user)
-                for granted in per_user.values():
-                    seen.update(granted)
-            for per_user in pol.has.been.values():
-                seen.update(per_user)
-                for granted in per_user.values():
-                    seen.update(granted)
-            seen.update(pol.has.group)
+            seen.update(pol.perms.users())
         seen.discard(SP)
         return frozenset(seen)
 
@@ -316,13 +300,13 @@ def validate_policy(pol: Policy, sets: ActivitySets) -> list[str]:
     base_declared = {a.name for a in sets.a1 + sets.a2}
     binary_declared = {a.name for a in sets.a2}
 
-    for action in pol.acp.can:
+    for action in pol.perms.can:
         if action not in declared:
             errors.append(f"undeclared action {action!r} in can-groups")
-    for action in pol.has.by:
+    for action in pol.perms.by:
         if action not in base_declared:
             errors.append(f"has-by group for {action!r}, which is not a declared base action")
-    for action in pol.has.been:
+    for action in pol.perms.been:
         if action not in binary_declared:
             errors.append(f"has-been group for {action!r}, which is not a declared binary action")
 

@@ -31,7 +31,6 @@ UNACT1 = "unact1"
 ACT2 = "act2"
 UNACT2 = "unact2"
 
-GROUP_KINDS = (GROUPACT, UNGROUPACT, GROUPHAS, UNGROUPHAS)
 ACT_KINDS = (ACT1, UNACT1, ACT2, UNACT2)
 
 
@@ -244,39 +243,20 @@ def step(
         if kind in (UNACT1, UNACT2):
             if sets is not None:
                 base = sets.base_of(e.action) or e.action
-        if e.actor not in pol.acp.can_do(e.action):
+        if e.actor not in pol.perms.can_do(e.action):
             return entry  # permission guard: unauthorized actions are no-ops
 
-        if kind == ACT1:
-            return replace(
-                entry,
-                t=e.t,
-                actby=entry.actby.add_by(base, e.actor),
-                h_has=entry.h_has | pol.has.by_set(base, e.actor),
-            )
-        if kind == UNACT1:
-            return replace(
-                entry,
-                t=e.t,
-                actby=entry.actby.remove_by(base, e.actor),
-                h_has=entry.h_has - pol.has.by_set(base, e.actor),
-            )
-        if kind == ACT2:
-            gained = pol.has.by_set(base, e.actor) & pol.has.been_set(base, e.tar)
-            return replace(
-                entry,
-                t=e.t,
-                actby=entry.actby.add_by(base, e.actor).add_been(base, e.tar),
-                h_has=entry.h_has | gained,
-            )
-        # UNACT2
-        lost = pol.has.by_set(base, e.actor) & pol.has.been_set(base, e.tar)
-        return replace(
-            entry,
-            t=e.t,
-            actby=entry.actby.remove_by(base, e.actor).remove_been(base, e.tar),
-            h_has=entry.h_has - lost,
-        )
+        binary = kind in (ACT2, UNACT2)
+        held = pol.perms.holders(base, e.actor, e.tar if binary else None)
+        if kind in (ACT1, ACT2):
+            actby = entry.actby.add_by(base, e.actor)
+            if binary:
+                actby = actby.add_been(base, e.tar)
+            return replace(entry, t=e.t, actby=actby, h_has=entry.h_has | held)
+        actby = entry.actby.remove_by(base, e.actor)
+        if binary:
+            actby = actby.remove_been(base, e.tar)
+        return replace(entry, t=e.t, actby=actby, h_has=entry.h_has - held)
 
     raise SemanticsError(f"unknown event kind {kind!r}", j)
 

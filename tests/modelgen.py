@@ -14,11 +14,10 @@ from datactl.model import (
     UNARY,
     UNARY_REVOKE,
     ActionId,
-    ActionPolicy,
     ActivitySets,
     DataRef,
     DeletionSpec,
-    HasPolicy,
+    Perms,
     Policy,
     PolicyModel,
     StorageSpec,
@@ -103,8 +102,7 @@ def random_model(rng: random.Random) -> PolicyModel:
             ap=frozenset(rng.sample(PURPOSE_POOL, rng.randint(1, len(PURPOSE_POOL)))),
             dm=DeletionSpec((("man", rng.randint(2, 10)),)),
             storage=StorageSpec(wh=wh, ho=ho),
-            acp=ActionPolicy(can),
-            has=HasPolicy(by=by, been=been, group=frozenset()),
+            perms=Perms(can, by=by, been=been, group=frozenset()),
         )
         model.data[ident] = dt
         model.policies[ident] = pol
@@ -156,7 +154,7 @@ def compliant_trace(model: PolicyModel, rng: random.Random, max_len: int = 20):
             trace.append(AbstractEvent(kind=USE, t=clock.tick(), dt=dt, purposes=purposes))
         elif choice < 0.85 and model.sets.all_actions():
             act = rng.choice(model.sets.all_actions())
-            performers = sorted(pol.acp.can_do(act.name))
+            performers = sorted(pol.perms.can_do(act.name))
             if not performers:
                 continue
             actor = rng.choice(performers)

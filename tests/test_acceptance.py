@@ -41,10 +41,9 @@ from datactl.mapping import (
 )
 from datactl.model import (
     SP,
-    ActionPolicy,
     DataRef,
     DeletionSpec,
-    HasPolicy,
+    Perms,
     Policy,
     PolicyModel,
     StorageSpec,
@@ -164,7 +163,7 @@ def _all_subsets(items):
 def _instances():
     """Exhaustive sweep of a small instance space: two users plus the
     provider, one variable, one unary action, traces of length <= 4."""
-    from datactl.architecture import Act1, ArchEvent, ArchPerms, Delete, DeleteReq
+    from datactl.architecture import Act1, ArchEvent, Delete, DeleteReq
 
     users = ("alice", "bob")
     x = Var(ow="alice", ds=frozenset(users), ident="d1")
@@ -173,7 +172,7 @@ def _instances():
             for with_possess in (False, True):
                 for with_delete in (False, True):
                     for performer in users:
-                        perms = ArchPerms(
+                        perms = Perms(
                             can={"fav": can} if can else {},
                             by={"fav": {"bob": by_bob}} if by_bob else {},
                         )

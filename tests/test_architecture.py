@@ -41,13 +41,13 @@ from datactl.architecture import (
     run_arch_trace,
 )
 from datactl.dsl import parse_architecture, serialize_architecture
-from datactl.model import SP
+from datactl.model import SP, Perms
 
 X = Var(ow="alice", ds=frozenset({"alice", "bob"}), ident="d1")
 X_PAT = Var(ow="?i", ds=frozenset({"alice", "bob"}), ident="d1")
 
 
-def make_arch(extra=(), perms=ArchPerms()):
+def make_arch(extra=(), perms=Perms()):
     activities = frozenset(
         {
             Own("alice", X),
@@ -61,7 +61,7 @@ def make_arch(extra=(), perms=ArchPerms()):
     return Architecture(activities=activities, perms=perms)
 
 
-PERMS = ArchPerms(
+PERMS = Perms(
     can={"fav": frozenset({"alice", "bob"})},
     by={"fav": {"alice": frozenset({"bob"})}},
 )
@@ -104,20 +104,20 @@ def test_groupact_edits_shared_can_table():
     sigma = initial_state(make_arch(), ["alice", "bob"])
     e = ArchEvent("groupact", 1, user="alice", tar="bob", action="fav")
     sigma = apply_arch_event(sigma, e)
-    assert sigma.can_do("fav") == frozenset({"bob"})
+    assert sigma.can.get("fav", frozenset()) == frozenset({"bob"})
     sigma = apply_arch_event(sigma, ArchEvent("ungroupact", 2, user="alice", tar="bob", action="fav"))
-    assert sigma.can_do("fav") == frozenset()
+    assert sigma.can.get("fav", frozenset()) == frozenset()
 
 
 def test_addfriends_edits_all_alias_actions_and_group():
     sigma = initial_state(make_arch(), ["alice", "bob"])
     e = ArchEvent("addfriends", 1, user="alice", tar="bob", actions=("fav", "link"))
     sigma = apply_arch_event(sigma, e)
-    assert sigma.can_do("fav") == frozenset({"bob"})
-    assert sigma.can_do("link") == frozenset({"bob"})
+    assert sigma.can.get("fav", frozenset()) == frozenset({"bob"})
+    assert sigma.can.get("link", frozenset()) == frozenset({"bob"})
     assert "bob" in sigma.group
     sigma = apply_arch_event(sigma, ArchEvent("unfriends", 2, user="alice", tar="bob", actions=("fav", "link")))
-    assert sigma.can_do("fav") == frozenset() and "bob" not in sigma.group
+    assert sigma.can.get("fav", frozenset()) == frozenset() and "bob" not in sigma.group
 
 
 def test_act1_guard_and_receivers():
@@ -144,7 +144,7 @@ def test_unact1_clears_receivers():
 def test_unact1_clears_the_holders_of_its_base_action():
     # Derived architectures key `has by` by base action only; the un-action
     # carries its own name and its own `can` grant.
-    perms = ArchPerms(
+    perms = Perms(
         can={"fav": frozenset({"alice"}), "unfav": frozenset({"alice"})},
         by={"fav": {"alice": frozenset({"bob"})}},
     )
@@ -157,7 +157,7 @@ def test_unact1_clears_the_holders_of_its_base_action():
 
 
 def test_unact2_clears_the_holders_of_its_base_action():
-    perms = ArchPerms(
+    perms = Perms(
         can={"link": frozenset({"alice"}), "unlink": frozenset({"alice"})},
         by={"link": {"alice": frozenset({"bob", "carol"})}},
         been={"link": {"bob": frozenset({"carol"})}},
@@ -177,6 +177,10 @@ def test_unact2_clears_the_holders_of_its_base_action():
     assert sigma.users["carol"].value(X) is None
 
 
+def test_arch_perms_is_the_model_table():
+    assert ArchPerms is Perms
+
+
 def test_base_action_resolution():
     by = {"fav": {}, "unpin": {}}
     assert base_action(by, "unfav") == "fav"
@@ -185,7 +189,7 @@ def test_base_action_resolution():
 
 
 def test_act2_intersection_receivers():
-    perms = ArchPerms(
+    perms = Perms(
         can={"link": frozenset({"alice"})},
         by={"link": {"alice": frozenset({"bob", "carol"})}},
         been={"link": {"bob": frozenset({"carol"})}},

@@ -2,6 +2,8 @@
 exercised against the bundled service fixtures."""
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,6 +117,25 @@ def test_compare_archs_equal_and_different(capsys):
     assert code == 0 and "equal" in out
     code, out, _ = run(capsys, "compare-archs", f"{FIX}/full.dca", f"{FIX}/simplified.dca")
     assert code == 1 and "incomparable" in out
+    assert "+ AddFriends[?i, ?tar](like, comment, post, tag, mention, share)" in out
+
+
+def test_compare_archs_output_does_not_depend_on_the_hash_seed(tmp_path):
+    empty = tmp_path / "empty.dca"
+    empty.write_text("architecture {}\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for seed in ("5", "6"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "datactl.cli", "compare-archs", f"{FIX}/full.dca", str(empty)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert lines[:-1] == sorted(lines[:-1]) and lines[-1] == "overall\tsuperset"
 
 
 def test_compare_policies_self(capsys):
@@ -170,6 +191,19 @@ def test_eval_has_negative(capsys, tmp_path):
     code, out, _ = run(capsys, "eval-has", arch, str(query), "--mode", "enumerate",
                        "--max-len", "2")
     assert code == 1 and "does not hold" in out
+
+
+def test_eval_has_conjunction_counts_the_users_of_its_parts(capsys, tmp_path):
+    # zed is named only by the query; a conjunction must add zed to the
+    # universe as the single property does, so P and "P AND P" agree.
+    atom = "HAS_not[zed](X{ow=alice, ds={alice, bob}, id=photo1}, t=1)"
+    outputs = []
+    for text in (atom, f"{atom} AND {atom}"):
+        query = tmp_path / "q.dcq"
+        query.write_text(text)
+        outputs.append(run(capsys, "eval-has", f"{FIX}/simplified.dca", str(query),
+                           "--mode", "enumerate", "--max-len", "2"))
+    assert outputs[0] == outputs[1] == (0, "enumerate: holds\n", "")
 
 
 def test_eval_has_state_limit(capsys, tmp_path):

@@ -11,11 +11,10 @@ from datactl.dsl import parse_policy, parse_trace, sniff_kind
 from datactl.model import (
     SP,
     ActionId,
-    ActionPolicy,
     ActivitySets,
     DataRef,
     DeletionSpec,
-    HasPolicy,
+    Perms,
     Policy,
     StorageSpec,
     UNARY,
@@ -50,8 +49,8 @@ POL = Policy(
     ap=frozenset({"billing"}),
     dm=DeletionSpec((("man", 3),)),
     storage=StorageSpec(wh=frozenset({"sploc"}), ho=frozenset({("enc", "clkey")})),
-    acp=ActionPolicy({"fav": frozenset({"bob"}), "delete": frozenset({"alice"})}),
-    has=HasPolicy(by={"fav": {"bob": frozenset({"carol"})}}),
+    perms=Perms({"fav": frozenset({"bob"}), "delete": frozenset({"alice"})},
+                by={"fav": {"bob": frozenset({"carol"})}}),
 )
 
 
@@ -136,7 +135,7 @@ def test_c4_accepts_provider_with_readable_storage():
     readable = Policy(ap=POL.ap, dm=POL.dm,
                       storage=StorageSpec(wh=frozenset({"sploc"}),
                                           ho=frozenset({("enc", "spkey")})),
-                      acp=POL.acp, has=POL.has)
+                      perms=POL.perms)
     trace = [
         AbstractEvent(kind=OWN, t=1, dt=DT, actor="alice", value="v", policy=readable),
         AbstractEvent(kind=STORE, t=2, dt=DT),
@@ -220,12 +219,12 @@ def _sanctioned(trace, states, sets, i, dt, user, t):
         if a.kind not in (ACT1, ACT2) or a.dt != dt or a.t > t:
             continue
         pol = states[k - 1].get(dt).policy
-        if a.actor not in pol.acp.can_do(a.action):
+        if a.actor not in pol.perms.can_do(a.action):
             continue
         base = a.action if sets is None else (sets.base_of(a.action) or a.action)
-        gained = pol.has.by_set(base, a.actor)
+        gained = pol.perms.by.get(base, {}).get(a.actor, frozenset())
         if a.kind == ACT2:
-            gained &= pol.has.been_set(base, a.tar)
+            gained &= pol.perms.been.get(base, {}).get(a.tar, frozenset())
         if user in gained:
             return True
     return False
@@ -258,7 +257,7 @@ def reference_audit(trace, sets):
             if e.kind == DELETE and actor is None:
                 warnings.append(f"C2 skipped for delete at event {i}: "
                                 "no preceding deletereq names a performer")
-            elif actor not in pol.acp.can_do(action):
+            elif actor not in pol.perms.can_do(action):
                 found["C2"].append(Violation(
                     "C2", e.dt, f"{actor!r} not permitted to perform {action!r}", i))
         for dt, entry in states[i].entries.items():
@@ -361,9 +360,9 @@ def test_oracle_two_requests_before_one_delete():
 
 
 def test_oracle_guard_failed_act_sanctions_nobody():
-    pol = Policy(ap=POL.ap, dm=POL.dm, storage=POL.storage, acp=POL.acp,
-                 has=HasPolicy(by={"fav": {"bob": frozenset({"carol"}),
-                                           "mallory": frozenset({"carol"})}}))
+    pol = Policy(ap=POL.ap, dm=POL.dm, storage=POL.storage,
+                 perms=Perms(POL.perms.can, by={"fav": {"bob": frozenset({"carol"}),
+                                                        "mallory": frozenset({"carol"})}}))
     trace = [
         _ev(OWN, 1, policy=pol),
         _ev(ACT1, 2, actor="mallory", action="fav"),  # guard fails: a no-op
@@ -409,7 +408,7 @@ def test_oracle_deletes_out_of_time_order():
     [_ev(OWN, 1), _ev(USE, 2, purposes=frozenset({"ads"})), _ev(OWN, 3)],
     [_ev(OWN, 1), _ev(GROUPHAS, 2, actor="alice", tar="eve"), _ev(DELETE, 3), _ev(USE, 4)],
     [_ev(OWN, 1, policy=Policy(ap=POL.ap, dm=DeletionSpec(()), storage=POL.storage,
-                               acp=POL.acp, has=POL.has)), _ev(DELETEREQ, 2, actor="alice")],
+                               perms=POL.perms)), _ev(DELETEREQ, 2, actor="alice")],
     [_ev(OWN, 1), _ev("frobnicate", 2)],
 ], ids=["undefined", "duplicate-own", "after-delete", "no-manual-deletion", "unknown-kind"])
 def test_oracle_non_executing_traces(trace):

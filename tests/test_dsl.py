@@ -10,7 +10,6 @@ from datactl.architecture import (
     Act2,
     AddFriends,
     ArchEvent,
-    ArchPerms,
     Architecture,
     Delete,
     DeleteReq,
@@ -38,7 +37,7 @@ from datactl.dsl import (
     tokenize,
 )
 from datactl.logic import And, Has, HasNever, HasNot, HasSp
-from datactl.model import SP
+from datactl.model import SP, Perms
 
 from modelgen import compliant_trace, random_model
 
@@ -176,7 +175,7 @@ SAMPLE_ARCH = Architecture(
             Act2("?i", "?j", "link", X),
         }
     ),
-    perms=ArchPerms(
+    perms=Perms(
         can={"fav": frozenset({"alice", "bob"})},
         by={"fav": {"alice": frozenset({"bob"})}},
         been={"link": {"bob": frozenset({"carol"})}},
@@ -209,6 +208,22 @@ def test_empty_architecture_round_trip():
 def test_pattern_ds_round_trip():
     pa = Architecture(activities=frozenset({Possess(Var(ow="?i", ds="?s", ident="?x"))}))
     assert parse_architecture(serialize_architecture(pa)) == pa
+
+
+@pytest.mark.parametrize("document", [
+    "actions { unary fav/unfav; }\n"
+    "data d1 { ow = alice; ds = {alice}; type = Notes; policy {\n"
+    "  purposes = {billing}; delete = {man:1}; where = {sploc}; how = {plain};\n"
+    "  has bogus fav bob = {carol};\n"
+    "} }",
+    "architecture {\n  perms {\n  has bogus fav bob = {carol};\n  }\n}",
+], ids=["policy-block", "perms-block"])
+def test_unknown_has_table_rejected(document):
+    parse = parse_policy if document.startswith("actions") else parse_architecture
+    with pytest.raises(ParseError) as err:
+        parse(document, file="bad")
+    assert "unknown has table 'bogus'" in str(err.value)
+    assert err.value.expected == frozenset({"by", "been", "group"})
 
 
 def test_inconsistent_architecture_rejected():
@@ -246,6 +261,14 @@ def test_arch_trace_round_trip():
     normalized[7] = ArchEvent("delete", 8, user=None, term=X)
     assert [e.kind for e in reparsed] == [e.kind for e in ARCH_TRACE]
     assert serialize_arch_trace(reparsed) == text
+
+
+def test_arch_trace_binary_event_requires_a_target():
+    sets = parse_policy((FIX / "facebook.dcp").read_text(encoding="utf-8")).sets
+    text = "archtrace {\n  post(t=1, user=alice, var=X{ow=alice, ds={alice}, id=photo1});\n}"
+    with pytest.raises(ParseError) as err:
+        parse_arch_trace(text, sets, file="bad.dct")
+    assert "bad.dct:2" in str(err.value) and "requires a target" in str(err.value)
 
 
 def test_arch_trace_timestamps_may_repeat_but_not_decrease():

@@ -9,7 +9,6 @@ from datactl.architecture import (
     Act1,
     Act2,
     ArchEvent,
-    ArchPerms,
     Architecture,
     Delete,
     DeleteReq,
@@ -23,6 +22,7 @@ from datactl.architecture import (
     Universe,
     Var,
     enc,
+    enumerate_states,
 )
 from datactl.logic import (
     And,
@@ -34,12 +34,9 @@ from datactl.logic import (
     conclusions,
     deduce,
     eval_semantic,
-    have_act1_set,
-    have_act2_set,
-    shared_lookup,
 )
 from datactl.mapping import MappingContext, derive_architecture, image_trace
-from datactl.model import SP
+from datactl.model import SP, Perms
 
 from modelgen import compliant_trace, random_model
 
@@ -51,40 +48,24 @@ def results_for(rule, results):
     return [r for r in results if r.rule == rule]
 
 
-# --- permitted-holder algebra -----------------------------------------------
+# --- permitted holders ------------------------------------------------------
 
 
-def test_have_act1_set_intersects_performer_and_owner_grants():
-    def gby(granter, performer):
-        return {
-            ("bob", "bob"): frozenset({"bob", "carol", "dave"}),
-            ("alice", "bob"): frozenset({"carol", "dave", "eve"}),
-        }.get((granter, performer), frozenset())
-
-    assert have_act1_set("bob", "alice", gby) == frozenset({"carol", "dave"})
-
-
-def test_have_act2_set_six_way_intersection():
-    everyone = frozenset({"x", "y", "z"})
-
-    def gby(granter, performer):
-        return everyone if (granter, performer) != ("tar", "i") else frozenset({"x", "y"})
-
-    def gbeen(granter, target):
-        return everyone if (granter, target) != ("ow", "tar") else frozenset({"y", "z"})
-
-    assert have_act2_set("i", "tar", "ow", gby, gbeen) == frozenset({"y"})
-
-
-def test_shared_lookup_ignores_granter():
-    lookup = shared_lookup({"bob": frozenset({"carol"})})
-    assert lookup("anyone", "bob") == frozenset({"carol"})
-    assert lookup("alice", "ghost") == frozenset()
+def test_holders_reads_by_and_intersects_been_for_a_target():
+    perms = Perms(
+        by={"link": {"i": frozenset({"x", "y", "z"})}},
+        been={"link": {"tar": frozenset({"y", "z", "w"})}},
+    )
+    assert perms.holders("link", "i") == frozenset({"x", "y", "z"})
+    assert perms.holders("link", "i", "tar") == frozenset({"y", "z"})
+    assert perms.holders("link", "i", "ghost") == frozenset()
+    assert perms.holders("link", "ghost") == frozenset()
+    assert perms.holders("fav", "i") == frozenset()
 
 
 # --- individual rules -------------------------------------------------------
 
-PERMS = ArchPerms(
+PERMS = Perms(
     can={"fav": frozenset({"bob"}), "link": frozenset({"alice"})},
     by={
         "fav": {"bob": frozenset({"bob", "carol"})},
@@ -140,7 +121,7 @@ def test_h5_withdraws_after_unact1():
     # the un-action's can-group must permit bob too
     arch = Architecture(
         activities=ARCH.activities,
-        perms=ArchPerms(
+        perms=Perms(
             can={**PERMS.can, "unfav": frozenset({"bob"})}, by=PERMS.by, been=PERMS.been
         ),
     )
@@ -155,7 +136,7 @@ def test_h8_via_symbolic_decryption():
     # without the key, the ciphertext alone yields nothing
     keyless = Architecture(
         activities=frozenset({Own("alice", X), Possess(enc(X, KeyVar(SP)))}),
-        perms=ArchPerms(),
+        perms=Perms(),
     )
     assert results_for("H8", deduce(keyless, [], USERS)) == []
 
@@ -176,7 +157,7 @@ def test_h9_for_ungranted_users_only():
     # drop the has-grants: only the owner and the provider can ever hold it
     bare = Architecture(
         activities=frozenset({Own("alice", X), Possess(X), Act1("?i", "fav", X)}),
-        perms=ArchPerms(can={"fav": frozenset({"bob"})}),
+        perms=Perms(can={"fav": frozenset({"bob"})}),
     )
     found = results_for("H9", deduce(bare, [], USERS))
     assert {r.conclusion.user for r in found} == {"bob", "carol"}
@@ -189,7 +170,7 @@ def test_h9_respects_runtime_can_extension():
         activities=frozenset(
             {Own("alice", X), Act1("?i", "fav", X), GroupAct("alice", "?tar", "fav")}
         ),
-        perms=ArchPerms(by={"fav": {"bob": frozenset({"carol"})}}),
+        perms=Perms(by={"fav": {"bob": frozenset({"carol"})}}),
     )
     found = results_for("H9", deduce(extendable, [], USERS))
     # bob can be granted fav at run time, and fav by bob gives carol the value
@@ -283,6 +264,24 @@ def test_semantic_conjunction():
     mixed = And((Has("alice", X, 1), HasNever("bob", X)))
     v = eval_semantic(pa, mixed, UNIVERSE, max_len=2)
     assert v.holds and v.bounded
+
+
+def test_conjunction_enumerates_once(monkeypatch):
+    """The parts of a conjunction are judged against one enumeration."""
+    import datactl.logic
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_states(*args, **kwargs)
+
+    monkeypatch.setattr(datactl.logic, "enumerate_states", counting)
+    pa = Architecture(activities=frozenset({Own("alice", X), Possess(X)}))
+    v = eval_semantic(pa, And((Has("alice", X, 1), HasNever("bob", X))), UNIVERSE, max_len=2)
+    assert (v.holds, v.bounded) == (True, True)
+    assert v.detail == "witness state found; holds of every state within bound"
+    assert len(calls) == 1
 
 
 def test_deduction_sound_for_this_architecture():

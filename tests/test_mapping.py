@@ -9,7 +9,6 @@ from datactl.architecture import (
     Act1,
     Act2,
     AddFriends,
-    ArchPerms,
     Architecture,
     Delete,
     DeleteReq,
@@ -32,21 +31,19 @@ from datactl.mapping import (
     compare_policies,
     derive_architecture,
     image_trace,
-    map_permissions,
     map_storage,
     var_of,
 )
 from datactl.model import (
     SP,
     ActionId,
-    ActionPolicy,
     ActivitySets,
     BINARY,
     BINARY_REVOKE,
     DataRef,
     DeletionSpec,
     FriendAlias,
-    HasPolicy,
+    Perms,
     Policy,
     PolicyModel,
     StorageSpec,
@@ -77,8 +74,8 @@ def policy(wh="sploc", how=("plain", "none"), **kw):
         ap=frozenset({"billing"}),
         dm=DeletionSpec((("man", 5),)),
         storage=StorageSpec(wh=frozenset({wh}), ho=frozenset({how})),
-        acp=ActionPolicy({"fav": frozenset({"bob"}), "delete": frozenset({"alice"})}),
-        has=HasPolicy(by={"fav": {"bob": frozenset({"bob", "carol"})}}),
+        perms=Perms({"fav": frozenset({"bob"}), "delete": frozenset({"alice"})},
+                    by={"fav": {"bob": frozenset({"bob", "carol"})}}),
     )
     defaults.update(kw)
     return Policy(**defaults)
@@ -122,12 +119,6 @@ def test_storage_owner_key_encrypted():
     )
 
 
-def test_map_permissions_drops_empty_sets():
-    pol = policy(acp=ActionPolicy({"fav": frozenset(), "delete": frozenset({"alice"})}))
-    perms = map_permissions(DT, pol)
-    assert "fav" not in perms.can and perms.can_do("delete") == frozenset({"alice"})
-
-
 # --- event-driven derivation ------------------------------------------------
 
 
@@ -154,7 +145,7 @@ def test_derivation_activity_set():
         }
     )
     assert pa.perms.can_do("fav") == frozenset({"bob"})
-    assert pa.perms.by_set("fav", "bob") == frozenset({"bob", "carol"})
+    assert pa.perms.holders("fav", "bob") == frozenset({"bob", "carol"})
 
 
 def test_derivation_is_idempotent_over_events():
@@ -323,9 +314,9 @@ def test_compare_policies_shorter_delay_is_stricter():
 
 def test_compare_policies_incomparable():
     a = policy(ap=frozenset({"billing"}),
-               acp=ActionPolicy({"fav": frozenset({"bob", "carol"})}))
+               perms=Perms({"fav": frozenset({"bob", "carol"})}))
     b = policy(ap=frozenset({"billing", "research"}),
-               acp=ActionPolicy({"fav": frozenset({"bob"})}))
+               perms=Perms({"fav": frozenset({"bob"})}))
     assert compare_policies(a, b).overall == INCOMPARABLE
 
 

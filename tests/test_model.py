@@ -6,10 +6,9 @@ from datactl.model import (
     UNARY,
     UNARY_REVOKE,
     ActionId,
-    ActionPolicy,
     ActivitySets,
     DeletionSpec,
-    HasPolicy,
+    Perms,
     Policy,
     StorageSpec,
     validate_activity_sets,
@@ -68,8 +67,7 @@ def make_policy(**kw):
         ap=frozenset({"billing"}),
         dm=DeletionSpec((("man", 5),)),
         storage=StorageSpec(wh=frozenset({"sploc"}), ho=frozenset({("plain", "none")})),
-        acp=ActionPolicy({}),
-        has=HasPolicy(),
+        perms=Perms(),
     )
     defaults.update(kw)
     return Policy(**defaults)
@@ -80,12 +78,12 @@ def test_valid_policy_passes():
 
 
 def test_undeclared_action_in_can_rejected():
-    pol = make_policy(acp=ActionPolicy({"ghost": frozenset({"u1"})}))
+    pol = make_policy(perms=Perms({"ghost": frozenset({"u1"})}))
     assert any("undeclared action" in e for e in validate_policy(pol, make_sets()))
 
 
 def test_has_been_only_for_binary_actions():
-    pol = make_policy(has=HasPolicy(been={"fav": {"u1": frozenset({"u2"})}}))
+    pol = make_policy(perms=Perms(been={"fav": {"u1": frozenset({"u2"})}}))
     assert any("not a declared binary action" in e for e in validate_policy(pol, make_sets()))
 
 
@@ -112,11 +110,11 @@ def test_sp_readable():
 def test_grant_and_revoke_round_trip():
     pol = make_policy()
     granted = pol.grant_can("fav", "u2")
-    assert "u2" in granted.acp.can_do("fav")
-    assert "u2" not in granted.revoke_can("fav", "u2").acp.can_do("fav")
+    assert "u2" in granted.perms.can_do("fav")
+    assert "u2" not in granted.revoke_can("fav", "u2").perms.can_do("fav")
     grouped = pol.grant_group("u3")
-    assert "u3" in grouped.has.group
-    assert "u3" not in grouped.revoke_group("u3").has.group
+    assert "u3" in grouped.perms.group
+    assert "u3" not in grouped.revoke_group("u3").perms.group
 
 
 def test_generated_models_validate():

@@ -6,9 +6,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from datactl.architecture import Act1, Architecture, ArchPerms, Own, Universe, Var, enumerate_states
+from datactl.architecture import Act1, Architecture, Own, Universe, Var, enumerate_states
 from datactl.dsl import parse_policy, parse_trace, serialize_policy, serialize_trace
-from datactl.logic import have_act1_set, have_act2_set, shared_lookup
+from datactl.model import Perms
 from datactl.semantics import (
     ACT1,
     ACT2,
@@ -94,7 +94,7 @@ def test_group_inverse(seed, tar):
         if entry is None or not model.sets.all_actions():
             continue
         action = model.sets.all_actions()[0].name
-        if tar in entry.h_has or tar in entry.policy.acp.can_do(action):
+        if tar in entry.h_has or tar in entry.policy.perms.can_do(action):
             continue
         grant = AbstractEvent(kind=GROUPACT, t=10_000, dt=dt, actor=dt.ow,
                               tar=tar, action=action)
@@ -104,24 +104,24 @@ def test_group_inverse(seed, tar):
         restored = apply_event(granted, revoke, sets=model.sets)
         out = restored.get(dt)
         assert out.h_has == entry.h_has
-        assert out.policy.acp.can_do(action) == entry.policy.acp.can_do(action)
+        assert out.policy.perms.can_do(action) == entry.policy.perms.can_do(action)
 
 
 @given(GRANTS, GRANTS, USERS, USERS, USERS, USER_SETS)
 def test_have_set_monotonicity(by, been, i, tar, ow, extra):
     """Enlarging any single grant set never shrinks the permitted-holder set."""
-    gby, gbeen = shared_lookup(by), shared_lookup(been)
-    base1 = have_act1_set(i, ow, gby)
-    base2 = have_act2_set(i, tar, ow, gby, gbeen)
+    perms = Perms(by={"fav": by}, been={"fav": been})
+    base1 = perms.holders("fav", i)
+    base2 = perms.holders("fav", i, tar)
     for key in (i, ow, tar):
         wider = dict(by)
         wider[key] = wider.get(key, frozenset()) | extra
-        gwider = shared_lookup(wider)
-        assert base1 <= have_act1_set(i, ow, gwider)
-        assert base2 <= have_act2_set(i, tar, ow, gwider, gbeen)
+        wider_by = Perms(by={"fav": wider}, been={"fav": been})
+        assert base1 <= wider_by.holders("fav", i)
+        assert base2 <= wider_by.holders("fav", i, tar)
         wider_been = dict(been)
         wider_been[key] = wider_been.get(key, frozenset()) | extra
-        assert base2 <= have_act2_set(i, tar, ow, gby, shared_lookup(wider_been))
+        assert base2 <= Perms(by={"fav": by}, been={"fav": wider_been}).holders("fav", i, tar)
 
 
 @given(seeds)
@@ -138,9 +138,9 @@ def test_enumeration_monotone_in_bound():
     x = Var(ow="alice", ds=frozenset({"alice", "bob"}), ident="d1")
     pa = Architecture(
         activities=frozenset({Own("alice", x), Act1("?i", "fav", x)}),
-        perms=ArchPerms(can={"fav": frozenset({"alice", "bob"})},
-                        by={"fav": {"alice": frozenset({"alice", "bob"}),
-                                    "bob": frozenset({"bob"})}}),
+        perms=Perms(can={"fav": frozenset({"alice", "bob"})},
+                    by={"fav": {"alice": frozenset({"alice", "bob"}),
+                                "bob": frozenset({"bob"})}}),
     )
     universe = Universe(users=("alice", "bob"))
     previous = None

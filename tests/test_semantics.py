@@ -10,11 +10,10 @@ from datactl.model import (
     UNARY,
     UNARY_REVOKE,
     ActionId,
-    ActionPolicy,
     ActivitySets,
     DataRef,
     DeletionSpec,
-    HasPolicy,
+    Perms,
     Policy,
     StorageSpec,
 )
@@ -55,13 +54,13 @@ POL = Policy(
     ap=frozenset({"billing"}),
     dm=DeletionSpec((("man", 5),)),
     storage=StorageSpec(wh=frozenset({"sploc"}), ho=frozenset({("plain", "none")})),
-    acp=ActionPolicy({
-        "fav": frozenset({"bob"}),
-        "unfav": frozenset({"bob"}),
-        "link": frozenset({"alice"}),
-        "unlink": frozenset({"alice"}),
-    }),
-    has=HasPolicy(
+    perms=Perms(
+        {
+            "fav": frozenset({"bob"}),
+            "unfav": frozenset({"bob"}),
+            "link": frozenset({"alice"}),
+            "unlink": frozenset({"alice"}),
+        },
         by={"fav": {"bob": frozenset({"bob", "carol"})},
             "link": {"alice": frozenset({"bob", "carol"})}},
         been={"link": {"bob": frozenset({"carol"})}},
@@ -95,7 +94,7 @@ def test_case_store_adds_provider_when_readable():
     clkey = Policy(
         ap=POL.ap, dm=POL.dm,
         storage=StorageSpec(wh=frozenset({"sploc"}), ho=frozenset({("enc", "clkey")})),
-        acp=POL.acp, has=POL.has,
+        perms=POL.perms,
     )
     state = apply_event(owned_state(pol=clkey), AbstractEvent(kind=STORE, t=2, dt=DT))
     assert SP not in state.get(DT).h_has
@@ -117,7 +116,7 @@ def test_case_deletereq_identity_with_manual_mode():
 
 def test_case_deletereq_rejected_without_manual_mode():
     aut_only = Policy(ap=POL.ap, dm=DeletionSpec((("aut", 5),)),
-                      storage=POL.storage, acp=POL.acp, has=POL.has)
+                      storage=POL.storage, perms=POL.perms)
     with pytest.raises(SemanticsError):
         apply_event(owned_state(pol=aut_only),
                     AbstractEvent(kind=DELETEREQ, t=2, dt=DT, actor="alice"))
@@ -131,7 +130,7 @@ def test_case_delete_maps_to_undefined():
 def test_case_groupact_grants_and_adds_holder():
     e = AbstractEvent(kind=GROUPACT, t=2, dt=DT, actor="alice", tar="dave", action="fav")
     entry = apply_event(owned_state(), e).get(DT)
-    assert "dave" in entry.policy.acp.can_do("fav")
+    assert "dave" in entry.policy.perms.can_do("fav")
     assert "dave" in entry.h_has and entry.t == 2
 
 
@@ -140,14 +139,14 @@ def test_case_ungroupact_revokes_and_removes_holder():
         kind=GROUPACT, t=2, dt=DT, actor="alice", tar="dave", action="fav"))
     entry = apply_event(state, AbstractEvent(
         kind=UNGROUPACT, t=3, dt=DT, actor="alice", tar="dave", action="fav")).get(DT)
-    assert "dave" not in entry.policy.acp.can_do("fav")
+    assert "dave" not in entry.policy.perms.can_do("fav")
     assert "dave" not in entry.h_has
 
 
 def test_case_grouphas_adds_to_group_and_holders():
     entry = apply_event(owned_state(), AbstractEvent(
         kind=GROUPHAS, t=2, dt=DT, actor="alice", tar="dave")).get(DT)
-    assert "dave" in entry.policy.has.group
+    assert "dave" in entry.policy.perms.group
     assert "dave" in entry.h_has
 
 
@@ -156,7 +155,7 @@ def test_case_ungrouphas_removes_from_group_and_holders():
         kind=GROUPHAS, t=2, dt=DT, actor="alice", tar="dave"))
     entry = apply_event(state, AbstractEvent(
         kind=UNGROUPHAS, t=3, dt=DT, actor="alice", tar="dave")).get(DT)
-    assert "dave" not in entry.policy.has.group
+    assert "dave" not in entry.policy.perms.group
     assert "dave" not in entry.h_has
 
 
