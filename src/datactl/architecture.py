@@ -318,61 +318,72 @@ class ArchSemanticsError(Exception):
         super().__init__(message if index is None else f"event {index}: {message}")
 
 
-@dataclass
-class UserState:
-    bindings: dict[Term, str | None] = field(default_factory=dict)
+class UserState(NamedTuple):
+    """One user's variable state: the user, their defined ``(term, value)``
+    bindings (an undefined variable has none) and the time of the last event
+    that touched them."""
+
+    user: str
+    bindings: frozenset[tuple[Term, str]] = frozenset()
     t: int = 0
 
     def value(self, term: Term) -> str | None:
-        return self.bindings.get(term, BOTTOM)
+        return next((v for bound, v in self.bindings if bound == term), BOTTOM)
 
-    def snapshot(self):
-        items = tuple(sorted(((repr(k), v) for k, v in self.bindings.items() if v is not None)))
-        return (items, self.t)
+    def at(self, t: int, term: Term | None = None, value: str | None = BOTTOM) -> "UserState":
+        """This state touched at ``t``, with ``term`` bound to ``value`` when a
+        term is given (``BOTTOM`` leaves it undefined)."""
+        bindings = self.bindings
+        if term is not None:
+            bindings = frozenset(b for b in bindings if b[0] != term)
+            if value is not BOTTOM:
+                bindings |= {(term, value)}
+        return UserState(self.user, bindings, t)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GlobalState:
-    """Per-user variable states plus the (shared) permission state.
+    """Per-user variable states plus the permission state.
 
-    ``can`` and ``group`` change as group events run; the holder tables never
-    change, so they are read from the architecture's ``perms``.
+    Immutable and hashable, so a state is its own dedupe key: two states are
+    equal when their users' defined bindings and times, their ``can`` grants
+    and their ``group`` agree.  ``can`` and ``group`` change as group events
+    run; the holder tables never change, so ``perms`` (the architecture's) and
+    ``slot`` (each user's position in ``users``) stay out of the comparison.
     """
 
-    users: dict[str, UserState | None]
-    can: dict[str, frozenset[str]]
+    users: tuple[UserState, ...]  # one per user, sorted by user
+    can: frozenset[tuple[str, str]]  # (action, user) grants
     group: frozenset[str]
-    perms: Perms
+    perms: Perms = field(compare=False)
+    slot: Mapping[str, int] = field(compare=False)
 
-    def clone(self) -> "GlobalState":
-        users = {
-            u: (None if st is None else UserState(dict(st.bindings), st.t))
-            for u, st in self.users.items()
-        }
-        return GlobalState(
-            users=users,
-            can=dict(self.can),
-            group=self.group,
-            perms=self.perms,
-        )
+    def user(self, name: str) -> UserState:
+        """``name``'s variable state.  A user outside the universe takes part
+        in no event, so reads as a user no event has touched."""
+        return self.users[self.slot[name]] if name in self.slot else UserState(name)
 
-    def snapshot(self):
-        users = tuple(
-            (u, None if st is None else st.snapshot()) for u, st in sorted(self.users.items())
-        )
-        can = tuple(sorted((a, tuple(sorted(s))) for a, s in self.can.items() if s))
-        return (users, can, tuple(sorted(self.group)))
+    def touch(self, names: Iterable[str], t: int, term: Term | None = None,
+              value: str | None = BOTTOM) -> "GlobalState":
+        """This state with the users ``names`` touched at ``t`` (see
+        :meth:`UserState.at`); every other user's state is shared."""
+        users = list(self.users)
+        for name in names:
+            i = self.slot[name]
+            users[i] = users[i].at(t, term, value)
+        return GlobalState(tuple(users), self.can, self.group, self.perms, self.slot)
 
 
 def initial_state(pa: Architecture, users: Iterable[str]) -> GlobalState:
     """All variables undefined; permission state seeded from the architecture's
     tables (absent tables mean all groups start empty)."""
-    names = set(users) | {SP}
+    names = sorted(set(users) | {SP})
     return GlobalState(
-        users={u: UserState() for u in sorted(names)},
-        can=dict(pa.perms.can),
+        users=tuple(UserState(u) for u in names),
+        can=frozenset((a, u) for a, granted in pa.perms.can.items() for u in granted),
         group=pa.perms.group,
         perms=pa.perms,
+        slot={u: i for i, u in enumerate(names)},
     )
 
 
@@ -404,80 +415,57 @@ def base_action(by: Mapping[str, object], un_action: str) -> str:
 
 
 def apply_arch_event(sigma: GlobalState, e: ArchEvent, index: int | None = None) -> GlobalState:
-    """One step of the event semantics; returns a fresh global state."""
+    """One step of the event semantics.  The successor rebuilds the users the
+    event touches and shares every other user's state with ``sigma``."""
     for user in _involved(e):
-        if user not in sigma.users:
+        if user not in sigma.slot:
             raise ArchSemanticsError(f"unknown user {user!r} in {e.kind} event", index)
-        if sigma.users[user] is None:
-            raise ArchSemanticsError(
-                f"user {user!r} is in the terminated state; no later event may involve them",
-                index,
-            )
 
-    out = sigma.clone()
     kind = e.kind
 
     if kind == "own":
-        st = out.users[e.user]
-        st.bindings[e.term] = e.value
-        st.t = e.t
-        return out
+        return sigma.touch((e.user,), e.t, e.term, e.value)
 
     if kind == "possess":
-        st = out.users[SP]
-        st.bindings[e.term] = e.value
-        st.t = e.t
-        return out
+        return sigma.touch((SP,), e.t, e.term, e.value)
 
     if kind in ("groupact", "ungroupact"):
-        current = out.can.get(e.action, frozenset())
-        out.can[e.action] = (
-            current | {e.tar} if kind == "groupact" else current - {e.tar}
-        )
-        out.users[e.user].t = e.t
-        return out
+        return _regroup(sigma, e, {(e.action, e.tar)}, set(), kind == "groupact")
 
     if kind in ("grouphas", "ungrouphas"):
-        out.group = out.group | {e.tar} if kind == "grouphas" else out.group - {e.tar}
-        out.users[e.user].t = e.t
-        return out
+        return _regroup(sigma, e, set(), {e.tar}, kind == "grouphas")
 
     if kind in ("addfriends", "unfriends"):
-        for action in e.actions:
-            current = out.can.get(action, frozenset())
-            out.can[action] = (
-                current | {e.tar} if kind == "addfriends" else current - {e.tar}
-            )
-        out.group = out.group | {e.tar} if kind == "addfriends" else out.group - {e.tar}
-        out.users[e.user].t = e.t
-        return out
+        return _regroup(sigma, e, {(a, e.tar) for a in e.actions}, {e.tar}, kind == "addfriends")
 
     if kind == "deletereq":
-        return out  # the request leaves every state untouched
+        return sigma  # the request leaves every state untouched
 
     if kind == "delete":
-        for st in out.users.values():
-            if st is None:
-                continue
-            st.bindings[e.term] = BOTTOM
-            st.t = e.t
-        return out
+        return sigma.touch(sigma.slot, e.t, e.term)
 
     if kind in ("act1", "unact1", "act2", "unact2"):
-        if e.user not in sigma.can.get(e.action, frozenset()):
-            return out
+        if (e.action, e.user) not in sigma.can:
+            return sigma
         granting = kind in ("act1", "act2")
         base = e.action if granting else base_action(sigma.perms.by, e.action)
         tar = e.tar if kind in ("act2", "unact2") else None
-        for j in sigma.perms.holders(base, e.user, tar):
-            if j not in out.users or out.users[j] is None:
-                continue
-            st = out.users[j]
-            st.bindings[e.term] = e.value if granting else BOTTOM
-            st.t = e.t
-        return out
+        holders = [j for j in sigma.perms.holders(base, e.user, tar) if j in sigma.slot]
+        value = e.value if granting else BOTTOM
+        return sigma.touch(holders, e.t, e.term, value)
 
     raise ArchSemanticsError(f"unknown event kind {kind!r}", index)
+
+
+def _regroup(sigma: GlobalState, e: ArchEvent, grants: set[tuple[str, str]],
+             members: set[str], adds: bool) -> GlobalState:
+    """A group event by ``e.user`` at ``e.t``: ``grants`` join (or leave)
+    ``can``, and ``members`` join (or leave) ``group``."""
+    if adds:
+        can, group = sigma.can | grants, sigma.group | members
+    else:
+        can, group = sigma.can - grants, sigma.group - members
+    return GlobalState(sigma.touch((e.user,), e.t).users, can, group, sigma.perms, sigma.slot)
 
 
 def run_arch_trace(trace: list[ArchEvent], init: GlobalState) -> GlobalState:
@@ -606,7 +594,7 @@ def enumerate_states(
         raise ArchSemanticsError(f"inconsistent architecture: {witness} has two owners")
 
     init = initial_state(pa, universe.users)
-    seen = {init.snapshot(): init}
+    seen = {init: None}  # insertion-ordered, so the states come out in BFS order
     frontier = [init]
     for depth in range(1, max_len + 1):
         events = instantiate_events(pa, depth, universe)
@@ -617,15 +605,14 @@ def enumerate_states(
                     nxt = apply_arch_event(sigma, e)
                 except ArchSemanticsError:
                     continue
-                key = nxt.snapshot()
-                if key not in seen:
+                if nxt not in seen:
                     if len(seen) >= max_states:
                         raise EnumerationLimit(
                             f"more than {max_states} states within bound {max_len}"
                         )
-                    seen[key] = nxt
+                    seen[nxt] = None
                     next_frontier.append(nxt)
         frontier = next_frontier
         if not frontier:
             break
-    return list(seen.values())
+    return list(seen)

@@ -14,7 +14,14 @@ import sys
 from pathlib import Path
 
 from . import architecture as arch_mod
-from .architecture import ArchSemanticsError, Architecture, EnumerationLimit, Universe, is_pattern
+from .architecture import (
+    ArchSemanticsError,
+    Architecture,
+    EnumerationLimit,
+    Universe,
+    is_pattern,
+    schema_of,
+)
 from .compliance import check_trace
 from .dsl import (
     ParseError,
@@ -83,25 +90,12 @@ def _max_states(args) -> int:
 
 
 def _concrete_users(pa: Architecture) -> frozenset[str]:
-    users: set[str] = set()
-
-    def note(token):
-        if isinstance(token, str) and not is_pattern(token):
-            users.add(token)
-
+    """The users the tables and the activities' index slots name, patterns
+    and the provider aside: the universe the search ranges over."""
+    tokens = set(pa.perms.users())
     for act in pa.activities:
-        note(getattr(act, "user", None))
-        note(getattr(act, "tar", None))
-    for s in pa.perms.can.values():
-        users.update(s)
-    for table in (pa.perms.by, pa.perms.been):
-        for per in table.values():
-            for u, s in per.items():
-                note(u)
-                users.update(s)
-    users.update(pa.perms.group)
-    users.discard(SP)
-    return frozenset(users)
+        tokens.update(getattr(act, slot) for slot in schema_of(act).index)
+    return frozenset(u for u in tokens if not is_pattern(u)) - {SP}
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("text", "tsv"), default="text")
-        p.add_argument("--verbose", action="store_true")
-
     p = sub.add_parser("validate", help="parse a document and report errors")
     p.add_argument("file")
     p.add_argument("--policy", help="model file, required when validating a trace")
-    common(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("check-trace", help="audit a trace against the compliance rules")
     p.add_argument("policy")
     p.add_argument("trace")
-    common(p)
+    p.add_argument("--format", choices=("text", "tsv"), default="text")
     p.set_defaults(func=cmd_check_trace)
 
     p = sub.add_parser("derive-arch", help="derive an architecture from policy events")
@@ -290,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--simplify-friends", action="store_true",
                    help="collapse group events into the declared alias pair")
     p.add_argument("-o", "--output")
-    common(p)
     p.set_defaults(func=cmd_derive_arch)
 
     p = sub.add_parser("eval-has", help="evaluate a possession property")
@@ -300,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--archtrace", help="architecture trace for the deduction rules")
     p.add_argument("--max-len", type=_bound, default=DEFAULT_MAX_LEN)
     p.add_argument("--max-states", type=_bound)
-    common(p)
     p.set_defaults(func=cmd_eval_has)
 
     p = sub.add_parser("check-correspondence",
@@ -309,26 +296,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", help="explicit architecture (default: derived)")
     p.add_argument("--trace", help="policy trace widening the derived architecture")
     p.add_argument("--simplify-friends", action="store_true")
-    common(p)
+    p.add_argument("--format", choices=("text", "tsv"), default="text")
+    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_check_correspondence)
 
     p = sub.add_parser("compare-policies", help="compare two policy models")
     p.add_argument("first")
     p.add_argument("second")
-    common(p)
+    p.add_argument("--format", choices=("text", "tsv"), default="text")
+    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_compare_policies)
 
     p = sub.add_parser("compare-archs", help="compare two architectures")
     p.add_argument("first")
     p.add_argument("second")
-    common(p)
     p.set_defaults(func=cmd_compare_archs)
 
     p = sub.add_parser("enumerate", help="count reachable architecture states")
     p.add_argument("arch")
     p.add_argument("--max-len", type=_bound, default=DEFAULT_MAX_LEN)
     p.add_argument("--max-states", type=_bound)
-    common(p)
     p.set_defaults(func=cmd_enumerate)
 
     return parser

@@ -95,9 +95,6 @@ HasProperty = Union[HasSp, Has, HasNot, HasNever, And]
 # ---------------------------------------------------------------------------
 # Deduction
 
-RULES = ("H1", "H2", "H3", "H4", "H5", "H6", "H7", "H8", "H9", "H10")
-
-
 @dataclass(frozen=True)
 class DeductionResult:
     rule: str
@@ -224,8 +221,7 @@ def deduce(
     """Apply the deduction rules to an architecture and an event trace.
 
     Group events bind no data variable, so the two rules premised on a valued
-    group event (H4, H7) can never fire; they are retained for completeness of
-    the rule set and contribute nothing.
+    group event (H4, H7) can never fire, and neither is implemented.
     """
     users = sorted(set(users) | {SP})
     results: list[DeductionResult] = []
@@ -326,9 +322,7 @@ class SemanticVerdict:
 
 
 def _sp_reads(state: GlobalState, var: Var) -> bool:
-    sp_state = state.users.get(SP)
-    if sp_state is None:
-        return False
+    sp_state = state.user(SP)
     if sp_state.value(var) is not None:
         return True
     cipher = Func("enc", (var, KeyVar(SP)))
@@ -378,22 +372,21 @@ def _judge(prop: HasProperty, states: list[GlobalState]) -> SemanticVerdict:
         if not _fully_concrete(prop.var):
             return SemanticVerdict(False, False, "variable is not completely defined")
         for state in states:
-            st = state.users.get(prop.user)
-            if st is not None and st.t == prop.t and st.value(prop.var) is not None:
+            st = state.user(prop.user)
+            if st.t == prop.t and st.value(prop.var) is not None:
                 return SemanticVerdict(True, False, "witness state found")
         return SemanticVerdict(False, True, "no witness within bound")
 
     if isinstance(prop, HasNot):
         for state in states:
-            st = state.users.get(prop.user)
-            if st is not None and st.t == prop.t and st.value(prop.var) is None:
+            st = state.user(prop.user)
+            if st.t == prop.t and st.value(prop.var) is None:
                 return SemanticVerdict(True, False, "witness state found")
         return SemanticVerdict(False, True, "no witness within bound")
 
     if isinstance(prop, HasNever):
         for state in states:
-            st = state.users.get(prop.user)
-            if st is not None and st.value(prop.var) is not None:
+            if state.user(prop.user).value(prop.var) is not None:
                 return SemanticVerdict(False, False, "a reachable state defines the variable")
         return SemanticVerdict(True, True, "holds of every state within bound")
 

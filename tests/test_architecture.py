@@ -2,6 +2,7 @@
 bounded enumerator checked against a naive trace-product oracle."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +41,7 @@ from datactl.architecture import (
     is_consistent,
     run_arch_trace,
 )
+from datactl.cli import _concrete_users
 from datactl.dsl import parse_architecture, serialize_architecture
 from datactl.model import SP, Perms
 
@@ -91,54 +93,58 @@ def test_consistency_rejects_two_concrete_owners():
 # --- event semantics --------------------------------------------------------
 
 
+def granted(sigma, action):
+    return frozenset(u for a, u in sigma.can if a == action)
+
+
 def test_own_and_possess_bind_values():
     sigma = initial_state(make_arch(), ["alice", "bob"])
     sigma = apply_arch_event(sigma, ArchEvent("own", 1, user="alice", term=X, value="v"))
-    assert sigma.users["alice"].value(X) == "v"
-    assert sigma.users["bob"].value(X) is None
+    assert sigma.user("alice").value(X) == "v"
+    assert sigma.user("bob").value(X) is None
     sigma = apply_arch_event(sigma, ArchEvent("possess", 2, user=SP, term=X, value="v"))
-    assert sigma.users[SP].value(X) == "v"
+    assert sigma.user(SP).value(X) == "v"
 
 
 def test_groupact_edits_shared_can_table():
     sigma = initial_state(make_arch(), ["alice", "bob"])
     e = ArchEvent("groupact", 1, user="alice", tar="bob", action="fav")
     sigma = apply_arch_event(sigma, e)
-    assert sigma.can.get("fav", frozenset()) == frozenset({"bob"})
+    assert granted(sigma, "fav") == frozenset({"bob"})
     sigma = apply_arch_event(sigma, ArchEvent("ungroupact", 2, user="alice", tar="bob", action="fav"))
-    assert sigma.can.get("fav", frozenset()) == frozenset()
+    assert granted(sigma, "fav") == frozenset()
 
 
 def test_addfriends_edits_all_alias_actions_and_group():
     sigma = initial_state(make_arch(), ["alice", "bob"])
     e = ArchEvent("addfriends", 1, user="alice", tar="bob", actions=("fav", "link"))
     sigma = apply_arch_event(sigma, e)
-    assert sigma.can.get("fav", frozenset()) == frozenset({"bob"})
-    assert sigma.can.get("link", frozenset()) == frozenset({"bob"})
+    assert granted(sigma, "fav") == frozenset({"bob"})
+    assert granted(sigma, "link") == frozenset({"bob"})
     assert "bob" in sigma.group
     sigma = apply_arch_event(sigma, ArchEvent("unfriends", 2, user="alice", tar="bob", actions=("fav", "link")))
-    assert sigma.can.get("fav", frozenset()) == frozenset() and "bob" not in sigma.group
+    assert granted(sigma, "fav") == frozenset() and "bob" not in sigma.group
 
 
 def test_act1_guard_and_receivers():
     sigma = initial_state(make_arch(perms=PERMS), ["alice", "bob"])
     # permitted performer: the by-set receives the value
     after = apply_arch_event(sigma, ArchEvent("act1", 1, user="alice", action="fav", term=X, value="v"))
-    assert after.users["bob"].value(X) == "v"
-    assert after.users["alice"].value(X) is None  # performer not in own by-set
+    assert after.user("bob").value(X) == "v"
+    assert after.user("alice").value(X) is None  # performer not in own by-set
     # performer outside the can-group: no binding changes
     blocked = apply_arch_event(
         initial_state(make_arch(), ["alice", "bob"]),
         ArchEvent("act1", 1, user="alice", action="fav", term=X, value="v"),
     )
-    assert blocked.users["bob"].value(X) is None
+    assert blocked.user("bob").value(X) is None
 
 
 def test_unact1_clears_receivers():
     sigma = initial_state(make_arch(perms=PERMS), ["alice", "bob"])
     sigma = apply_arch_event(sigma, ArchEvent("act1", 1, user="alice", action="fav", term=X, value="v"))
     sigma = apply_arch_event(sigma, ArchEvent("unact1", 2, user="alice", action="fav", term=X))
-    assert sigma.users["bob"].value(X) is None
+    assert sigma.user("bob").value(X) is None
 
 
 def test_unact1_clears_the_holders_of_its_base_action():
@@ -150,10 +156,10 @@ def test_unact1_clears_the_holders_of_its_base_action():
     )
     sigma = initial_state(make_arch(extra=[UnAct1("?i", "unfav", X)], perms=perms), ["alice", "bob"])
     sigma = apply_arch_event(sigma, ArchEvent("act1", 1, user="alice", action="fav", term=X, value="v"))
-    assert sigma.users["bob"].value(X) == "v"
+    assert sigma.user("bob").value(X) == "v"
     sigma = apply_arch_event(sigma, ArchEvent("unact1", 2, user="alice", action="unfav", term=X))
-    assert sigma.users["bob"].value(X) is None
-    assert sigma.users["bob"].t == 2
+    assert sigma.user("bob").value(X) is None
+    assert sigma.user("bob").t == 2
 
 
 def test_unact2_clears_the_holders_of_its_base_action():
@@ -170,11 +176,11 @@ def test_unact2_clears_the_holders_of_its_base_action():
     sigma = apply_arch_event(
         sigma, ArchEvent("act2", 1, user="alice", tar="bob", action="link", term=X, value="v")
     )
-    assert sigma.users["carol"].value(X) == "v"
+    assert sigma.user("carol").value(X) == "v"
     sigma = apply_arch_event(
         sigma, ArchEvent("unact2", 2, user="alice", tar="bob", action="unlink", term=X)
     )
-    assert sigma.users["carol"].value(X) is None
+    assert sigma.user("carol").value(X) is None
 
 
 def test_arch_perms_is_the_model_table():
@@ -199,8 +205,8 @@ def test_act2_intersection_receivers():
     sigma = apply_arch_event(
         sigma, ArchEvent("act2", 1, user="alice", tar="bob", action="link", term=X, value="v")
     )
-    assert sigma.users["carol"].value(X) == "v"
-    assert sigma.users["bob"].value(X) is None
+    assert sigma.user("carol").value(X) == "v"
+    assert sigma.user("bob").value(X) is None
 
 
 def test_delete_clears_every_user():
@@ -213,7 +219,24 @@ def test_delete_clears_every_user():
         ],
         sigma,
     )
-    assert all(st.value(X) is None for st in sigma.users.values())
+    assert all(st.value(X) is None for st in sigma.users)
+
+
+def test_event_orders_reaching_the_same_bindings_give_one_state():
+    pa = make_arch(perms=PERMS)
+    own = ArchEvent("own", 1, user="alice", term=X, value="v")
+    possess = ArchEvent("possess", 1, user=SP, term=X, value="v")
+    group = ArchEvent("groupact", 1, user="bob", tar="alice", action="fav")
+    init = initial_state(pa, ["alice", "bob"])
+    one = run_arch_trace([own, possess, group], init)
+    other = run_arch_trace([group, possess, own], init)
+    assert one == other and hash(one) == hash(other)
+    # A binding that was cleared is the same as one never made.
+    delete = ArchEvent("delete", 2, user=SP, term=X)
+    assert run_arch_trace([own, delete], init) == run_arch_trace([possess, delete], init)
+    # The step rebuilds only the users the event touches.
+    after = apply_arch_event(init, own)
+    assert after.user("bob") is init.user("bob") and after.user(SP) is init.user(SP)
 
 
 def test_unknown_user_rejected_with_index():
@@ -320,7 +343,7 @@ def test_activity_schema(cls):
 def naive_reachable(pa, max_len, universe):
     """Oracle: fold every event sequence of length <= max_len explicitly."""
     init = initial_state(pa, universe.users)
-    snapshots = {init.snapshot()}
+    reached = {init}
     frontier = [init]
     for depth in range(1, max_len + 1):
         events = instantiate_events(pa, depth, universe)
@@ -333,8 +356,8 @@ def naive_reachable(pa, max_len, universe):
                     continue
                 nxt.append(out)
         frontier = nxt
-        snapshots.update(s.snapshot() for s in frontier)
-    return snapshots
+        reached.update(frontier)
+    return reached
 
 
 @pytest.mark.parametrize("max_len", [1, 2, 3])
@@ -342,7 +365,22 @@ def test_enumeration_matches_naive_oracle(max_len):
     pa = make_arch(extra=[GroupAct("alice", "?tar", "fav")], perms=PERMS)
     universe = Universe(users=("alice", "bob"))
     states = enumerate_states(pa, max_len, universe)
-    assert {s.snapshot() for s in states} == naive_reachable(pa, max_len, universe)
+    assert set(states) == naive_reachable(pa, max_len, universe)
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "facebook"
+
+
+@pytest.mark.parametrize("name, max_len, count", [
+    ("simplified.dca", 4, 1688), ("simplified.dca", 5, 3805), ("full.dca", 3, 7932),
+])
+def test_fixture_state_counts(name, max_len, count):
+    """The reachable-state counts of the fixtures, over the universe the
+    ``enumerate`` command searches; no state is returned twice."""
+    pa = parse_architecture((FIXTURES / name).read_text(encoding="utf-8"))
+    universe = Universe(users=tuple(sorted(_concrete_users(pa))))
+    states = enumerate_states(pa, max_len, universe)
+    assert len(states) == len(set(states)) == count
 
 
 def test_enumeration_limit_trips():

@@ -1,14 +1,21 @@
 """Exit-code contract and output shape of the command-line interface,
 exercised against the bundled service fixtures."""
 
+import argparse
+import ast
+import inspect
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from datactl.cli import main
+from datactl import cli
+from datactl.architecture import Architecture, GroupAct, Own, Var
+from datactl.cli import _concrete_users, build_parser, main
+from datactl.model import SP, Perms
 
 FIX = Path(__file__).resolve().parent.parent / "fixtures" / "facebook"
 DCP = f"{FIX}/facebook.dcp"
@@ -296,3 +303,53 @@ def test_negative_bound_is_usage_error(capsys, tmp_path, argv):
     paths = (arch, str(query)) if argv[0] == "eval-has" else (arch,)
     code, out, err = run(capsys, argv[0], *paths, *argv[1:])
     assert code == 2 and out == "" and "must be non-negative" in err
+
+
+# --- flags ------------------------------------------------------------------
+
+
+def _args_read(func):
+    """The ``args`` attributes ``func`` reads, also through the module's
+    helpers it passes ``args`` to."""
+    read = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(func)))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)):
+            read |= _args_read(getattr(cli, node.func.id))
+    return read
+
+
+def test_every_accepted_flag_is_read_or_rejected(capsys):
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    options = {name: [a for a in p._actions if a.option_strings and a.dest != "help"]
+               for name, p in subparsers.items()}
+    every_flag = {a.option_strings[-1] for actions in options.values() for a in actions}
+    for name, parser in subparsers.items():
+        read = _args_read(parser.get_default("func"))
+        unread = [a.dest for a in options[name] if a.dest not in read]
+        assert unread == [], f"{name} accepts flags it never reads: {unread}"
+        positionals = [a for a in parser._actions if not a.option_strings]
+        accepted = {s for a in options[name] for s in a.option_strings}
+        # argparse takes a prefix of an accepted flag (--arch of --archtrace) as that flag.
+        for flag in sorted(f for f in every_flag if not any(s.startswith(f) for s in accepted)):
+            argv = [name, *("x" for _ in positionals), flag, "text"]
+            assert main(argv) == 2, f"{name} accepts {flag}"
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# --- the search universe ----------------------------------------------------
+
+
+def test_search_universe_skips_patterns_and_the_provider():
+    x = Var(ow="?o", ds="?s", ident="d1")
+    pa = Architecture(
+        activities=frozenset({GroupAct("alice", "?j", "fav"), Own("?o", x)}),
+        perms=Perms(can={"fav": frozenset({"bob", "?x"})},
+                    by={"fav": {"?i": frozenset({"carol", SP})}}),
+    )
+    # A pattern inside a member set ({?x}) is no user either.
+    assert _concrete_users(pa) == {"alice", "bob", "carol"}

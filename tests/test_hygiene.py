@@ -2,6 +2,7 @@
 name the package defines is named somewhere besides its definition."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -47,9 +48,9 @@ def test_unused_import_is_reported():
     assert unused_imports(source) == ["line 2: os", "line 3: Any"]
 
 
-def definitions(source: str) -> list[tuple[str, int]]:
+def definitions(source: str, methods: bool = True) -> list[tuple[str, int]]:
     """(name, line) of each module-level function, class and constant, and of
-    each method, dunders excepted."""
+    each method unless ``methods`` is false, dunders excepted."""
     found = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -57,7 +58,7 @@ def definitions(source: str) -> list[tuple[str, int]]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             found += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
-        if isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.ClassDef) and methods:
             found += [(item.name, item.lineno) for item in node.body
                       if isinstance(item, ast.FunctionDef)]
     return [(name, line) for name, line in found
@@ -66,16 +67,29 @@ def definitions(source: str) -> list[tuple[str, int]]:
 
 def references(source: str) -> set[str]:
     """Every name the source reads, imports or spells as an identifier string
-    (string annotations, names looked up by string)."""
+    (string annotations, names looked up by string).  A name read through its
+    module (``mod.NAME``, ``from <pkg>.mod import NAME``, ``from .mod import
+    NAME``) is also recorded as ``mod.NAME``."""
+    tree = ast.parse(source)
+    modules = {alias.asname: alias.name.split(".")[-1]  # module aliases, e.g. arch_mod
+               for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names if alias.asname}
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+            owner = node.value
+            if isinstance(owner, ast.Name):
+                names.add(f"{modules.get(owner.id, owner.id)}.{node.attr}")
+            elif isinstance(owner, ast.Attribute):
+                names.add(f"{owner.attr}.{node.attr}")
         elif isinstance(node, ast.alias):
             names.add((node.asname or node.name).split(".")[-1])
             names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names |= {f"{node.module.split('.')[-1]}.{a.name}" for a in node.names}
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             try:
                 inner = ast.parse(node.value, mode="eval")
@@ -85,14 +99,34 @@ def references(source: str) -> set[str]:
     return names
 
 
-def unreferenced(source: str, referenced: set[str]) -> list[str]:
-    return [f"line {line}: {name}" for name, line in definitions(source)
-            if name not in referenced]
+def unreferenced(source: str, referenced: set[str], module: str = "",
+                 shared: frozenset[str] = frozenset()) -> list[str]:
+    """Definitions in ``source`` (the module ``module``) that ``referenced``
+    never names.  A name in ``shared``, which several modules define, counts
+    only when ``module`` itself reads it or another file reads it as
+    ``module.NAME``."""
+    own = references(source)
+
+    def named(name):
+        if name in shared:
+            return name in own or f"{module}.{name}" in referenced
+        return name in referenced
+
+    return [f"line {line}: {name}" for name, line in definitions(source) if not named(name)]
+
+
+def shared_names(sources: list[str]) -> frozenset[str]:
+    """Module-level names that more than one of ``sources`` defines."""
+    counts = Counter(name for source in sources
+                     for name in {name for name, _ in definitions(source, methods=False)})
+    return frozenset(name for name, n in counts.items() if n > 1)
 
 
 def test_every_definition_is_referenced():
     referenced = set().union(*(references(p.read_text(encoding="utf-8")) for p in CORPUS))
-    found = {path.name: unreferenced(path.read_text(encoding="utf-8"), referenced)
+    shared = shared_names([p.read_text(encoding="utf-8") for p in MODULES])
+    found = {path.name: unreferenced(path.read_text(encoding="utf-8"), referenced,
+                                     path.stem, shared)
              for path in MODULES}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
@@ -106,3 +140,16 @@ def test_unreferenced_definition_is_reported():
     assert unreferenced(source, references(source)) == [
         "line 1: LIMIT", "line 9: Box", "line 13: unused"
     ]
+
+    # Two modules define RULES; a reader of one does not reference the other.
+    first = "RULES = (1,)\n\n\ndef count():\n    return len(RULES)\n"
+    second = "RULES = (2,)\nOTHER = 3\n"
+    reader = "from pkg.first import RULES, count\nfrom . import second as s\n\nprint(RULES, count(), s.OTHER)\n"
+    shared = shared_names([first, second])
+    referenced = references(first) | references(second) | references(reader)
+    assert shared == {"RULES"}
+    assert unreferenced(first, referenced, "first", shared) == []
+    assert unreferenced(second, referenced, "second", shared) == ["line 1: RULES"]
+    for read in ("import pkg.second\nprint(pkg.second.RULES)\n",
+                 "from .second import RULES\n", "from pkg import second\nsecond.RULES\n"):
+        assert unreferenced(second, referenced | references(read), "second", shared) == [], read

@@ -249,6 +249,17 @@ def test_semantic_has_and_never():
     assert not v.holds and not v.bounded
 
 
+def test_semantic_user_outside_the_universe_is_never_touched():
+    """A user the universe lacks reads as one no event touches: t = 0 and
+    nothing defined, in every state."""
+    pa = Architecture(activities=frozenset({Own("alice", X)}))
+    assert "zed" not in USERS
+    assert not eval_semantic(pa, Has("zed", X, 1), UNIVERSE, max_len=2).holds
+    assert eval_semantic(pa, HasNever("zed", X), UNIVERSE, max_len=2).holds
+    assert eval_semantic(pa, HasNot("zed", X, 0), UNIVERSE, max_len=2).holds
+    assert not eval_semantic(pa, HasNot("zed", X, 1), UNIVERSE, max_len=2).holds
+
+
 def test_semantic_has_rejects_pattern_variable():
     pa = Architecture(activities=frozenset({Own("alice", X)}))
     v = eval_semantic(pa, Has("alice", Var(ow="?i", ds="?s", ident="d1"), 1), UNIVERSE, 1)
