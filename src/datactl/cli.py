@@ -259,21 +259,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="datactl",
         description="Define, audit, and derive data-control policies and architectures.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="parse a document and report errors")
+    p = sub.add_parser("validate", allow_abbrev=False, help="parse a document and report errors")
     p.add_argument("file")
     p.add_argument("--policy", help="model file, required when validating a trace")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("check-trace", help="audit a trace against the compliance rules")
+    p = sub.add_parser("check-trace", allow_abbrev=False,
+                       help="audit a trace against the compliance rules")
     p.add_argument("policy")
     p.add_argument("trace")
     p.add_argument("--format", choices=("text", "tsv"), default="text")
     p.set_defaults(func=cmd_check_trace)
 
-    p = sub.add_parser("derive-arch", help="derive an architecture from policy events")
+    p = sub.add_parser("derive-arch", allow_abbrev=False,
+                       help="derive an architecture from policy events")
     p.add_argument("policy")
     p.add_argument("--events", help="trace file driving the derivation")
     p.add_argument("--simplify-friends", action="store_true",
@@ -281,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_derive_arch)
 
-    p = sub.add_parser("eval-has", help="evaluate a possession property")
+    p = sub.add_parser("eval-has", allow_abbrev=False, help="evaluate a possession property")
     p.add_argument("arch")
     p.add_argument("query")
     p.add_argument("--mode", choices=("deduce", "enumerate", "both"), default="both")
@@ -290,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-states", type=_bound)
     p.set_defaults(func=cmd_eval_has)
 
-    p = sub.add_parser("check-correspondence",
+    p = sub.add_parser("check-correspondence", allow_abbrev=False,
                        help="check the policy/architecture correspondences")
     p.add_argument("policy")
     p.add_argument("--arch", help="explicit architecture (default: derived)")
@@ -300,19 +303,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_check_correspondence)
 
-    p = sub.add_parser("compare-policies", help="compare two policy models")
+    p = sub.add_parser("compare-policies", allow_abbrev=False, help="compare two policy models")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--format", choices=("text", "tsv"), default="text")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_compare_policies)
 
-    p = sub.add_parser("compare-archs", help="compare two architectures")
+    p = sub.add_parser("compare-archs", allow_abbrev=False, help="compare two architectures")
     p.add_argument("first")
     p.add_argument("second")
     p.set_defaults(func=cmd_compare_archs)
 
-    p = sub.add_parser("enumerate", help="count reachable architecture states")
+    p = sub.add_parser("enumerate", allow_abbrev=False, help="count reachable architecture states")
     p.add_argument("arch")
     p.add_argument("--max-len", type=_bound, default=DEFAULT_MAX_LEN)
     p.add_argument("--max-states", type=_bound)

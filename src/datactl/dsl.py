@@ -9,8 +9,9 @@ and parse∘serialize is the identity on every valid document.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence, TypeVar
 
 from .architecture import (
     ACTIVITIES,
@@ -60,10 +61,6 @@ from .semantics import (
 
 T = TypeVar("T")
 
-_PUNCT = set("{}()[]=,;:/+")
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_?")
-_IDENT_BODY = _IDENT_START | set("0123456789-")
-
 
 @dataclass(frozen=True)
 class SourceSpan:
@@ -85,88 +82,66 @@ class ParseError(Exception):
         super().__init__(f"{span}: {message}{hint}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident / number / string / punct / eof
     text: str
-    span: SourceSpan
+    offset: int  # into the source text; ``locate`` turns it into a line and column
+
+
+# One alternative per token kind, tried in order; ``error`` takes any other
+# character, including the opening quote of an unterminated string.
+_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("skip", r"[ \t\r\n]+|#[^\n]*"),
+    ("punct", r"[{}()\[\]=,;:/+]"),
+    ("string", r'"[^"\n]*"'),
+    ("number", r"[0-9]+"),
+    ("ident", r"[A-Za-z_?][A-Za-z0-9_?-]*"),
+    ("error", r"."),
+)))
+
+
+def locate(text: str, offset: int, file: str = "<input>") -> SourceSpan:
+    """The line and column, both counted from 1, of ``offset`` in ``text``."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return SourceSpan(file, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 def tokenize(text: str, file: str = "<input>") -> list[Token]:
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    append, new = tokens.append, tuple.__new__  # a third faster than Token(...)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(file, line, col)
-        if ch in _PUNCT:
-            tokens.append(Token("punct", ch, span))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise ParseError("unterminated string", span)
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string", span)
-            tokens.append(Token("string", text[i + 1 : j], span))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("number", text[i:j], span))
-            col += j - i
-            i = j
-            continue
-        if ch in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_BODY:
-                j += 1
-            tokens.append(Token("ident", text[i:j], span))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", span)
-    tokens.append(Token("eof", "", SourceSpan(file, line, col)))
+        tok = m[0]
+        if kind == "error":
+            message = "unterminated string" if tok == '"' else f"unexpected character {tok!r}"
+            raise ParseError(message, locate(text, m.start(), file))
+        append(new(Token, (kind, tok[1:-1] if kind == "string" else tok, m.start())))
+    append(Token("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+    """A cursor over one document's tokens; ``current`` is the next one."""
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
+    def __init__(self, text: str, file: str):
+        self.text = text
+        self.file = file
+        self.tokens = tokenize(text, file)
+        self.pos = 0
+        self.current = self.tokens[0]
 
     def advance(self) -> Token:
         tok = self.current
         if tok.kind != "eof":
             self.pos += 1
+            self.current = self.tokens[self.pos]
         return tok
 
     def at(self, text: str) -> bool:
-        return self.current.text == text and self.current.kind in ("punct", "ident")
+        tok = self.current
+        return tok.text == text and tok.kind in ("punct", "ident")
 
     def accept(self, text: str) -> bool:
         if self.at(text):
@@ -183,8 +158,15 @@ class _Parser:
         tok = self.current
         return "end of input" if tok.kind == "eof" else repr(tok.text)
 
-    def fail(self, message: str, expected: Iterable[str] = ()) -> None:
-        raise ParseError(message, self.current.span, frozenset(expected))
+    def error(self, message: str, offset: int, expected: Iterable[str] = ()) -> NoReturn:
+        raise ParseError(message, locate(self.text, offset, self.file), frozenset(expected))
+
+    def fail(self, message: str, expected: Iterable[str] = ()) -> NoReturn:
+        self.error(message, self.current.offset, expected)
+
+    def fail_previous(self, message: str, expected: Iterable[str] = ()) -> NoReturn:
+        """Fail at the token just read."""
+        self.error(message, self.tokens[self.pos - 1].offset, expected)
 
     def ident(self, what: str = "identifier") -> str:
         if self.current.kind != "ident":
@@ -201,20 +183,49 @@ class _Parser:
             self.fail(f"found {self.describe()}", {"string"})
         return self.advance().text
 
-    def name_set(self) -> frozenset[str]:
-        """`{ a, b, c }` (possibly empty)."""
-        self.expect("{")
-        items: set[str] = set()
-        while not self.at("}"):
-            items.add(self.ident("set element"))
+    def items(self, left: str, right: str, read: Callable[[_Parser], T]) -> list[T]:
+        """``left item, item, ... right``: possibly empty, a trailing comma allowed."""
+        self.expect(left)
+        out = []
+        while not self.at(right):
+            out.append(read(self))
             if not self.accept(","):
                 break
-        self.expect("}")
-        return frozenset(items)
+        self.expect(right)
+        return out
+
+    def name_set(self) -> frozenset[str]:
+        """`{ a, b, c }` (possibly empty)."""
+        return frozenset(self.items("{", "}", _set_element))
 
     def eof(self) -> None:
         if self.current.kind != "eof":
             self.fail(f"trailing input {self.describe()}", {"end of input"})
+
+
+def _ident(what: str) -> Callable[[_Parser], str]:
+    """A reader of one identifier, named ``what`` when it is missing."""
+    return lambda p: p.ident(what)
+
+
+_set_element = _ident("set element")
+_action_name = _ident("action name")
+
+
+def _parse_fields(
+    p: _Parser, what: str, readers: dict[str, Callable[[_Parser], object]], brackets: str = "()"
+) -> dict:
+    """``(key=value, ...)``, each value read by its key's reader; a repeated key
+    keeps its last value."""
+    def field(p: _Parser) -> tuple[str, object]:
+        key = p.ident(f"{what} field")
+        p.expect("=")
+        read = readers.get(key)
+        if read is None:
+            p.fail_previous(f"unknown {what} field {key!r}", readers)
+        return key, read(p)
+
+    return dict(p.items(*brackets, field))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +233,7 @@ class _Parser:
 
 
 def parse_policy(text: str, file: str = "<input>") -> PolicyModel:
-    p = _Parser(tokenize(text, file))
+    p = _Parser(text, file)
     if p.current.kind == "eof":
         p.fail("empty document", {"actions"})
     p.expect("actions")
@@ -231,10 +242,7 @@ def parse_policy(text: str, file: str = "<input>") -> PolicyModel:
     while not p.at("}"):
         family = p.ident("unary or binary")
         if family not in ("unary", "binary"):
-            raise ParseError(
-                f"unknown action family {family!r}", p.tokens[p.pos - 1].span,
-                frozenset({"unary", "binary"}),
-            )
+            p.fail_previous(f"unknown action family {family!r}", {"unary", "binary"})
         base = p.ident("action name")
         p.expect("/")
         rev = p.ident("revoke action name")
@@ -249,30 +257,22 @@ def parse_policy(text: str, file: str = "<input>") -> PolicyModel:
     sets = ActivitySets(a1=tuple(a1), ua1=tuple(ua1), a2=tuple(a2), ua2=tuple(ua2))
 
     alias = None
-    if p.at("alias"):
-        p.advance()
+    if p.accept("alias"):
         add_name = p.ident("alias name")
         p.expect("/")
         remove_name = p.ident("alias name")
         p.expect("=")
         p.expect("groupact")
-        p.expect("(")
-        actions = []
-        while not p.at(")"):
-            actions.append(p.ident("action name"))
-            if not p.accept(","):
-                break
-        p.expect(")")
+        actions = p.items("(", ")", _action_name)
         p.expect("+")
         p.expect("grouphas")
         p.expect(";")
         alias = FriendAlias(add_name, remove_name, tuple(actions))
 
     model = PolicyModel(sets=sets, alias=alias)
-    while p.at("data"):
-        p.advance()
+    while p.accept("data"):
+        at = p.current.offset
         ident = p.ident("datum id")
-        span = p.tokens[p.pos - 1].span
         p.expect("{")
         ow = ds = dtype = None
         pol = None
@@ -293,23 +293,38 @@ def parse_policy(text: str, file: str = "<input>") -> PolicyModel:
             elif key == "policy":
                 pol = _parse_policy_block(p)
             else:
-                raise ParseError(
-                    f"unknown datum field {key!r}", p.tokens[p.pos - 1].span,
-                    frozenset({"ow", "ds", "type", "policy"}),
-                )
+                p.fail_previous(f"unknown datum field {key!r}", {"ow", "ds", "type", "policy"})
         p.expect("}")
         if ow is None or ds is None or dtype is None or pol is None:
-            raise ParseError(f"datum {ident!r} is missing ow/ds/type/policy", span)
+            p.error(f"datum {ident!r} is missing ow/ds/type/policy", at)
         if ident in model.data:
-            raise ParseError(f"duplicate datum {ident!r}", span)
+            p.error(f"duplicate datum {ident!r}", at)
         model.data[ident] = DataRef(ow=ow, ds=ds, dtype=dtype, ident=ident)
         model.policies[ident] = pol
     p.eof()
 
     errors = validate_model(model)
     if errors:
-        raise ParseError("; ".join(errors), SourceSpan(file, 1, 1))
+        p.error("; ".join(errors), 0)
     return model
+
+
+def _deletion_mode(p: _Parser) -> tuple[str, int]:
+    mode = p.ident("deletion mode")
+    p.expect(":")
+    return mode, p.number()
+
+
+def _storage_form(p: _Parser) -> tuple[str, str]:
+    form = p.ident("storage form")
+    if form == "plain":
+        return ("plain", "none")
+    if form != "enc":
+        p.fail_previous(f"unknown storage form {form!r}", {"plain", "enc"})
+    p.expect("(")
+    key_kind = p.ident("key kind")
+    p.expect(")")
+    return ("enc", key_kind)
 
 
 def _parse_policy_block(p: _Parser) -> Policy:
@@ -326,47 +341,18 @@ def _parse_policy_block(p: _Parser) -> Policy:
             ap = p.name_set()
         elif key == "delete":
             p.expect("=")
-            p.expect("{")
-            modes = []
-            while not p.at("}"):
-                mode = p.ident("deletion mode")
-                p.expect(":")
-                modes.append((mode, p.number()))
-                if not p.accept(","):
-                    break
-            p.expect("}")
-            dm = DeletionSpec(tuple(sorted(modes)))
+            dm = DeletionSpec(tuple(sorted(p.items("{", "}", _deletion_mode))))
         elif key == "where":
             p.expect("=")
             wh = p.name_set()
         elif key == "how":
             p.expect("=")
-            p.expect("{")
-            forms = set()
-            while not p.at("}"):
-                form = p.ident("storage form")
-                if form == "plain":
-                    forms.add(("plain", "none"))
-                elif form == "enc":
-                    p.expect("(")
-                    forms.add(("enc", p.ident("key kind")))
-                    p.expect(")")
-                else:
-                    raise ParseError(
-                        f"unknown storage form {form!r}", p.tokens[p.pos - 1].span,
-                        frozenset({"plain", "enc"}),
-                    )
-                if not p.accept(","):
-                    break
-            p.expect("}")
-            ho = frozenset(forms)
+            ho = frozenset(p.items("{", "}", _storage_form))
         elif key in ("can", "has"):
             _parse_perm_line(p, key, tables)
         else:
-            raise ParseError(
-                f"unknown policy field {key!r}", p.tokens[p.pos - 1].span,
-                frozenset({"purposes", "delete", "where", "how", "can", "has"}),
-            )
+            p.fail_previous(f"unknown policy field {key!r}",
+                            {"purposes", "delete", "where", "how", "can", "has"})
         p.expect(";")
     p.expect("}")
     return Policy(
@@ -396,20 +382,25 @@ def _parse_perm_line(p: _Parser, key: str, tables: dict) -> None:
         p.expect("=")
         tables[which].setdefault(action, {})[user] = p.name_set()
     else:
-        raise ParseError(
-            f"unknown has table {which!r}", p.tokens[p.pos - 1].span,
-            frozenset({"by", "been", "group"}),
-        )
+        p.fail_previous(f"unknown has table {which!r}", {"by", "been", "group"})
 
 
 # ---------------------------------------------------------------------------
 # Trace documents
 
 
+class _Reject(Exception):
+    """A well-formed event that the document's declarations do not admit;
+    the trace parsers report it at the event's name."""
+
+
 _PREDEFINED_EVENT_NAMES = {OWN, STORE, USE, DELETEREQ, DELETE, GROUPHAS, UNGROUPHAS}
+# The event kind of a declared action, by the action's kind; both levels'
+# traces name these kinds alike.
+_EVENT_KIND = {UNARY: ACT1, UNARY_REVOKE: UNACT1, BINARY: ACT2, BINARY_REVOKE: UNACT2}
 
 
-def _resolve_event_name(name: str, model: PolicyModel, span: SourceSpan) -> tuple[str, str | None]:
+def _resolve_event_name(name: str, model: PolicyModel) -> tuple[str, str | None]:
     """Surface event name -> (kind, action)."""
     if name in _PREDEFINED_EVENT_NAMES:
         return name, None
@@ -420,93 +411,70 @@ def _resolve_event_name(name: str, model: PolicyModel, span: SourceSpan) -> tupl
             if act is not None and not act.is_revoke:
                 return kind, action
     act = model.sets.find(name)
-    if act is not None:
-        if act.kind == UNARY:
-            return ACT1, name
-        if act.kind == UNARY_REVOKE:
-            return UNACT1, name
-        if act.kind == BINARY:
-            return ACT2, name
-        return UNACT2, name
-    raise ParseError(f"unknown event {name!r}", span)
+    if act is None:
+        raise _Reject(f"unknown event {name!r}")
+    return _EVENT_KIND[act.kind], name
+
+
+_TRACE_FIELDS: dict[str, Callable[[_Parser], object]] = {
+    "t": _Parser.number,
+    "or": _ident("name"),
+    "tar": _ident("name"),
+    "dt": _ident("name"),
+    "purposes": _Parser.name_set,
+    "value": _Parser.string,
+}
 
 
 def parse_trace(text: str, model: PolicyModel, file: str = "<input>") -> list[AbstractEvent]:
-    p = _Parser(tokenize(text, file))
+    p = _Parser(text, file)
     p.expect("trace")
     p.expect("{")
     events: list[AbstractEvent] = []
     last_t: int | None = None
     while not p.at("}"):
-        span = p.current.span
+        at = p.current.offset
         name = p.ident("event name")
-        fields = _parse_event_fields(p)
+        fields = _parse_fields(p, "event", _TRACE_FIELDS)
         p.expect(";")
         t = fields.get("t")
         if t is None:
-            raise ParseError(f"event {name!r} carries no timestamp", span)
+            p.error(f"event {name!r} carries no timestamp", at)
         if last_t is not None and t <= last_t:
-            raise ParseError(
-                f"timestamps must be strictly increasing: {t} after {last_t}", span
-            )
+            p.error(f"timestamps must be strictly increasing: {t} after {last_t}", at)
         last_t = t
         dt_ident = fields.get("dt")
         if dt_ident is None:
-            raise ParseError(f"event {name!r} names no datum", span)
+            p.error(f"event {name!r} names no datum", at)
         if dt_ident not in model.data:
-            raise ParseError(f"unknown datum {dt_ident!r}", span)
+            p.error(f"unknown datum {dt_ident!r}", at)
         dt = model.data[dt_ident]
-
-        if model.alias is not None and name in (model.alias.add_name, model.alias.remove_name):
-            events.extend(_expand_alias(model, name, t, fields, dt, span))
-            continue
-
-        kind, action = _resolve_event_name(name, model, span)
-        events.append(_build_event(model, kind, action, t, fields, dt, span))
+        try:
+            if model.alias is not None and name in (model.alias.add_name, model.alias.remove_name):
+                events.extend(_expand_alias(model, name, t, fields, dt))
+            else:
+                kind, action = _resolve_event_name(name, model)
+                events.append(_build_event(model, kind, action, t, fields, dt))
+        except _Reject as err:
+            p.error(str(err), at)
     p.expect("}")
     p.eof()
     return events
 
 
-def _parse_event_fields(p: _Parser) -> dict:
-    p.expect("(")
-    fields: dict = {}
-    while not p.at(")"):
-        key = p.ident("event field")
-        p.expect("=")
-        if key == "t":
-            fields["t"] = p.number()
-        elif key in ("or", "tar", "dt"):
-            fields[key] = p.ident("name")
-        elif key == "purposes":
-            fields["purposes"] = p.name_set()
-        elif key == "value":
-            fields["value"] = p.string()
-        else:
-            raise ParseError(
-                f"unknown event field {key!r}", p.tokens[p.pos - 1].span,
-                frozenset({"t", "or", "tar", "dt", "purposes", "value"}),
-            )
-        if not p.accept(","):
-            break
-    p.expect(")")
-    return fields
-
-
 def _build_event(
-    model: PolicyModel, kind: str, action: str | None, t: int, fields: dict,
-    dt: DataRef, span: SourceSpan,
+    model: PolicyModel, kind: str, action: str | None, t: int, fields: dict, dt: DataRef,
 ) -> AbstractEvent:
     binary = kind in (GROUPACT, UNGROUPACT, GROUPHAS, UNGROUPHAS, ACT2, UNACT2)
     needs_actor = kind not in (STORE, USE, DELETE)
     actor = fields.get("or")
     tar = fields.get("tar")
     if needs_actor and actor is None:
-        raise ParseError("event requires a performer (or=...)", span)
+        raise _Reject("event requires a performer (or=...)")
     if binary and tar is None:
-        raise ParseError("binary event requires a target (tar=...)", span)
+        raise _Reject("binary event requires a target (tar=...)")
     if not binary and tar is not None:
-        raise ParseError("unary event does not take a target", span)
+        raise _Reject("unary event does not take a target")
     return AbstractEvent(
         kind=kind,
         t=t,
@@ -521,7 +489,7 @@ def _build_event(
 
 
 def _expand_alias(
-    model: PolicyModel, name: str, t: int, fields: dict, dt: DataRef, span: SourceSpan,
+    model: PolicyModel, name: str, t: int, fields: dict, dt: DataRef,
 ) -> list[AbstractEvent]:
     """One alias event becomes the per-action group events plus the has-group
     event, all sharing the surface timestamp."""
@@ -529,7 +497,7 @@ def _expand_alias(
     assert alias is not None
     actor, tar = fields.get("or"), fields.get("tar")
     if actor is None or tar is None:
-        raise ParseError(f"{name!r} requires or=... and tar=...", span)
+        raise _Reject(f"{name!r} requires or=... and tar=...")
     adding = name == alias.add_name
     kind = GROUPACT if adding else UNGROUPACT
     has_kind = GROUPHAS if adding else UNGROUPHAS
@@ -545,34 +513,26 @@ def _expand_alias(
 # Architecture documents
 
 
+def _var_ds(p: _Parser) -> frozenset[str] | str:
+    if p.current.kind == "ident" and p.current.text.startswith("?"):
+        return p.advance().text
+    return p.name_set()
+
+
+_VAR_FIELDS: dict[str, Callable[[_Parser], object]] = {
+    "ow": _ident("owner"),
+    "ds": _var_ds,
+    "id": _ident("identifier"),
+}
+
+
 def _parse_term(p: _Parser) -> Term:
     head = p.ident("term")
     if head == "X":
-        p.expect("{")
-        ow = ds = ident = None
-        while not p.at("}"):
-            key = p.ident("variable field")
-            p.expect("=")
-            if key == "ow":
-                ow = p.ident("owner")
-            elif key == "ds":
-                if p.current.kind == "ident" and p.current.text.startswith("?"):
-                    ds = p.advance().text
-                else:
-                    ds = p.name_set()
-            elif key == "id":
-                ident = p.ident("identifier")
-            else:
-                raise ParseError(
-                    f"unknown variable field {key!r}", p.tokens[p.pos - 1].span,
-                    frozenset({"ow", "ds", "id"}),
-                )
-            if not p.accept(","):
-                break
-        p.expect("}")
-        if ow is None or ds is None or ident is None:
+        fields = _parse_fields(p, "variable", _VAR_FIELDS, "{}")
+        if len(fields) < len(_VAR_FIELDS):
             p.fail("variable requires ow, ds, and id")
-        return Var(ow=ow, ds=ds, ident=ident)
+        return Var(ow=fields["ow"], ds=fields["ds"], ident=fields["id"])
     if head == "key":
         p.expect("[")
         owner = p.ident("key owner")
@@ -584,7 +544,6 @@ def _parse_term(p: _Parser) -> Term:
         p.expect(")")
         return Func(head, tuple(args))
     p.fail(f"unknown term head {head!r}", {"X", "key", "enc", "hash", "sig"})
-    raise AssertionError
 
 
 def _parse_list(p: _Parser, item: Callable[[_Parser], T]) -> list[T]:
@@ -604,8 +563,8 @@ def _parse_dd(p: _Parser) -> int:
 # How to read each argument slot; ``actions`` and ``terms`` take the rest of
 # the argument list.
 _ARG_PARSERS: dict[str, Callable[[_Parser], object]] = {
-    "action": lambda p: p.ident("action name"),
-    "actions": lambda p: tuple(_parse_list(p, lambda p: p.ident("action name"))),
+    "action": _action_name,
+    "actions": lambda p: tuple(_parse_list(p, _action_name)),
     "term": _parse_term,
     "terms": lambda p: frozenset(_parse_list(p, _parse_term)),
     "dd": _parse_dd,
@@ -646,14 +605,13 @@ def _parse_activity(p: _Parser) -> Activity:
 
 
 def parse_architecture(text: str, file: str = "<input>") -> Architecture:
-    p = _Parser(tokenize(text, file))
+    p = _Parser(text, file)
     p.expect("architecture")
     p.expect("{")
     activities: set[Activity] = set()
     perms = Perms()
     while not p.at("}"):
-        if p.at("perms"):
-            p.advance()
+        if p.accept("perms"):
             perms = _parse_perms_block(p)
             continue
         activities.add(_parse_activity(p))
@@ -663,10 +621,7 @@ def parse_architecture(text: str, file: str = "<input>") -> Architecture:
     pa = Architecture(activities=frozenset(activities), perms=perms)
     ok, witness = is_consistent(pa)
     if not ok:
-        raise ParseError(
-            f"inconsistent architecture: {witness} is owned by two users",
-            SourceSpan(file, 1, 1),
-        )
+        p.error(f"inconsistent architecture: {witness} is owned by two users", 0)
     return pa
 
 
@@ -693,63 +648,54 @@ _ARCH_PREDEFINED = {
 }
 
 
+_ARCH_TRACE_FIELDS: dict[str, Callable[[_Parser], object]] = {
+    "t": _Parser.number,
+    "user": _ident("user"),
+    "tar": _ident("user"),
+    "var": _parse_term,
+    "value": _Parser.string,
+    "actions": lambda p: tuple(sorted(p.name_set())),
+}
+
+
 def parse_arch_trace(
     text: str, sets: ActivitySets | None = None, file: str = "<input>"
 ) -> list[ArchEvent]:
-    p = _Parser(tokenize(text, file))
+    p = _Parser(text, file)
     p.expect("archtrace")
     p.expect("{")
     events: list[ArchEvent] = []
     last_t: int | None = None
     while not p.at("}"):
-        span = p.current.span
+        at = p.current.offset
         name = p.ident("event name")
-        p.expect("(")
-        t = user = tar = term = value = None
-        actions: tuple[str, ...] = ()
-        while not p.at(")"):
-            key = p.ident("event field")
-            p.expect("=")
-            if key == "t":
-                t = p.number()
-            elif key == "user":
-                user = p.ident("user")
-            elif key == "tar":
-                tar = p.ident("user")
-            elif key == "var":
-                term = _parse_term(p)
-            elif key == "value":
-                value = p.string()
-            elif key == "actions":
-                actions = tuple(sorted(p.name_set()))
-            else:
-                p.fail(f"unknown event field {key!r}",
-                       {"t", "user", "tar", "var", "value", "actions"})
-            if not p.accept(","):
-                break
-        p.expect(")")
+        fields = _parse_fields(p, "event", _ARCH_TRACE_FIELDS)
         p.expect(";")
+        t = fields.get("t")
         if t is None:
-            raise ParseError(f"event {name!r} carries no timestamp", span)
+            p.error(f"event {name!r} carries no timestamp", at)
         if last_t is not None and t < last_t:
-            raise ParseError(f"timestamps must be non-decreasing: {t} after {last_t}", span)
+            p.error(f"timestamps must be non-decreasing: {t} after {last_t}", at)
         last_t = t
-        kind, action = _resolve_arch_event_name(name, tar, sets, span)
+        tar = fields.get("tar")
+        try:
+            kind, action = _resolve_arch_event_name(name, tar, sets)
+        except _Reject as err:
+            p.error(str(err), at)
         if kind in ("act2", "unact2") and tar is None:
-            raise ParseError("binary event requires a target (tar=...)", span)
-        if kind == "possess":
-            user = SP
-        events.append(
-            ArchEvent(kind=kind, t=t, user=user, tar=tar, action=action,
-                      term=term, value=value, actions=actions)
-        )
+            p.error("binary event requires a target (tar=...)", at)
+        events.append(ArchEvent(
+            kind=kind, t=t, user=SP if kind == "possess" else fields.get("user"), tar=tar,
+            action=action, term=fields.get("var"), value=fields.get("value"),
+            actions=fields.get("actions", ()),
+        ))
     p.expect("}")
     p.eof()
     return events
 
 
 def _resolve_arch_event_name(
-    name: str, tar: str | None, sets: ActivitySets | None, span: SourceSpan
+    name: str, tar: str | None, sets: ActivitySets | None
 ) -> tuple[str, str | None]:
     if name in _ARCH_PREDEFINED:
         return name, None
@@ -758,13 +704,9 @@ def _resolve_arch_event_name(
             return kind, name[len(prefix):]
     if sets is not None:
         act = sets.find(name)
-        if act is not None:
-            kind = {
-                UNARY: "act1", UNARY_REVOKE: "unact1",
-                BINARY: "act2", BINARY_REVOKE: "unact2",
-            }[act.kind]
-            return kind, name
-        raise ParseError(f"unknown event {name!r}", span)
+        if act is None:
+            raise _Reject(f"unknown event {name!r}")
+        return _EVENT_KIND[act.kind], name
     # Without declared activity sets, infer the family from the shape.
     revoke = name.startswith("un")
     if tar is not None:
@@ -777,7 +719,7 @@ def _resolve_arch_event_name(
 
 
 def parse_has_query(text: str, file: str = "<input>") -> HasProperty:
-    p = _Parser(tokenize(text, file))
+    p = _Parser(text, file)
     prop = _parse_query_conj(p)
     p.eof()
     return prop
@@ -799,29 +741,23 @@ def _parse_query_atom(p: _Parser) -> HasProperty:
         var = _parse_term(p)
         p.expect(")")
         return HasSp(_require_var(p, var))
-    if head in ("HAS", "HAS_not"):
-        p.expect("[")
-        user = p.ident("principal")
-        p.expect("]")
-        p.expect("(")
-        var = _parse_term(p)
-        p.expect(",")
-        p.expect("t")
-        p.expect("=")
-        t = p.number()
-        p.expect(")")
-        cls = Has if head == "HAS" else HasNot
-        return cls(user, _require_var(p, var), t)
+    if head not in ("HAS", "HAS_not", "HAS_never"):
+        p.fail(f"unknown HAS form {head!r}", {"HAS_sp", "HAS", "HAS_not", "HAS_never"})
+    p.expect("[")
+    user = p.ident("principal")
+    p.expect("]")
+    p.expect("(")
+    var = _parse_term(p)
     if head == "HAS_never":
-        p.expect("[")
-        user = p.ident("principal")
-        p.expect("]")
-        p.expect("(")
-        var = _parse_term(p)
         p.expect(")")
         return HasNever(user, _require_var(p, var))
-    p.fail(f"unknown HAS form {head!r}", {"HAS_sp", "HAS", "HAS_not", "HAS_never"})
-    raise AssertionError
+    p.expect(",")
+    p.expect("t")
+    p.expect("=")
+    t = p.number()
+    p.expect(")")
+    cls = Has if head == "HAS" else HasNot
+    return cls(user, _require_var(p, var), t)
 
 
 def _require_var(p: _Parser, term: Term) -> Var:
@@ -1042,15 +978,11 @@ def serialize_query(prop: HasProperty) -> str:
     raise TypeError(f"unknown property {prop!r}")
 
 
+_KINDS = {"actions": "policy", "trace": "trace", "architecture": "architecture",
+          "archtrace": "arch-trace"}
+
+
 def sniff_kind(text: str) -> str:
-    """Best-effort document kind from the first keyword."""
-    for tok in tokenize(text):
-        if tok.kind == "ident":
-            return {
-                "actions": "policy",
-                "trace": "trace",
-                "architecture": "architecture",
-                "archtrace": "arch-trace",
-            }.get(tok.text, "query")
-        break
-    return "query"
+    """Best-effort document kind from the first token alone."""
+    first = next((m[0] for m in _TOKEN.finditer(text) if m.lastgroup != "skip"), "")
+    return _KINDS.get(first, "query")

@@ -314,10 +314,10 @@ def validate_policy(pol: Policy, sets: ActivitySets) -> list[str]:
         errors.append("storage place set (where) is empty")
     if not pol.storage.ho:
         errors.append("storage form set (how) is empty")
-    for place in pol.storage.wh:
+    for place in sorted(pol.storage.wh):
         if place not in STORAGE_PLACES:
             errors.append(f"unknown storage place {place!r}")
-    for form in pol.storage.ho:
+    for form in sorted(pol.storage.ho):
         if form not in STORAGE_FORMS:
             errors.append(f"unknown storage form {form!r}")
 

@@ -27,6 +27,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_with_hash_seed(seed: str, *argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter whose string hashes use ``seed``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "datactl.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
 # --- validate ---------------------------------------------------------------
 
 
@@ -54,6 +62,30 @@ def test_validate_broken_document(capsys, tmp_path):
     bad.write_text("actions { unary fav unfav; }")
     code, _, err = run(capsys, "validate", str(bad))
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("digit", ["²", "٣"])
+def test_validate_rejects_a_non_ascii_digit(capsys, tmp_path, digit):
+    doc = tmp_path / "digit.dct"
+    doc.write_text(f"archtrace {{ own(t={digit}, user=a); }}", encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(doc))
+    assert (code, out) == (2, "")
+    assert err == f"error: {doc}:1:19: unexpected character {digit!r}\n"
+
+
+def test_validate_errors_do_not_depend_on_the_hash_seed(tmp_path):
+    policy = tmp_path / "places.dcp"
+    policy.write_text(
+        "actions { unary fav/unfav; }\n"
+        "data d1 { ow = alice; ds = {alice}; type = Notes; policy {\n"
+        "  purposes = {billing}; delete = {man:1}; where = {s, loc}; how = {plain};\n"
+        "} }\n"
+    )
+    # Under the hash seeds 1 and 2 the set {s, loc} iterates in opposite orders.
+    runs = [run_with_hash_seed(seed, "validate", str(policy)) for seed in ("1", "2")]
+    assert [r.returncode for r in runs] == [2, 2]
+    assert runs[0].stderr == runs[1].stderr
+    assert "unknown storage place 'loc'; policy for 'd1': unknown storage place 's'" in runs[0].stderr
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -130,14 +162,9 @@ def test_compare_archs_equal_and_different(capsys):
 def test_compare_archs_output_does_not_depend_on_the_hash_seed(tmp_path):
     empty = tmp_path / "empty.dca"
     empty.write_text("architecture {}\n")
-    src = Path(__file__).resolve().parent.parent / "src"
     outputs = []
     for seed in ("5", "6"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
-        done = subprocess.run(
-            [sys.executable, "-m", "datactl.cli", "compare-archs", f"{FIX}/full.dca", str(empty)],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        done = run_with_hash_seed(seed, "compare-archs", f"{FIX}/full.dca", str(empty))
         assert done.returncode == 1, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
@@ -334,11 +361,15 @@ def test_every_accepted_flag_is_read_or_rejected(capsys):
         assert unread == [], f"{name} accepts flags it never reads: {unread}"
         positionals = [a for a in parser._actions if not a.option_strings]
         accepted = {s for a in options[name] for s in a.option_strings}
-        # argparse takes a prefix of an accepted flag (--arch of --archtrace) as that flag.
-        for flag in sorted(f for f in every_flag if not any(s.startswith(f) for s in accepted)):
+        for flag in sorted(every_flag - accepted):
             argv = [name, *("x" for _ in positionals), flag, "text"]
             assert main(argv) == 2, f"{name} accepts {flag}"
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_flag_prefix_is_not_taken_for_the_flag(capsys):
+    assert main(["enumerate", "arch", "--max-l", "1"]) == 2  # a prefix of --max-len
+    assert "unrecognized arguments: --max-l 1" in capsys.readouterr().err
 
 
 # --- the search universe ----------------------------------------------------

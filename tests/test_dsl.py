@@ -23,6 +23,7 @@ from datactl.architecture import (
 )
 from datactl.dsl import (
     ParseError,
+    locate,
     parse_arch_trace,
     parse_architecture,
     parse_has_query,
@@ -37,6 +38,7 @@ from datactl.dsl import (
     tokenize,
 )
 from datactl.logic import And, Has, HasNever, HasNot, HasSp
+from datactl.mapping import MappingContext, image_trace
 from datactl.model import SP, Perms
 
 from modelgen import compliant_trace, random_model
@@ -49,11 +51,13 @@ X = Var(ow="alice", ds=frozenset({"alice", "bob"}), ident="d1")
 
 
 def test_tokenizer_positions_and_comments():
-    tokens = tokenize("actions {\n  # note\n  unary fav/unfav;\n}", file="f.dcp")
+    text = "actions {\n  # note\n  unary fav/unfav;\n}"
+    tokens = tokenize(text, file="f.dcp")
     texts = [t.text for t in tokens if t.kind != "eof"]
     assert texts == ["actions", "{", "unary", "fav", "/", "unfav", ";", "}"]
     unary = next(t for t in tokens if t.text == "unary")
-    assert (unary.span.line, unary.span.column) == (3, 3)
+    span = locate(text, unary.offset)
+    assert (span.line, span.column) == (3, 3)
 
 
 def test_parse_error_is_located():
@@ -91,12 +95,70 @@ def test_unknown_event_name_rejected():
     assert "frobnicate" in str(err.value)
 
 
+@pytest.mark.parametrize("parse, document, where", [
+    (parse_has_query, "HAS_sp(X{ow=alice, ds={alice bob}, id=d1})", "1:30: found 'bob' (expected })"),
+    (parse_arch_trace, "archtrace { own(t=1 user=alice); }", "1:21: found 'user' (expected ))"),
+])
+def test_list_items_are_separated_by_commas(parse, document, where):
+    with pytest.raises(ParseError) as err:
+        parse(document, file="f")
+    assert str(err.value).startswith(f"f:{where}")
+
+
+def test_end_of_input_after_a_trailing_comment_is_located_at_its_end():
+    with pytest.raises(ParseError) as err:
+        parse_policy("actions {  # open", file="f.dcp")
+    assert str(err.value).startswith("f.dcp:1:18: found end of input")
+
+
+def test_unknown_arch_trace_field_is_located_at_its_equals_sign():
+    with pytest.raises(ParseError) as err:
+        parse_arch_trace("archtrace {\n  own(t=1, bogus=2);\n}", file="f.dct")
+    assert str(err.value).startswith("f.dct:2:17: unknown event field 'bogus'")
+
+
+def _fixture_parsers():
+    """(name, text, parser) for every fixture and for the architecture image of
+    ``fb_clean.dct``."""
+    model = parse_policy((FIX / "facebook.dcp").read_text(encoding="utf-8"))
+    clean = parse_trace((FIX / "fb_clean.dct").read_text(encoding="utf-8"), model)
+    docs = [("fb_clean image", serialize_arch_trace(image_trace(clean, MappingContext(model))),
+             lambda text: parse_arch_trace(text, model.sets))]
+    for path in sorted(FIX.iterdir()):
+        parse = {".dcp": parse_policy, ".dca": parse_architecture, ".dcq": parse_has_query,
+                 ".dct": lambda text: parse_trace(text, model)}[path.suffix]
+        docs.append((path.name, path.read_text(encoding="utf-8"), parse))
+    return docs
+
+
+def test_mutated_documents_parse_or_raise_parse_error():
+    """Single-character substitutions, deletions and insertions anywhere in the
+    fixtures either parse or raise ParseError, never another exception."""
+    rng = random.Random(0)
+    docs = _fixture_parsers()
+    alphabet = ["", " ", "\n", "\t", *'{}();,="#a1?-@²x']
+    crashes = []
+    for _ in range(2000):
+        name, text, parse = rng.choice(docs)
+        i = rng.randrange(len(text))
+        ch, j = rng.choice(alphabet), i + rng.randint(0, 1)  # j == i inserts
+        try:
+            parse(text[:i] + ch + text[j:])
+        except ParseError:
+            pass
+        except Exception as err:  # the CLI would print a traceback
+            crashes.append(f"{name}[{i}:{j}] = {ch!r}: {type(err).__name__}: {err}")
+    assert crashes == []
+
+
 def test_sniff_kind():
     assert sniff_kind("actions { }") == "policy"
     assert sniff_kind("trace { }") == "trace"
     assert sniff_kind("architecture {}") == "architecture"
     assert sniff_kind("archtrace { }") == "arch-trace"
     assert sniff_kind("HAS_sp(X{ow=a, ds={a}, id=d})") == "query"
+    # only the first token is read; the parser reports what follows
+    assert sniff_kind("# note\narchtrace { ² }") == "arch-trace"
 
 
 # --- policy round trips -----------------------------------------------------
