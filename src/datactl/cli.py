@@ -9,7 +9,6 @@ each reported as one ``error:`` line; 3 internal limits (state-space guard).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -75,18 +74,6 @@ def _load_trace(path: str, model):
 
 def _load_architecture(path: str) -> Architecture:
     return parse_architecture(_read(path), file=path)
-
-
-def _max_states(args) -> int:
-    if args.max_states is not None:
-        return args.max_states
-    env = os.environ.get("DATACTL_MAX_STATES")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit2(f"DATACTL_MAX_STATES must be an integer, got {env!r}")
-    return DEFAULT_MAX_STATES
 
 
 def _concrete_users(pa: Architecture) -> frozenset[str]:
@@ -167,7 +154,7 @@ def cmd_eval_has(args) -> int:
         universe = Universe(users=tuple(sorted(users)))
         try:
             verdict = eval_semantic(pa, prop, universe,
-                                    max_len=args.max_len, max_states=_max_states(args))
+                                    max_len=args.max_len, max_states=args.max_states)
         except EnumerationLimit as err:
             print(f"enumerate: limit reached ({err})", file=sys.stderr)
             return EXIT_LIMIT
@@ -231,7 +218,7 @@ def cmd_enumerate(args) -> int:
     universe = Universe(users=tuple(sorted(_concrete_users(pa))) or ("u1",))
     try:
         states = arch_mod.enumerate_states(
-            pa, args.max_len, universe, max_states=_max_states(args)
+            pa, args.max_len, universe, max_states=args.max_states
         )
     except EnumerationLimit as err:
         print(f"limit reached: {err}", file=sys.stderr)
@@ -290,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("deduce", "enumerate", "both"), default="both")
     p.add_argument("--archtrace", help="architecture trace for the deduction rules")
     p.add_argument("--max-len", type=_bound, default=DEFAULT_MAX_LEN)
-    p.add_argument("--max-states", type=_bound)
+    p.add_argument("--max-states", type=_bound, default=DEFAULT_MAX_STATES)
     p.set_defaults(func=cmd_eval_has)
 
     p = sub.add_parser("check-correspondence", allow_abbrev=False,
@@ -318,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", allow_abbrev=False, help="count reachable architecture states")
     p.add_argument("arch")
     p.add_argument("--max-len", type=_bound, default=DEFAULT_MAX_LEN)
-    p.add_argument("--max-states", type=_bound)
+    p.add_argument("--max-states", type=_bound, default=DEFAULT_MAX_STATES)
     p.set_defaults(func=cmd_enumerate)
 
     return parser

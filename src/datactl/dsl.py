@@ -543,7 +543,7 @@ def _parse_term(p: _Parser) -> Term:
         args = _parse_list(p, _parse_term)
         p.expect(")")
         return Func(head, tuple(args))
-    p.fail(f"unknown term head {head!r}", {"X", "key", "enc", "hash", "sig"})
+    p.fail_previous(f"unknown term head {head!r}", {"X", "key", "enc", "hash", "sig"})
 
 
 def _parse_list(p: _Parser, item: Callable[[_Parser], T]) -> list[T]:
@@ -584,7 +584,7 @@ def _parse_activity(p: _Parser) -> Activity:
     head = p.ident("activity")
     plan = _PARSE_PLANS.get(head)
     if plan is None:
-        p.fail(f"unknown activity {head!r}")
+        p.fail_previous(f"unknown activity {head!r}")
     cls, arity, readers = plan
     values: list[object] = []
     if arity:
@@ -631,7 +631,7 @@ def _parse_perms_block(p: _Parser) -> Perms:
     while not p.at("}"):
         key = p.ident("perms field")
         if key not in ("can", "has"):
-            p.fail(f"unknown perms field {key!r}", {"can", "has"})
+            p.fail_previous(f"unknown perms field {key!r}", {"can", "has"})
         _parse_perm_line(p, key, tables)
         p.expect(";")
     p.expect("}")
@@ -742,7 +742,7 @@ def _parse_query_atom(p: _Parser) -> HasProperty:
         p.expect(")")
         return HasSp(_require_var(p, var))
     if head not in ("HAS", "HAS_not", "HAS_never"):
-        p.fail(f"unknown HAS form {head!r}", {"HAS_sp", "HAS", "HAS_not", "HAS_never"})
+        p.fail_previous(f"unknown HAS form {head!r}", {"HAS_sp", "HAS", "HAS_not", "HAS_never"})
     p.expect("[")
     user = p.ident("principal")
     p.expect("]")

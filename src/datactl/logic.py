@@ -177,27 +177,18 @@ def _may_perform(pa: Architecture, i: str, action: str) -> bool:
     return False
 
 
-def h2_applicable(pa: Architecture, j: str, var: Var, performers: Iterable[str]) -> bool:
-    """H2's premise: some unary action on ``var`` can grant ``j`` the value."""
-    for act in pa.of_type(Act1):
-        if not match_term(act.term, var):
-            continue
-        candidates = performers if is_pattern(act.user) else [act.user]
-        for i in candidates:
-            if not _may_perform(pa, i, act.action):
-                continue
-            if j in pa.perms.holders(act.action, i):
-                return True
-    return False
-
-
-def h3_applicable(pa: Architecture, j: str, var: Var, users: Iterable[str]) -> bool:
-    """H3's premise: some binary action on ``var`` can grant ``j`` the value."""
-    for act in pa.of_type(Act2):
+def _grant_applicable(pa: Architecture, cls: type, j: str, var: Var, users: Iterable[str]) -> bool:
+    """Whether some ``cls`` action (``Act1`` or ``Act2``) on ``var``, performed
+    by a user who may perform it, can grant ``j`` the value; pattern
+    principals range over ``users``."""
+    for act in pa.of_type(cls):
         if not match_term(act.term, var):
             continue
         performers = users if is_pattern(act.user) else [act.user]
-        targets = users if is_pattern(act.tar) else [act.tar]
+        if cls is Act1:
+            targets = [None]
+        else:
+            targets = users if is_pattern(act.tar) else [act.tar]
         for i in performers:
             if not _may_perform(pa, i, act.action):
                 continue
@@ -205,6 +196,16 @@ def h3_applicable(pa: Architecture, j: str, var: Var, users: Iterable[str]) -> b
                 if j in pa.perms.holders(act.action, i, tar):
                     return True
     return False
+
+
+def h2_applicable(pa: Architecture, j: str, var: Var, users: Iterable[str]) -> bool:
+    """H2's premise: some unary action on ``var`` can grant ``j`` the value."""
+    return _grant_applicable(pa, Act1, j, var, users)
+
+
+def h3_applicable(pa: Architecture, j: str, var: Var, users: Iterable[str]) -> bool:
+    """H3's premise: some binary action on ``var`` can grant ``j`` the value."""
+    return _grant_applicable(pa, Act2, j, var, users)
 
 
 # The rule each valued event kind triggers: the owner's input (H1), grants

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .architecture import (
+    ACTIVITIES,
     Act1,
     Act2,
     Activity,
@@ -34,7 +35,7 @@ from .architecture import (
 )
 from .logic import h1_applicable, h2_applicable, h3_applicable, h8_conclusions
 from .dsl import serialize_activity
-from .model import SP, ActivitySets, DataRef, Perms, Policy, PolicyModel
+from .model import SP, ActionId, DataRef, FriendAlias, Perms, Policy, PolicyModel
 from .semantics import (
     ACT1,
     ACT2,
@@ -95,20 +96,6 @@ def map_storage(dt: DataRef, pol: Policy) -> frozenset[Activity]:
     return frozenset(out)
 
 
-def _merge_perms(acc: dict, perms: Perms) -> None:
-    for a, s in perms.can.items():
-        acc["can"][a] = acc["can"].get(a, frozenset()) | s
-    for a, per in perms.by.items():
-        table = acc["by"].setdefault(a, {})
-        for u, s in per.items():
-            table[u] = table.get(u, frozenset()) | s
-    for a, per in perms.been.items():
-        table = acc["been"].setdefault(a, {})
-        for u, s in per.items():
-            table[u] = table.get(u, frozenset()) | s
-    acc["group"] |= perms.group
-
-
 # ---------------------------------------------------------------------------
 # Event-driven derivation
 
@@ -134,13 +121,41 @@ def _delete_delay(pol: Policy) -> int:
     return dd
 
 
-def _perms_for_action(pol: Policy, action: str, with_has: bool) -> Perms:
-    can = {action: pol.perms.can_do(action)} if pol.perms.can_do(action) else {}
-    if not with_has:
-        return Perms(can=can)
-    by = {action: pol.perms.by.get(action, {})} if pol.perms.by.get(action) else {}
-    been = {action: pol.perms.been.get(action, {})} if pol.perms.been.get(action) else {}
-    return Perms(can=can, by=by, been=been)
+# Policy event kind -> the activity its events map to, built from the event
+# and its datum's variable.  ``store``, ``delete`` and ``use`` are mapped by
+# hand: storage yields a set of activities, deletion reads the policy, and
+# usage leaves no architectural footprint.
+_ACTIVITY_OF = {
+    OWN: lambda e, x: Own(e.dt.ow, x),
+    DELETEREQ: lambda e, x: DeleteReq(e.actor, x),
+    GROUPACT: lambda e, x: GroupAct(e.actor, e.tar, e.action),
+    UNGROUPACT: lambda e, x: UnGroupAct(e.actor, e.tar, e.action),
+    GROUPHAS: lambda e, x: GroupHas(e.actor, e.tar),
+    UNGROUPHAS: lambda e, x: UnGroupHas(e.actor, e.tar),
+    ACT1: lambda e, x: Act1(e.actor, e.action, x),
+    UNACT1: lambda e, x: UnAct1(e.actor, e.action, x),
+    ACT2: lambda e, x: Act2(e.actor, e.tar, e.action, x),
+    UNACT2: lambda e, x: UnAct2(e.actor, e.tar, e.action, x),
+}
+
+# With ``simplify_friends`` and a declared alias, the whole group family
+# collapses to the alias pair.
+_FRIENDS_OF = {GROUPACT: AddFriends, GROUPHAS: AddFriends, UNGROUPACT: UnFriends,
+               UNGROUPHAS: UnFriends}
+
+# Event kind -> whether the activity reads its action's holder tables besides
+# its ``can`` set.  ``grouphas`` reads the group; every other kind reads none.
+_READS_HOLDERS = {GROUPACT: False, ACT1: True, ACT2: True, UNACT1: False, UNACT2: False}
+
+
+def _activity(e: AbstractEvent, x: Var, alias: FriendAlias | None) -> Activity:
+    """The activity ``e`` maps to; ``alias`` is set when the group family collapses."""
+    if alias is not None and e.kind in _FRIENDS_OF:
+        return _FRIENDS_OF[e.kind](e.actor, e.tar, alias.actions)
+    build = _ACTIVITY_OF.get(e.kind)
+    if build is None:
+        raise MappingError(f"unmapped event kind {e.kind!r}")
+    return build(e, x)
 
 
 def derive_architecture(
@@ -152,68 +167,28 @@ def derive_architecture(
     Idempotent over the event set.  With ``simplify_friends`` and a declared
     alias, the whole group/ungroup family collapses to the alias pair.
     """
-    sets = ctx.model.sets
     activities: set[Activity] = set()
-    acc = {"can": {}, "by": {}, "been": {}, "group": frozenset()}
+    parts: dict[tuple, Perms] = {}  # keyed (datum, action, holders), or (datum,) for the group
     alias = ctx.model.alias if ctx.simplify_friends else None
 
     for e in events:
         pol = ctx.policy(e.dt)
         x = var_of(e.dt)
-        base = e.action if e.action is None else (sets.base_of(e.action) or e.action)
-        if e.kind == OWN:
-            activities.add(Own(e.dt.ow, x))
-        elif e.kind == STORE:
+        if e.kind == STORE:
             activities.update(map_storage(e.dt, pol))
-        elif e.kind == USE:
-            continue  # usage leaves no architectural footprint
-        elif e.kind == DELETEREQ:
-            activities.add(DeleteReq(e.actor, x))
         elif e.kind == DELETE:
             activities.add(Delete(x, _delete_delay(pol)))
-        elif e.kind == GROUPACT:
-            if alias is not None:
-                activities.add(AddFriends(e.actor, e.tar, alias.actions))
-            else:
-                activities.add(GroupAct(e.actor, e.tar, e.action))
-            _merge_perms(acc, _perms_for_action(pol, e.action, with_has=False))
-        elif e.kind == UNGROUPACT:
-            if alias is not None:
-                activities.add(UnFriends(e.actor, e.tar, alias.actions))
-            else:
-                activities.add(UnGroupAct(e.actor, e.tar, e.action))
-        elif e.kind == GROUPHAS:
-            if alias is not None:
-                activities.add(AddFriends(e.actor, e.tar, alias.actions))
-            else:
-                activities.add(GroupHas(e.actor, e.tar))
-            acc["group"] |= pol.perms.group
-        elif e.kind == UNGROUPHAS:
-            if alias is not None:
-                activities.add(UnFriends(e.actor, e.tar, alias.actions))
-            else:
-                activities.add(UnGroupHas(e.actor, e.tar))
-        elif e.kind == ACT1:
-            activities.add(Act1(e.actor, e.action, x))
-            _merge_perms(acc, _perms_for_action(pol, e.action, with_has=False))
-            _merge_perms(acc, _perms_for_action(pol, base, with_has=True))
-        elif e.kind == ACT2:
-            activities.add(Act2(e.actor, e.tar, e.action, x))
-            _merge_perms(acc, _perms_for_action(pol, e.action, with_has=False))
-            _merge_perms(acc, _perms_for_action(pol, base, with_has=True))
-        elif e.kind == UNACT1:
-            activities.add(UnAct1(e.actor, e.action, x))
-            _merge_perms(acc, _perms_for_action(pol, e.action, with_has=False))
-        elif e.kind == UNACT2:
-            activities.add(UnAct2(e.actor, e.tar, e.action, x))
-            _merge_perms(acc, _perms_for_action(pol, e.action, with_has=False))
-        else:
-            raise MappingError(f"unmapped event kind {e.kind!r}")
+        elif e.kind != USE:
+            activities.add(_activity(e, x, alias))
+            if e.kind == GROUPHAS:
+                parts.setdefault((e.dt.ident,), Perms(group=pol.perms.group))
+            elif e.kind in _READS_HOLDERS:
+                holders = _READS_HOLDERS[e.kind]
+                key = (e.dt.ident, e.action, holders)
+                if key not in parts:
+                    parts[key] = pol.perms.only(e.action, holders)
 
-    pa = Architecture(
-        activities=frozenset(activities),
-        perms=Perms(can=acc["can"], by=acc["by"], been=acc["been"], group=acc["group"]),
-    )
+    pa = Architecture(activities=frozenset(activities), perms=Perms.union(parts.values()))
     ok, witness = is_consistent(pa)
     if not ok:
         raise MappingError(f"derived architecture is inconsistent: {witness} has two owners")
@@ -224,23 +199,25 @@ def derive_architecture(
 # Trace image
 
 
+# Activity class -> its event kind and whether it names a term.
+_EVENT_SHAPE = {schema.cls: (schema.kind, "term" in schema.args) for schema in ACTIVITIES.values()}
+
+
 def image_trace(trace: Sequence[AbstractEvent], ctx: MappingContext) -> list[ArchEvent]:
     """The event-wise architecture image of a policy trace.
 
-    ``use`` events have no architecture counterpart and are dropped; ``store``
-    becomes one possession event per stored form.
+    Each event becomes an instance of the activity it maps to, performed by
+    its actor and, when the activity names a term, carrying the datum's
+    current value.  ``use`` events have no architecture counterpart and are
+    dropped; ``store`` becomes one possession event per stored form.
     """
-    sets = ctx.model.sets
     alias = ctx.model.alias if ctx.simplify_friends else None
     values: dict[str, str | None] = {}
     out: list[ArchEvent] = []
     for e in trace:
         pol = ctx.policy(e.dt)
         x = var_of(e.dt)
-        if e.kind == OWN:
-            values[e.dt.ident] = e.value
-            out.append(ArchEvent("own", e.t, user=e.actor, term=x, value=e.value))
-        elif e.kind == STORE:
+        if e.kind == STORE:
             v = values.get(e.dt.ident)
             for act in sorted(map_storage(e.dt, pol), key=repr):
                 if isinstance(act, Possess):
@@ -249,30 +226,19 @@ def image_trace(trace: Sequence[AbstractEvent], ctx: MappingContext) -> list[Arc
                     if isinstance(term, KeyVar):
                         val = f"key({term.owner})"
                     out.append(ArchEvent("possess", e.t, user=SP, term=term, value=val))
-        elif e.kind == USE:
-            continue
-        elif e.kind == DELETEREQ:
-            out.append(ArchEvent("deletereq", e.t, user=e.actor, term=x, value=values.get(e.dt.ident)))
         elif e.kind == DELETE:
             out.append(ArchEvent("delete", e.t, term=x, value=values.get(e.dt.ident)))
-        elif e.kind in (GROUPACT, UNGROUPACT, GROUPHAS, UNGROUPHAS):
-            if alias is not None:
-                kind = "addfriends" if e.kind in (GROUPACT, GROUPHAS) else "unfriends"
-                out.append(ArchEvent(kind, e.t, user=e.actor, tar=e.tar, actions=alias.actions))
-            else:
-                out.append(ArchEvent(e.kind, e.t, user=e.actor, tar=e.tar, action=e.action))
-        elif e.kind in (ACT1, UNACT1):
-            out.append(
-                ArchEvent(e.kind, e.t, user=e.actor, action=e.action, term=x,
-                          value=values.get(e.dt.ident))
-            )
-        elif e.kind in (ACT2, UNACT2):
-            out.append(
-                ArchEvent(e.kind, e.t, user=e.actor, tar=e.tar, action=e.action, term=x,
-                          value=values.get(e.dt.ident))
-            )
-        else:
-            raise MappingError(f"unmapped event kind {e.kind!r}")
+        elif e.kind != USE:
+            if e.kind == OWN:
+                values[e.dt.ident] = e.value
+            act = _activity(e, x, alias)
+            kind, has_term = _EVENT_SHAPE[type(act)]
+            out.append(ArchEvent(
+                kind, e.t, user=e.actor, tar=getattr(act, "tar", None),
+                action=getattr(act, "action", None), term=getattr(act, "term", None),
+                value=values.get(e.dt.ident) if has_term else None,
+                actions=getattr(act, "actions", ()),
+            ))
     return out
 
 
@@ -307,31 +273,19 @@ class CorrespondenceReport:
         return "\n".join(lines)
 
 
-def _policy_c3i(j: str, dt: DataRef) -> bool:
-    return j == dt.ow
-
-
-def _policy_c3ii(
-    j: str, pol: Policy, sets: ActivitySets, users: Iterable[str],
-    extendable: frozenset[str] = frozenset(),
+def _policy_grants(
+    j: str, pol: Policy, actions: Sequence[ActionId], users: Sequence[str], binary: bool,
+    extendable: frozenset[tuple[str, str]],
 ) -> bool:
-    for act in sets.a1:
-        for i in users:
-            permitted = i in pol.perms.can_do(act.name) or (act.name, i) in extendable
-            if permitted and j in pol.perms.holders(act.name, i):
-                return True
-    return False
-
-
-def _policy_c3iii(
-    j: str, pol: Policy, sets: ActivitySets, users: Iterable[str],
-    extendable: frozenset[str] = frozenset(),
-) -> bool:
-    for act in sets.a2:
+    """Whether one of ``actions``, performed by a user its can-group admits
+    (or the trace can add), grants ``j`` the datum: against some target in
+    ``users`` when the actions are ``binary``."""
+    targets = users if binary else [None]
+    for act in actions:
         for i in users:
             if i not in pol.perms.can_do(act.name) and (act.name, i) not in extendable:
                 continue
-            for tar in users:
+            for tar in targets:
                 if j in pol.perms.holders(act.name, i, tar):
                     return True
     return False
@@ -407,9 +361,9 @@ def check_correspondence(
         h8 = any(r.conclusion.var == x for r in h8_conclusions(pa_here))
 
         for j in users:
-            c3i = _policy_c3i(j, dt)
-            c3ii = _policy_c3ii(j, pol, sets, users, ext)
-            c3iii = _policy_c3iii(j, pol, sets, users, ext)
+            c3i = j == dt.ow
+            c3ii = _policy_grants(j, pol, sets.a1, users, False, ext)
+            c3iii = _policy_grants(j, pol, sets.a2, users, True, ext)
             h1 = h1_applicable(pa_here, j, x)
             h2 = h2_applicable(pa_here, j, x, users)
             h3 = h3_applicable(pa_here, j, x, users)
@@ -426,24 +380,15 @@ def check_correspondence(
             report.results.append(
                 _biconditional("P2", j, ident, c3i, h1, "ownership clause", "owner rule")
             )
-            if sets.a1:
-                report.results.append(
-                    _biconditional("P3", j, ident, c3ii, h2,
-                                   "unary-action clause", "unary-action rule")
-                )
-            else:
-                report.results.append(
-                    CorrespondenceResult("P3", j, ident, "inapplicable", "no unary actions declared")
-                )
-            if sets.a2:
-                report.results.append(
-                    _biconditional("P4", j, ident, c3iii, h3,
-                                   "binary-action clause", "binary-action rule")
-                )
-            else:
-                report.results.append(
-                    CorrespondenceResult("P4", j, ident, "inapplicable", "no binary actions declared")
-                )
+            for prop, arity, actions, clause, rule in (("P3", "unary", sets.a1, c3ii, h2),
+                                                       ("P4", "binary", sets.a2, c3iii, h3)):
+                if actions:
+                    result = _biconditional(prop, j, ident, clause, rule,
+                                            f"{arity}-action clause", f"{arity}-action rule")
+                else:
+                    result = CorrespondenceResult(prop, j, ident, "inapplicable",
+                                                  f"no {arity} actions declared")
+                report.results.append(result)
 
         report.results.append(
             _biconditional("P5", None, ident, pol.storage.sp_readable(), h8,

@@ -7,7 +7,7 @@ Everything here is an immutable value; well-formedness is checked by the
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Iterable, Mapping
 
 # Distinguished principal for the service provider / data controller.
 SP = "sp"
@@ -168,6 +168,39 @@ class Perms:
 
     def is_empty(self) -> bool:
         return not (self.can or self.by or self.been or self.group)
+
+    def only(self, action: str, holders: bool) -> "Perms":
+        """The part of the table about ``action``: its ``can`` set and, with
+        ``holders``, its ``by`` and ``been`` tables.  Empty entries are dropped."""
+        can = self.can_do(action)
+        by = self.by.get(action) if holders else None
+        been = self.been.get(action) if holders else None
+        return Perms(
+            can={action: can} if can else {},
+            by={action: by} if by else {},
+            been={action: been} if been else {},
+        )
+
+    @staticmethod
+    def union(tables: Iterable["Perms"]) -> "Perms":
+        """The entry-wise union of ``tables``; keys keep their first-seen order."""
+        can: dict[str, frozenset[str]] = {}
+        by: dict[str, dict[str, frozenset[str]]] = {}
+        been: dict[str, dict[str, frozenset[str]]] = {}
+        group: frozenset[str] = frozenset()
+        for table in tables:
+            _union_into(can, table.can)
+            for action, per_user in table.by.items():
+                _union_into(by.setdefault(action, {}), per_user)
+            for action, per_user in table.been.items():
+                _union_into(been.setdefault(action, {}), per_user)
+            group |= table.group
+        return Perms(can=can, by=by, been=been, group=group)
+
+
+def _union_into(acc: dict[str, frozenset[str]], table: Mapping[str, frozenset[str]]) -> None:
+    for key, users in table.items():
+        acc[key] = acc.get(key, frozenset()) | users
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,9 @@
 """Abstract events, the per-datum state, and the trace transition function.
 
-The state maps each datum to either an entry (time, value, performance record,
-policy, holders) or to the undefined marker ``None``.  Transitions are pure:
-``step`` maps one datum's entry to its successor, and ``apply_event`` lifts it
-to the whole state, which then differs from its predecessor at most at the
-event's datum.
+The state maps each datum to either an entry (time, value, policy, holders)
+or to the undefined marker ``None``.  Transitions are pure: ``step`` maps one
+datum's entry to its successor, and ``apply_event`` lifts it to the whole
+state, which then differs from its predecessor at most at the event's datum.
 """
 
 from __future__ import annotations
@@ -77,42 +76,9 @@ class EventTemplate:
 
 
 @dataclass(frozen=True)
-class ActBy:
-    """Who performed / was targeted by each action on a datum during the run."""
-
-    by: Mapping[str, frozenset[str]] = field(default_factory=dict)
-    been: Mapping[str, frozenset[str]] = field(default_factory=dict)
-
-    def by_set(self, action: str) -> frozenset[str]:
-        return self.by.get(action, frozenset())
-
-    def been_set(self, action: str) -> frozenset[str]:
-        return self.been.get(action, frozenset())
-
-    def _update(self, which: str, action: str, user: str, add: bool) -> "ActBy":
-        table = dict(getattr(self, which))
-        current = table.get(action, frozenset())
-        table[action] = current | {user} if add else current - {user}
-        return replace(self, **{which: table})
-
-    def add_by(self, action: str, user: str) -> "ActBy":
-        return self._update("by", action, user, True)
-
-    def remove_by(self, action: str, user: str) -> "ActBy":
-        return self._update("by", action, user, False)
-
-    def add_been(self, action: str, user: str) -> "ActBy":
-        return self._update("been", action, user, True)
-
-    def remove_been(self, action: str, user: str) -> "ActBy":
-        return self._update("been", action, user, False)
-
-
-@dataclass(frozen=True)
 class StateEntry:
     t: int
     v: str | None
-    actby: ActBy
     policy: Policy
     h_has: frozenset[str]
 
@@ -177,7 +143,7 @@ def step(
     carried for fidelity with the transition signature and for error messages.
 
     ``sets`` is needed only for un-actions, to resolve the base action whose
-    performance record and has-grants are consulted.
+    has-grants are withdrawn.
     """
     kind = e.kind
 
@@ -189,7 +155,6 @@ def step(
         return StateEntry(
             t=e.t,
             v=e.value,
-            actby=ActBy(),
             policy=e.policy,
             h_has=frozenset({e.actor}),
         )
@@ -249,14 +214,8 @@ def step(
         binary = kind in (ACT2, UNACT2)
         held = pol.perms.holders(base, e.actor, e.tar if binary else None)
         if kind in (ACT1, ACT2):
-            actby = entry.actby.add_by(base, e.actor)
-            if binary:
-                actby = actby.add_been(base, e.tar)
-            return replace(entry, t=e.t, actby=actby, h_has=entry.h_has | held)
-        actby = entry.actby.remove_by(base, e.actor)
-        if binary:
-            actby = actby.remove_been(base, e.tar)
-        return replace(entry, t=e.t, actby=actby, h_has=entry.h_has - held)
+            return replace(entry, t=e.t, h_has=entry.h_has | held)
+        return replace(entry, t=e.t, h_has=entry.h_has - held)
 
     raise SemanticsError(f"unknown event kind {kind!r}", j)
 

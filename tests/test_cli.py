@@ -249,14 +249,10 @@ def test_eval_has_state_limit(capsys, tmp_path):
     assert code == 3 and "limit" in err
 
 
-def test_max_states_env_override(capsys, tmp_path, monkeypatch):
+def test_enumerate_state_limit(capsys, tmp_path):
     arch = write_small_arch(tmp_path)
-    monkeypatch.setenv("DATACTL_MAX_STATES", "2")
-    code, _, err = run(capsys, "enumerate", arch, "--max-len", "4")
+    code, _, err = run(capsys, "enumerate", arch, "--max-len", "4", "--max-states", "2")
     assert code == 3 and "limit" in err
-    monkeypatch.setenv("DATACTL_MAX_STATES", "not-a-number")
-    code, _, err = run(capsys, "enumerate", arch)
-    assert code == 2
 
 
 def test_enumerate_counts_states(capsys, tmp_path):

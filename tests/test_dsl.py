@@ -117,6 +117,20 @@ def test_unknown_arch_trace_field_is_located_at_its_equals_sign():
     assert str(err.value).startswith("f.dct:2:17: unknown event field 'bogus'")
 
 
+@pytest.mark.parametrize("parse, document, where", [
+    (parse_architecture, "architecture {\n  perms {\n    bogus x;\n  }\n}",
+     "3:5: unknown perms field 'bogus'"),
+    (parse_architecture, "architecture {\n  Bogus[a](x);\n}", "2:3: unknown activity 'Bogus'"),
+    (parse_architecture, "architecture {\n  Own[a](Y{ow=a});\n}", "2:10: unknown term head 'Y'"),
+    (parse_has_query, "HAS_maybe[a](X{ow=a, ds={a}, id=d1}, 1)",
+     "1:1: unknown HAS form 'HAS_maybe'"),
+], ids=["perms field", "activity", "term head", "HAS form"])
+def test_unknown_word_is_located_at_the_word(parse, document, where):
+    with pytest.raises(ParseError) as err:
+        parse(document, file="f")
+    assert str(err.value).startswith(f"f:{where}")
+
+
 def _fixture_parsers():
     """(name, text, parser) for every fixture and for the architecture image of
     ``fb_clean.dct``."""

@@ -19,12 +19,15 @@ from datactl.architecture import (
     Possess,
     Var,
     enc,
+    is_compatible,
 )
 from datactl.mapping import (
     EQUAL,
     INCOMPARABLE,
     LOOSER,
     STRICTER,
+    _ACTIVITY_OF,
+    _FRIENDS_OF,
     MappingContext,
     check_correspondence,
     compare_architectures,
@@ -61,9 +64,10 @@ from datactl.semantics import (
     STORE,
     USE,
     AbstractEvent,
+    possible_events,
 )
 
-from modelgen import full_events, random_model
+from modelgen import compliant_trace, full_events, random_model
 
 DT = DataRef(ow="alice", ds=frozenset({"alice", "bob"}), dtype="Notes", ident="d1")
 X = var_of(DT)
@@ -229,6 +233,32 @@ def test_image_trace_alias_collapse():
     image = image_trace(events, MappingContext(model, simplify_friends=True))
     assert [e.kind for e in image] == ["own", "addfriends", "addfriends"]
     assert image[1].actions == ("fav",)
+
+
+def test_every_policy_event_kind_is_mapped():
+    sets = ActivitySets(
+        a1=(ActionId("fav", UNARY),), ua1=(ActionId("unfav", UNARY_REVOKE, revokes="fav"),),
+        a2=(ActionId("link", BINARY),), ua2=(ActionId("unlink", BINARY_REVOKE, revokes="link"),),
+    )
+    kinds = {t.kind for t in possible_events(sets, DT, policy())}
+    assert kinds == set(_ACTIVITY_OF) | {STORE, DELETE, USE}
+    assert set(_FRIENDS_OF) <= set(_ACTIVITY_OF)
+
+
+@pytest.mark.parametrize("simplify", [False, True], ids=["plain", "simplified"])
+def test_image_instantiates_the_derived_architecture(simplify):
+    """The mapping's two halves agree: the image of a trace is a compatible
+    trace of the architecture derived from it."""
+    for seed in range(100):
+        for with_alias in (False, True):
+            model = random_model(random.Random(seed))
+            if with_alias:
+                model.alias = FriendAlias("addfriends", "unfriends", model.sets.base_names())
+            ctx = MappingContext(model, simplify_friends=simplify)
+            for trace in (compliant_trace(model, random.Random(seed), max_len=30),
+                          full_events(model)):
+                pa = derive_architecture(trace, ctx)
+                assert is_compatible(image_trace(trace, ctx), pa) == (True, None), seed
 
 
 # --- correspondence ---------------------------------------------------------
