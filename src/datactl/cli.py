@@ -142,7 +142,7 @@ def cmd_eval_has(args) -> int:
     pa = _load_architecture(args.arch)
     prop = parse_has_query(_read(args.query), file=args.query)
     parts = prop.parts if isinstance(prop, And) else (prop,)
-    users = _concrete_users(pa) | {getattr(p, "user", SP) for p in parts} - {SP}
+    users = _concrete_users(pa) | {p.user for p in parts} - {SP}
 
     holds_deduce = holds_semantic = None
     if args.mode in ("deduce", "both"):

@@ -24,7 +24,7 @@ from .architecture import (
     Var,
     is_consistent,
 )
-from .logic import And, Has, HasNever, HasNot, HasProperty, HasSp
+from .logic import FORMS, SLOTS, And, HasProperty
 from .model import (
     BINARY,
     BINARY_REVOKE,
@@ -735,29 +735,26 @@ def _parse_query_conj(p: _Parser) -> HasProperty:
 
 
 def _parse_query_atom(p: _Parser) -> HasProperty:
+    """``HEAD[user](term, t=N)``, with the ``[user]`` and ``, t=N`` slots
+    present exactly when the form has those fields."""
     head = p.ident("HAS form")
-    if head == "HAS_sp":
-        p.expect("(")
-        var = _parse_term(p)
-        p.expect(")")
-        return HasSp(_require_var(p, var))
-    if head not in ("HAS", "HAS_not", "HAS_never"):
-        p.fail_previous(f"unknown HAS form {head!r}", {"HAS_sp", "HAS", "HAS_not", "HAS_never"})
-    p.expect("[")
-    user = p.ident("principal")
-    p.expect("]")
+    cls = FORMS.get(head)
+    if cls is None:
+        p.fail_previous(f"unknown HAS form {head!r}", set(FORMS))
+    slots, values = SLOTS[cls], {}
+    if "user" in slots:
+        p.expect("[")
+        values["user"] = p.ident("principal")
+        p.expect("]")
     p.expect("(")
-    var = _parse_term(p)
-    if head == "HAS_never":
-        p.expect(")")
-        return HasNever(user, _require_var(p, var))
-    p.expect(",")
-    p.expect("t")
-    p.expect("=")
-    t = p.number()
+    term = _parse_term(p)
+    if "t" in slots:
+        p.expect(",")
+        p.expect("t")
+        p.expect("=")
+        values["t"] = p.number()
     p.expect(")")
-    cls = Has if head == "HAS" else HasNot
-    return cls(user, _require_var(p, var), t)
+    return cls(var=_require_var(p, term), **values)
 
 
 def _require_var(p: _Parser, term: Term) -> Var:
@@ -967,15 +964,12 @@ def serialize_arch_trace(events: Sequence[ArchEvent]) -> str:
 def serialize_query(prop: HasProperty) -> str:
     if isinstance(prop, And):
         return " AND ".join(serialize_query(p) for p in prop.parts)
-    if isinstance(prop, HasSp):
-        return f"HAS_sp({serialize_term(prop.var)})"
-    if isinstance(prop, Has):
-        return f"HAS[{prop.user}]({serialize_term(prop.var)}, t={prop.t})"
-    if isinstance(prop, HasNot):
-        return f"HAS_not[{prop.user}]({serialize_term(prop.var)}, t={prop.t})"
-    if isinstance(prop, HasNever):
-        return f"HAS_never[{prop.user}]({serialize_term(prop.var)})"
-    raise TypeError(f"unknown property {prop!r}")
+    slots = SLOTS.get(type(prop))
+    if slots is None:
+        raise TypeError(f"unknown property {prop!r}")
+    user = f"[{prop.user}]" if "user" in slots else ""
+    t = f", t={prop.t}" if "t" in slots else ""
+    return f"{prop.head}{user}({serialize_term(prop.var)}{t})"
 
 
 _KINDS = {"actions": "policy", "trace": "trace", "architecture": "architecture",

@@ -5,12 +5,13 @@ Two ways to establish a property are provided.  ``deduce`` applies the
 syntactic rules H1-H10 to an architecture and an event trace.  ``eval_semantic``
 decides the property against the enumerated state space, which is exact up to
 the trace-length bound; verdicts whose truth depends on states beyond the
-bound are flagged as bounded.
+bound are flagged as bounded.  ``judge`` gives that verdict over states
+already enumerated, from each form's decision about one state (``witness``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Union
 
 from .architecture import (
@@ -44,41 +45,71 @@ from .model import SP
 # Properties
 
 
-@dataclass(frozen=True)
-class HasSp:
-    var: Var
+class _Form:
+    """What the four possession forms share.  Each declares its ``.dcq``
+    ``head`` and its rendered ``label``, and ``witness`` decides of one state
+    whether it is the state the search looks for: one proves an existential
+    form and refutes the ``universal`` one, ``HAS_never``."""
+
+    universal = False
 
     def render(self) -> str:
-        return f"HAS_sp({self.var.ident})"
+        t = f", {self.t}" if "t" in SLOTS[type(self)] else ""
+        return f"{self.label}_{self.user}({self.var.ident}{t})"
 
 
 @dataclass(frozen=True)
-class Has:
+class HasSp(_Form):
+    var: Var
+    head, label, user = "HAS_sp", "HAS", SP
+
+    def witness(self, state: GlobalState) -> bool:
+        """The provider reads the value in the clear, or holds the ciphertext
+        under its own key and that key."""
+        sp, key = state.user(SP), KeyVar(SP)
+        if sp.value(self.var) is not None:
+            return True
+        return sp.value(Func("enc", (self.var, key))) is not None and sp.value(key) is not None
+
+
+@dataclass(frozen=True)
+class Has(_Form):
     user: str
     var: Var
     t: int
+    head, label = "HAS", "HAS"
 
-    def render(self) -> str:
-        return f"HAS_{self.user}({self.var.ident}, {self.t})"
+    def witness(self, state: GlobalState) -> bool:
+        st = state.user(self.user)
+        return st.t == self.t and st.value(self.var) is not None
 
 
 @dataclass(frozen=True)
-class HasNot:
+class HasNot(_Form):
     user: str
     var: Var
     t: int
+    head, label = "HAS_not", "HASnot"
 
-    def render(self) -> str:
-        return f"HASnot_{self.user}({self.var.ident}, {self.t})"
+    def witness(self, state: GlobalState) -> bool:
+        st = state.user(self.user)
+        return st.t == self.t and st.value(self.var) is None
 
 
 @dataclass(frozen=True)
-class HasNever:
+class HasNever(_Form):
     user: str
     var: Var
+    head, label, universal = "HAS_never", "HASnever", True
 
-    def render(self) -> str:
-        return f"HASnever_{self.user}({self.var.ident})"
+    def witness(self, state: GlobalState) -> bool:
+        return state.user(self.user).value(self.var) is not None
+
+
+# Each form by its ``.dcq`` head, and the fields it carries: the parser, the
+# printer and ``render`` read the optional ``user`` and ``t`` slots from them.
+FORMS = {cls.head: cls for cls in (HasSp, Has, HasNot, HasNever)}
+SLOTS = {cls: frozenset(f.name for f in fields(cls)) for cls in FORMS.values()}
 
 
 @dataclass(frozen=True)
@@ -322,18 +353,20 @@ class SemanticVerdict:
         return f"{'holds' if self.holds else 'does not hold'}{qualifier}"
 
 
-def _sp_reads(state: GlobalState, var: Var) -> bool:
-    sp_state = state.user(SP)
-    if sp_state.value(var) is not None:
-        return True
-    cipher = Func("enc", (var, KeyVar(SP)))
-    return sp_state.value(cipher) is not None and sp_state.value(KeyVar(SP)) is not None
-
-
 def _fully_concrete(var: Var) -> bool:
     if is_pattern(var.ow) or is_pattern(var.ident):
         return False
     return not isinstance(var.ds, str)
+
+
+# The verdict on a form by (universal, whether a witness state was found).  A
+# witness decides exactly; its absence decides only within the bound.
+_VERDICTS = {
+    (False, True): SemanticVerdict(True, False, "witness state found"),
+    (False, False): SemanticVerdict(False, True, "no witness within bound"),
+    (True, True): SemanticVerdict(False, False, "a reachable state defines the variable"),
+    (True, False): SemanticVerdict(True, True, "holds of every state within bound"),
+}
 
 
 def eval_semantic(
@@ -349,46 +382,19 @@ def eval_semantic(
     Negative existentials and all universal answers are bounded: they hold of
     every enumerated state but a longer trace might differ.
     """
-    return _judge(prop, enumerate_states(pa, max_len, universe, max_states))
+    return judge(prop, enumerate_states(pa, max_len, universe, max_states))
 
 
-def _judge(prop: HasProperty, states: list[GlobalState]) -> SemanticVerdict:
+def judge(prop: HasProperty, states: list[GlobalState]) -> SemanticVerdict:
     """The verdict on ``prop`` over the enumerated ``states``; the parts of a
     conjunction are judged against the same states."""
     if isinstance(prop, And):
-        verdicts = [_judge(p, states) for p in prop.parts]
+        verdicts = [judge(p, states) for p in prop.parts]
         return SemanticVerdict(
             holds=all(v.holds for v in verdicts),
             bounded=any(v.bounded for v in verdicts),
             detail="; ".join(v.detail for v in verdicts if v.detail),
         )
-
-    if isinstance(prop, HasSp):
-        for state in states:
-            if _sp_reads(state, prop.var):
-                return SemanticVerdict(True, False, "witness state found")
-        return SemanticVerdict(False, True, "no witness within bound")
-
-    if isinstance(prop, Has):
-        if not _fully_concrete(prop.var):
-            return SemanticVerdict(False, False, "variable is not completely defined")
-        for state in states:
-            st = state.user(prop.user)
-            if st.t == prop.t and st.value(prop.var) is not None:
-                return SemanticVerdict(True, False, "witness state found")
-        return SemanticVerdict(False, True, "no witness within bound")
-
-    if isinstance(prop, HasNot):
-        for state in states:
-            st = state.user(prop.user)
-            if st.t == prop.t and st.value(prop.var) is None:
-                return SemanticVerdict(True, False, "witness state found")
-        return SemanticVerdict(False, True, "no witness within bound")
-
-    if isinstance(prop, HasNever):
-        for state in states:
-            if state.user(prop.user).value(prop.var) is not None:
-                return SemanticVerdict(False, False, "a reachable state defines the variable")
-        return SemanticVerdict(True, True, "holds of every state within bound")
-
-    raise TypeError(f"unknown property {prop!r}")
+    if not _fully_concrete(prop.var):
+        return SemanticVerdict(False, False, "variable is not completely defined")
+    return _VERDICTS[prop.universal, any(prop.witness(s) for s in states)]

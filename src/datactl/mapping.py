@@ -421,11 +421,6 @@ class PolicyComparison:
     overall: str
     components: Mapping[str, str]
 
-    def render(self) -> str:
-        lines = [f"{name}\t{rel}" for name, rel in sorted(self.components.items())]
-        lines.append(f"overall\t{self.overall}")
-        return "\n".join(lines)
-
 
 def _set_relation(a: frozenset, b: frozenset) -> str:
     if a == b:

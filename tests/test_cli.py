@@ -119,6 +119,16 @@ def test_check_trace_tsv(capsys):
     assert line[0] == "C1" and line[2] == "photo1"
 
 
+def test_check_trace_text_warns_of_an_unattributed_delete(capsys, tmp_path):
+    trace = tmp_path / "t.dct"
+    trace.write_text('trace {\n  own(t=1, or=alice, dt=photo1, value="pic");\n'
+                     "  delete(t=2, dt=photo1);\n}\n")
+    code, out, _ = run(capsys, "check-trace", DCP, str(trace))
+    assert code == 0
+    assert out == ("warning: C2 skipped for delete at event 2: "
+                   "no preceding deletereq names a performer\ncompliant\n")
+
+
 # --- derive-arch ------------------------------------------------------------
 
 
@@ -178,6 +188,47 @@ def test_compare_policies_self(capsys):
     assert "email1: equal" in out and "photo1: equal" in out
 
 
+def looser_copy(tmp_path):
+    """The fixture model with photo1's purposes and group emptied."""
+    text = Path(DCP).read_text()
+    for old, new in (("purposes = {social-networking}", "purposes = {}"),
+                     ("has group = {bob}", "has group = {}")):
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "looser.dcp"
+    path.write_text(text)
+    return str(path)
+
+
+def test_compare_policies_text_and_verbose(capsys, tmp_path):
+    second = looser_copy(tmp_path)
+    code, out, _ = run(capsys, "compare-policies", DCP, second)
+    assert code == 1
+    assert out == "email1: equal\nphoto1: looser\n  ap: looser\n  has.group: looser\n"
+
+    code, out, _ = run(capsys, "compare-policies", DCP, second, "--verbose")
+    assert code == 1
+    assert out == (
+        "email1: equal\n  acp: equal\n  ap: equal\n  dm: equal\n  has.been: equal\n"
+        "  has.by: equal\n  has.group: equal\n  ho: equal\n  wh: equal\n"
+        "photo1: looser\n  acp: equal\n  ap: looser\n  dm: equal\n  has.been: equal\n"
+        "  has.by: equal\n  has.group: looser\n  ho: equal\n  wh: equal\n"
+    )
+
+
+def test_compare_policies_tsv(capsys, tmp_path):
+    code, out, _ = run(capsys, "compare-policies", DCP, looser_copy(tmp_path), "--format", "tsv")
+    assert code == 1
+    assert out == (
+        "email1\tacp\tequal\nemail1\tap\tequal\nemail1\tdm\tequal\n"
+        "email1\thas.been\tequal\nemail1\thas.by\tequal\nemail1\thas.group\tequal\n"
+        "email1\tho\tequal\nemail1\twh\tequal\nemail1\toverall\tequal\n"
+        "photo1\tacp\tequal\nphoto1\tap\tlooser\nphoto1\tdm\tequal\n"
+        "photo1\thas.been\tequal\nphoto1\thas.by\tequal\nphoto1\thas.group\tlooser\n"
+        "photo1\tho\tequal\nphoto1\twh\tequal\nphoto1\toverall\tlooser\n"
+    )
+
+
 # --- correspondence ---------------------------------------------------------
 
 
@@ -192,6 +243,33 @@ def test_check_correspondence_partial_trace_fails(capsys):
                        "--trace", f"{FIX}/fb_all.dct")
     assert code == 1 and "correspondence fails" in out
     assert "email1" in out  # only the unexercised datum fails
+
+
+def test_check_correspondence_tsv(capsys, tmp_path):
+    """A one-datum model with no events derives an empty architecture: each
+    row is property, user, datum, status and detail."""
+    policy = tmp_path / "one.dcp"
+    policy.write_text(
+        "actions {\n  unary like/unlike;\n}\n"
+        "data email1 {\n  ow = alice;\n  ds = {alice};\n  type = Email;\n  policy {\n"
+        "    purposes = {enrolment};\n    delete = {man:0};\n    where = {sploc};\n"
+        "    how = {enc(spkey)};\n    can delete = {alice};\n  }\n}\n"
+    )
+    code, out, _ = run(capsys, "check-correspondence", str(policy), "--format", "tsv")
+    assert code == 1
+    assert out == (
+        "P1\talice\temail1\tfails\tnever-has rule applies but no holder clause does not\n"
+        "P2\talice\temail1\tfails\townership clause applies but owner rule does not\n"
+        "P3\talice\temail1\tholds\tneither applies\n"
+        "P4\talice\temail1\tinapplicable\tno binary actions declared\n"
+        "P1\tsp\temail1\tfails\tnever-has rule applies but no holder clause does not\n"
+        "P2\tsp\temail1\tholds\tneither applies\n"
+        "P3\tsp\temail1\tholds\tneither applies\n"
+        "P4\tsp\temail1\tinapplicable\tno binary actions declared\n"
+        "P5\t-\temail1\tfails\tprovider-storage rule applies but provider-possession rule does not\n"
+        "P6\t-\temail1\tfails\tdeletion-delay rule applies but deletion rule does not\n"
+        "correspondence fails\n"
+    )
 
 
 # --- eval-has and enumerate -------------------------------------------------

@@ -1,5 +1,6 @@
-"""Source hygiene: every module-level import in the package is used, and every
-name the package defines is named somewhere besides its definition."""
+"""Source hygiene: every module-level import in the package is used, every
+name the package defines is named somewhere besides its definition, and no
+test asserts a condition that cannot fail."""
 
 import ast
 from collections import Counter
@@ -153,3 +154,26 @@ def test_unreferenced_definition_is_reported():
     for read in ("import pkg.second\nprint(pkg.second.RULES)\n",
                  "from .second import RULES\n", "from pkg import second\nsecond.RULES\n"):
         assert unreferenced(second, referenced | references(read), "second", shared) == [], read
+
+
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+
+def vacuous_asserts(source: str) -> list[str]:
+    """Asserts whose condition is an ``or`` ending in a truthy constant, so
+    they pass whatever the rest of the condition says."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert) and isinstance(node.test, ast.BoolOp)
+            and isinstance(node.test.op, ast.Or) and isinstance(node.test.values[-1], ast.Constant)
+            and node.test.values[-1].value]
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_no_vacuous_asserts(path):
+    assert vacuous_asserts(path.read_text(encoding="utf-8")) == []
+
+
+def test_vacuous_assert_is_reported():
+    source = ("def test():\n    assert x or True\n    assert x or 0\n"
+              "    assert (x and y) or 'yes'\n    assert x or y\n    assert True\n")
+    assert vacuous_asserts(source) == ["line 2", "line 4"]

@@ -31,9 +31,11 @@ from datactl.logic import (
     HasNever,
     HasNot,
     HasSp,
+    SemanticVerdict,
     conclusions,
     deduce,
     eval_semantic,
+    judge,
 )
 from datactl.mapping import MappingContext, derive_architecture, image_trace
 from datactl.model import SP, Perms
@@ -217,6 +219,17 @@ def test_conclusions_deduplicates():
     assert conclusions(rs) == frozenset({Has("alice", X, 1)})
 
 
+def test_render_each_form_and_deduction_result():
+    """One renderer: a label, the user (the provider for HAS_sp), the
+    variable's id and, for the timed forms, the time."""
+    assert [p.render() for p in (HasSp(X), Has("bob", X, 3), HasNot("carol", X, 0),
+                                 HasNever("alice", X))] == [
+        "HAS_sp(d1)", "HAS_bob(d1, 3)", "HASnot_carol(d1, 0)", "HASnever_alice(d1)"]
+    assert And((HasSp(X), HasNever(SP, X))).render() == "HAS_sp(d1) and HASnever_sp(d1)"
+    r = DeductionResult("H2", Has("bob", X, 2), "'fav' by 'alice' grants 'bob' the value")
+    assert r.render() == "H2\tHAS_bob(d1, 2)\t'fav' by 'alice' grants 'bob' the value"
+
+
 # --- semantic oracle --------------------------------------------------------
 
 UNIVERSE = Universe(users=USERS)
@@ -261,9 +274,15 @@ def test_semantic_user_outside_the_universe_is_never_touched():
 
 
 def test_semantic_has_rejects_pattern_variable():
+    """Every form rejects a variable that is not completely defined, though
+    alice holds d1 at t=1: no pattern variable reads as a held value."""
     pa = Architecture(activities=frozenset({Own("alice", X)}))
-    v = eval_semantic(pa, Has("alice", Var(ow="?i", ds="?s", ident="d1"), 1), UNIVERSE, 1)
-    assert not v.holds and "not completely defined" in v.detail
+    assert eval_semantic(pa, Has("alice", X, 1), UNIVERSE, 2).holds
+    pattern = Var(ow="?i", ds="?s", ident="d1")
+    for prop in (HasSp(pattern), Has("alice", pattern, 1), HasNot("alice", pattern, 1),
+                 HasNever("alice", pattern)):
+        v = eval_semantic(pa, prop, UNIVERSE, 2)
+        assert v == SemanticVerdict(False, False, "variable is not completely defined"), prop
 
 
 def test_semantic_conjunction():
@@ -307,14 +326,26 @@ def test_deduction_sound_for_this_architecture():
             assert v.holds, r.render()
 
 
-def test_deduction_witnessed_on_generated_models():
+def test_deduction_witnessed_on_generated_models(monkeypatch):
     """Differential check of deduction against the bounded search on derived
     architectures: every deduced HAS/HAS_sp/HAS_not verdict about the first
     four events of a generated compliant trace's image is witnessed.  The
     un-action verdicts (H5/H6) need the step function to clear the holders of
-    the base action, as the policy semantics does."""
+    the base action, as the policy semantics does.  Each architecture is
+    enumerated once, by one ``eval_semantic`` call whose verdict must equal
+    ``judge`` on the states it enumerated; every conclusion is judged against
+    those states."""
+    import datactl.logic
+
+    enumerated = []
+
+    def recording(*args, **kwargs):
+        enumerated.append(enumerate_states(*args, **kwargs))
+        return enumerated[-1]
+
+    monkeypatch.setattr(datactl.logic, "enumerate_states", recording)
     checked, unwitnessed = 0, []
-    for seed in range(60):
+    for seed in range(200):
         rng = random.Random(seed)
         model = random_model(rng)
         trace = compliant_trace(model, rng)
@@ -323,11 +354,16 @@ def test_deduction_witnessed_on_generated_models():
         image = [replace(e, t=i) for i, e in enumerate(image_trace(trace, ctx)[:4], start=1)]
         users = sorted(model.users())
         universe = Universe(users=tuple(users))
-        for r in deduce(pa, image, users):
-            if not isinstance(r.conclusion, (Has, HasSp, HasNot)):
-                continue
+        found = [r for r in deduce(pa, image, users)
+                 if isinstance(r.conclusion, (Has, HasSp, HasNot))]
+        if not found:
+            continue
+        verdict = eval_semantic(pa, found[0].conclusion, universe, max_len=len(image))
+        states = enumerated.pop()
+        assert verdict == judge(found[0].conclusion, states), seed
+        for r in found:
             checked += 1
-            if not eval_semantic(pa, r.conclusion, universe, max_len=len(image)).holds:
+            if not judge(r.conclusion, states).holds:
                 unwitnessed.append(f"seed {seed}: {r.render()}")
     assert unwitnessed == []
-    assert checked >= 200, checked
+    assert checked >= 650, checked
