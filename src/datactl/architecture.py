@@ -363,16 +363,6 @@ class GlobalState:
         in no event, so reads as a user no event has touched."""
         return self.users[self.slot[name]] if name in self.slot else UserState(name)
 
-    def touch(self, names: Iterable[str], t: int, term: Term | None = None,
-              value: str | None = BOTTOM) -> "GlobalState":
-        """This state with the users ``names`` touched at ``t`` (see
-        :meth:`UserState.at`); every other user's state is shared."""
-        users = list(self.users)
-        for name in names:
-            i = self.slot[name]
-            users[i] = users[i].at(t, term, value)
-        return GlobalState(tuple(users), self.can, self.group, self.perms, self.slot)
-
 
 def initial_state(pa: Architecture, users: Iterable[str]) -> GlobalState:
     """All variables undefined; permission state seeded from the architecture's
@@ -387,16 +377,9 @@ def initial_state(pa: Architecture, users: Iterable[str]) -> GlobalState:
     )
 
 
-def _involved(e: ArchEvent) -> list[str]:
-    out = []
-    if e.kind in ("own", "groupact", "ungroupact", "grouphas", "ungrouphas", "deletereq",
-                  "act1", "unact1", "act2", "unact2", "addfriends", "unfriends"):
-        out.append(e.user)
-    if e.kind in ("possess", "delete"):
-        out.append(SP)
-    if e.tar is not None:
-        out.append(e.tar)
-    return out
+# Event kind -> whether its events name their performer in ``user``; the
+# provider performs the others.
+_BY_USER = {schema.kind: "user" in schema.index for schema in ACTIVITIES.values()}
 
 
 def base_action(by: Mapping[str, object], un_action: str) -> str:
@@ -414,69 +397,83 @@ def base_action(by: Mapping[str, object], un_action: str) -> str:
     return un_action
 
 
-def apply_arch_event(sigma: GlobalState, e: ArchEvent, index: int | None = None) -> GlobalState:
-    """One step of the event semantics.  The successor rebuilds the users the
-    event touches and shares every other user's state with ``sigma``."""
-    for user in _involved(e):
-        if user not in sigma.slot:
-            raise ArchSemanticsError(f"unknown user {user!r} in {e.kind} event", index)
+class Step(NamedTuple):
+    """An event resolved against the user slots and holder tables, which no
+    step changes: what taking it does to any state that shares them."""
 
-    kind = e.kind
+    guard: tuple[str, str] | None  # the (action, performer) grant it needs in ``can``
+    slots: tuple[int, ...]  # the users it touches (see :meth:`UserState.at`)
+    term: Term | None = None
+    value: str | None = BOTTOM
+    grants: frozenset[tuple[str, str]] = frozenset()  # join (or leave) ``can``
+    members: frozenset[str] = frozenset()  # join (or leave) ``group``
+    adds: bool = True
+
+    def apply(self, sigma: GlobalState, t: int) -> GlobalState:
+        """The step taken from ``sigma`` at ``t``: ``sigma`` itself when it
+        changes nothing, else a successor sharing each untouched user's state."""
+        if not self.slots or (self.guard is not None and self.guard not in sigma.can):
+            return sigma
+        users = list(sigma.users)
+        for i in self.slots:
+            users[i] = users[i].at(t, self.term, self.value)
+        can, group = sigma.can, sigma.group
+        if self.grants or self.members:
+            move = frozenset.union if self.adds else frozenset.difference
+            can, group = move(can, self.grants), move(group, self.members)
+        return GlobalState(tuple(users), can, group, sigma.perms, sigma.slot)
+
+
+def resolve_event(sigma: GlobalState, e: ArchEvent, index: int | None = None) -> Step:
+    """``e`` as a :class:`Step` on the states that share ``sigma``'s slots and
+    tables, which are all the states one trace or one enumeration reaches."""
+    kind, slot = e.kind, sigma.slot
+    named = [e.user if _BY_USER[kind] else SP] if kind in _BY_USER else []
+    for user in named + ([] if e.tar is None else [e.tar]):
+        if user not in slot:
+            raise ArchSemanticsError(f"unknown user {user!r} in {kind} event", index)
 
     if kind == "own":
-        return sigma.touch((e.user,), e.t, e.term, e.value)
-
+        return Step(None, (slot[e.user],), e.term, e.value)
     if kind == "possess":
-        return sigma.touch((SP,), e.t, e.term, e.value)
-
-    if kind in ("groupact", "ungroupact"):
-        return _regroup(sigma, e, {(e.action, e.tar)}, set(), kind == "groupact")
-
-    if kind in ("grouphas", "ungrouphas"):
-        return _regroup(sigma, e, set(), {e.tar}, kind == "grouphas")
-
-    if kind in ("addfriends", "unfriends"):
-        return _regroup(sigma, e, {(a, e.tar) for a in e.actions}, {e.tar}, kind == "addfriends")
-
+        return Step(None, (slot[SP],), e.term, e.value)
     if kind == "deletereq":
-        return sigma  # the request leaves every state untouched
-
+        return Step(None, ())  # the request leaves every state untouched
     if kind == "delete":
-        return sigma.touch(sigma.slot, e.t, e.term)
+        return Step(None, tuple(slot.values()), e.term)
 
     if kind in ("act1", "unact1", "act2", "unact2"):
-        if (e.action, e.user) not in sigma.can:
-            return sigma
         granting = kind in ("act1", "act2")
         base = e.action if granting else base_action(sigma.perms.by, e.action)
         tar = e.tar if kind in ("act2", "unact2") else None
-        holders = [j for j in sigma.perms.holders(base, e.user, tar) if j in sigma.slot]
-        value = e.value if granting else BOTTOM
-        return sigma.touch(holders, e.t, e.term, value)
+        holders = sigma.perms.holders(base, e.user, tar)
+        return Step((e.action, e.user), tuple(slot[j] for j in holders if j in slot),
+                    e.term, e.value if granting else BOTTOM)
 
-    raise ArchSemanticsError(f"unknown event kind {kind!r}", index)
-
-
-def _regroup(sigma: GlobalState, e: ArchEvent, grants: set[tuple[str, str]],
-             members: set[str], adds: bool) -> GlobalState:
-    """A group event by ``e.user`` at ``e.t``: ``grants`` join (or leave)
-    ``can``, and ``members`` join (or leave) ``group``."""
-    if adds:
-        can, group = sigma.can | grants, sigma.group | members
+    # A group event: ``e.user`` grants ``e.tar`` actions or makes it a member; the
+    # ``un`` kinds take that back.
+    if kind in ("groupact", "ungroupact"):
+        grants, members = {(e.action, e.tar)}, ()
+    elif kind in ("grouphas", "ungrouphas"):
+        grants, members = (), {e.tar}
+    elif kind in ("addfriends", "unfriends"):
+        grants, members = {(a, e.tar) for a in e.actions}, {e.tar}
     else:
-        can, group = sigma.can - grants, sigma.group - members
-    return GlobalState(sigma.touch((e.user,), e.t).users, can, group, sigma.perms, sigma.slot)
+        raise ArchSemanticsError(f"unknown event kind {kind!r}", index)
+    return Step(None, (slot[e.user],), grants=frozenset(grants), members=frozenset(members),
+                adds=not kind.startswith("un"))
+
+
+def apply_arch_event(sigma: GlobalState, e: ArchEvent, index: int | None = None) -> GlobalState:
+    """One step of the event semantics: ``e`` resolved against ``sigma`` and
+    taken at ``e.t``."""
+    return resolve_event(sigma, e, index).apply(sigma, e.t)
 
 
 def run_arch_trace(trace: list[ArchEvent], init: GlobalState) -> GlobalState:
     sigma = init
     for i, e in enumerate(trace, start=1):
-        try:
-            sigma = apply_arch_event(sigma, e, i)
-        except ArchSemanticsError as err:
-            if err.index is None:
-                raise ArchSemanticsError(str(err), i) from err
-            raise
+        sigma = apply_arch_event(sigma, e, i)
     return sigma
 
 
@@ -594,18 +591,20 @@ def enumerate_states(
         raise ArchSemanticsError(f"inconsistent architecture: {witness} has two owners")
 
     init = initial_state(pa, universe.users)
+    steps = []  # the events resolved once; each depth takes them at its own time
+    for e in instantiate_events(pa, 1, universe):
+        try:
+            steps.append(resolve_event(init, e))
+        except ArchSemanticsError:
+            continue  # it names a user outside the universe, so no state can take it
     seen = {init: None}  # insertion-ordered, so the states come out in BFS order
     frontier = [init]
     for depth in range(1, max_len + 1):
-        events = instantiate_events(pa, depth, universe)
         next_frontier = []
         for sigma in frontier:
-            for e in events:
-                try:
-                    nxt = apply_arch_event(sigma, e)
-                except ArchSemanticsError:
-                    continue
-                if nxt not in seen:
+            for step in steps:
+                nxt = step.apply(sigma, depth)
+                if nxt is not sigma and nxt not in seen:
                     if len(seen) >= max_states:
                         raise EnumerationLimit(
                             f"more than {max_states} states within bound {max_len}"

@@ -1,7 +1,9 @@
 """Event semantics at the architecture level, compatibility matching, and the
-bounded enumerator checked against a naive trace-product oracle."""
+bounded enumerator checked against a naive per-depth oracle and against the
+fold of every trace."""
 
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -43,7 +45,9 @@ from datactl.architecture import (
 )
 from datactl.cli import _concrete_users
 from datactl.dsl import parse_architecture, serialize_architecture
+from datactl.mapping import MappingContext, derive_architecture
 from datactl.model import SP, Perms
+from modelgen import compliant_trace, random_model
 
 X = Var(ow="alice", ds=frozenset({"alice", "bob"}), ident="d1")
 X_PAT = Var(ow="?i", ds=frozenset({"alice", "bob"}), ident="d1")
@@ -241,8 +245,18 @@ def test_event_orders_reaching_the_same_bindings_give_one_state():
 
 def test_unknown_user_rejected_with_index():
     sigma = initial_state(make_arch(), ["alice"])
+    own = ArchEvent("own", 1, user="alice", term=X, value="v")
     with pytest.raises(ArchSemanticsError) as err:
-        run_arch_trace([ArchEvent("own", 1, user="zed", term=X, value="v")], sigma)
+        run_arch_trace([own, ArchEvent("own", 2, user="zed", term=X, value="v")], sigma)
+    assert str(err.value) == "event 2: unknown user 'zed' in own event"
+    assert err.value.index == 2
+
+
+def test_unknown_kind_rejected_with_index():
+    sigma = initial_state(make_arch(), ["alice"])
+    with pytest.raises(ArchSemanticsError) as err:
+        run_arch_trace([ArchEvent("bogus", 1)], sigma)
+    assert str(err.value) == "event 1: unknown event kind 'bogus'"
     assert err.value.index == 1
 
 
@@ -341,9 +355,11 @@ def test_activity_schema(cls):
 
 
 def naive_reachable(pa, max_len, universe):
-    """Oracle: fold every event sequence of length <= max_len explicitly."""
+    """Oracle: breadth-first search that instantiates the events again at
+    every depth and takes each through ``apply_arch_event``, dropping an event
+    the step rejects; the states in the order they are first reached."""
     init = initial_state(pa, universe.users)
-    reached = {init}
+    reached = {init: None}
     frontier = [init]
     for depth in range(1, max_len + 1):
         events = instantiate_events(pa, depth, universe)
@@ -354,10 +370,15 @@ def naive_reachable(pa, max_len, universe):
                     out = apply_arch_event(sigma, e)
                 except ArchSemanticsError:
                     continue
-                nxt.append(out)
+                if out not in reached:
+                    reached[out] = None
+                    nxt.append(out)
         frontier = nxt
-        reached.update(frontier)
-    return reached
+    return list(reached)
+
+
+# Both sides of each comparison below run in one process, so they see one
+# iteration order of ``pa.activities`` and must list the states alike.
 
 
 @pytest.mark.parametrize("max_len", [1, 2, 3])
@@ -365,7 +386,51 @@ def test_enumeration_matches_naive_oracle(max_len):
     pa = make_arch(extra=[GroupAct("alice", "?tar", "fav")], perms=PERMS)
     universe = Universe(users=("alice", "bob"))
     states = enumerate_states(pa, max_len, universe)
-    assert set(states) == naive_reachable(pa, max_len, universe)
+    assert states == naive_reachable(pa, max_len, universe)
+    # The same states as folding every event sequence of length <= max_len.
+    init = initial_state(pa, universe.users)
+    levels = [instantiate_events(pa, depth, universe) for depth in range(1, max_len + 1)]
+    traces = (tr for k in range(max_len + 1) for tr in itertools.product(*levels[:k]))
+    assert set(states) == {run_arch_trace(list(tr), init) for tr in traces}
+
+
+def test_enumeration_matches_naive_oracle_on_steps_that_change_nothing():
+    """An activity of a user outside the universe (no state can take it), a
+    request, an un-action whose performer is never granted, and a delete."""
+    pa = Architecture(
+        activities=frozenset({Own("zed", X), Possess(X), DeleteReq("?i", X),
+                              UnAct1("?i", "unfav", X), Act1("?i", "fav", X), Delete(X, dd=3)}),
+        perms=PERMS,
+    )
+    universe = Universe(users=("alice", "bob"))
+    for max_len in range(4):
+        states = enumerate_states(pa, max_len, universe)
+        assert states == naive_reachable(pa, max_len, universe)
+    assert len(states) > 1
+
+
+def test_enumeration_matches_naive_oracle_on_generated_models():
+    for seed in range(100):
+        rng = random.Random(seed)
+        model = random_model(rng)
+        pa = derive_architecture(compliant_trace(model, rng), MappingContext(model))
+        universe = Universe(users=tuple(sorted(model.users())))
+        assert enumerate_states(pa, 3, universe) == naive_reachable(pa, 3, universe), seed
+
+
+def test_enumeration_instantiates_the_events_once(monkeypatch):
+    import datactl.architecture
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return instantiate_events(*args, **kwargs)
+
+    monkeypatch.setattr(datactl.architecture, "instantiate_events", counting)
+    pa = make_arch(extra=[GroupAct("alice", "?tar", "fav")], perms=PERMS)
+    enumerate_states(pa, 4, Universe(users=("alice", "bob")))
+    assert len(calls) == 1
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "facebook"
@@ -376,11 +441,13 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "facebook"
 ])
 def test_fixture_state_counts(name, max_len, count):
     """The reachable-state counts of the fixtures, over the universe the
-    ``enumerate`` command searches; no state is returned twice."""
+    ``enumerate`` command searches, in the oracle's order; no state is
+    returned twice."""
     pa = parse_architecture((FIXTURES / name).read_text(encoding="utf-8"))
     universe = Universe(users=tuple(sorted(_concrete_users(pa))))
     states = enumerate_states(pa, max_len, universe)
     assert len(states) == len(set(states)) == count
+    assert states == naive_reachable(pa, max_len, universe)
 
 
 def test_enumeration_limit_trips():
