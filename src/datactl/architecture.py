@@ -341,7 +341,7 @@ class UserState(NamedTuple):
         return UserState(self.user, bindings, t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GlobalState:
     """Per-user variable states plus the permission state.
 
@@ -418,9 +418,11 @@ class Step(NamedTuple):
         for i in self.slots:
             users[i] = users[i].at(t, self.term, self.value)
         can, group = sigma.can, sigma.group
-        if self.grants or self.members:
-            move = frozenset.union if self.adds else frozenset.difference
-            can, group = move(can, self.grants), move(group, self.members)
+        move = frozenset.union if self.adds else frozenset.difference
+        if self.grants:
+            can = move(can, self.grants)
+        if self.members:
+            group = move(group, self.members)
         return GlobalState(tuple(users), can, group, sigma.perms, sigma.slot)
 
 
@@ -574,6 +576,90 @@ def instantiate_events(pa: Architecture, t: int, universe: Universe) -> list[Arc
     return events
 
 
+class _Field(dict):
+    """One field of a kernel state: one bit per label, for the labels held,
+    then ``tail`` bits that hold the user's ``t``.  It maps each value read to
+    the part of a :class:`GlobalState` that the value stands for, built once,
+    so equal values decode to one shared part."""
+
+    def __init__(self, offset: int, labels: Iterable, tail: int = 0, user: str | None = None):
+        super().__init__()
+        self.labels, self.user = tuple(labels), user
+        self.bit = {label: 1 << offset + j for j, label in enumerate(self.labels)}
+        self.t_unit = 1 << offset + len(self.labels)  # the lowest bit of ``t``
+        self.t_mask = ((1 << tail) - 1) * self.t_unit
+        self.read = (offset, (1 << len(self.labels) + tail) - 1, self)
+        self.end = offset + len(self.labels) + tail
+
+    def __missing__(self, f: int):
+        held = frozenset(label for j, label in enumerate(self.labels) if f >> j & 1)
+        part = held if self.user is None else UserState(self.user, held, f >> len(self.labels))
+        self[f] = part
+        return part
+
+
+class _Kernel:
+    """The steps of one enumeration compiled to ints: a state is one int and a
+    step is three masks, taken as ``if s & guard == guard: s = s & keep | set``.
+
+    From bit 0, each user slot has a field with one bit per ``(term, value)``
+    binding that some step writes there, then the user's ``t``, wide enough
+    for ``max_len``; then come a field with one bit per ``can`` grant and one
+    with one bit per ``group`` member that the initial state holds or some
+    step adds.  Nothing else can ever be held, so nothing else needs a bit.
+    """
+
+    def __init__(self, init: GlobalState, steps: list[Step], max_len: int):
+        writes = [{} for _ in init.users]
+        grants, members = dict.fromkeys(init.can), dict.fromkeys(init.group)
+        for st in steps:
+            if st.term is not None and st.value is not BOTTOM:
+                for i in st.slots:
+                    writes[i][st.term, st.value] = None
+            if st.adds:
+                grants.update(dict.fromkeys(st.grants))
+                members.update(dict.fromkeys(st.members))
+        width = max(1, max_len.bit_length())
+        users, offset = [], 0
+        for u, labels in zip(init.users, writes):
+            users.append(_Field(offset, labels, width, u.user))
+            offset = users[-1].end
+        can = _Field(offset, grants)
+        group = _Field(can.end, members)
+        self.reads = [f.read for f in users + [can, group]]
+        self.perms, self.slot = init.perms, init.slot
+        # The initial state binds nothing and has every t at 0.
+        self.init = sum(can.bit[g] for g in init.can) | sum(group.bit[m] for m in init.group)
+
+        self.steps = []  # (guard, keep, set, t unit): a depth adds depth * t unit to set
+        for st in steps:
+            guard = 0 if st.guard is None else can.bit.get(st.guard)
+            if guard is None or not st.slots:
+                continue  # its grant is never held, or it touches nobody
+            clear = put = unit = 0  # the bits of a field are distinct, so a sum is their union
+            for i in st.slots:
+                user = users[i]
+                clear |= user.t_mask | sum(b for (term, _), b in user.bit.items() if term == st.term)
+                unit |= user.t_unit
+                put |= user.bit.get((st.term, st.value), 0)
+            moved = (sum(can.bit.get(g, 0) for g in st.grants)
+                     | sum(group.bit.get(m, 0) for m in st.members))
+            if st.adds:
+                put |= moved
+            else:
+                clear |= moved
+            self.steps.append((guard, ~clear, put, unit))
+
+    def moves(self, depth: int) -> list[tuple[int, int, int]]:
+        """``(guard, keep, set)`` of each step taken at ``t = depth``."""
+        return [(guard, keep, put | depth * unit) for guard, keep, put, unit in self.steps]
+
+    def decode(self, s: int) -> GlobalState:
+        """The state ``s`` encodes."""
+        *users, can, group = [field[s >> offset & mask] for offset, mask, field in self.reads]
+        return GlobalState(tuple(users), can, group, self.perms, self.slot)
+
+
 def enumerate_states(
     pa: Architecture,
     max_len: int,
@@ -581,7 +667,8 @@ def enumerate_states(
     max_states: int = 10**6,
 ) -> list[GlobalState]:
     """All states reachable by compatible traces of length <= ``max_len``,
-    with event times fixed to their trace positions.
+    with event times fixed to their trace positions, in the order a
+    breadth-first search first reaches them.
 
     Exact within the bound; raises :class:`EnumerationLimit` when the number
     of distinct states would exceed ``max_states``.
@@ -597,21 +684,24 @@ def enumerate_states(
             steps.append(resolve_event(init, e))
         except ArchSemanticsError:
             continue  # it names a user outside the universe, so no state can take it
-    seen = {init: None}  # insertion-ordered, so the states come out in BFS order
-    frontier = [init]
+    kernel = _Kernel(init, steps, max_len)
+    seen = {kernel.init: None}  # insertion-ordered, so the states come out in BFS order
+    frontier = [kernel.init]
     for depth in range(1, max_len + 1):
+        moves = kernel.moves(depth)
         next_frontier = []
-        for sigma in frontier:
-            for step in steps:
-                nxt = step.apply(sigma, depth)
-                if nxt is not sigma and nxt not in seen:
-                    if len(seen) >= max_states:
-                        raise EnumerationLimit(
-                            f"more than {max_states} states within bound {max_len}"
-                        )
-                    seen[nxt] = None
-                    next_frontier.append(nxt)
+        for s in frontier:
+            for guard, keep, put in moves:
+                if s & guard == guard:
+                    nxt = s & keep | put
+                    if nxt not in seen:
+                        if len(seen) >= max_states:
+                            raise EnumerationLimit(
+                                f"more than {max_states} states within bound {max_len}"
+                            )
+                        seen[nxt] = None
+                        next_frontier.append(nxt)
         frontier = next_frontier
         if not frontier:
             break
-    return list(seen)
+    return [kernel.decode(s) for s in seen]

@@ -113,10 +113,15 @@ def test_own_and_possess_bind_values():
 def test_groupact_edits_shared_can_table():
     sigma = initial_state(make_arch(), ["alice", "bob"])
     e = ArchEvent("groupact", 1, user="alice", tar="bob", action="fav")
-    sigma = apply_arch_event(sigma, e)
-    assert granted(sigma, "fav") == frozenset({"bob"})
-    sigma = apply_arch_event(sigma, ArchEvent("ungroupact", 2, user="alice", tar="bob", action="fav"))
-    assert granted(sigma, "fav") == frozenset()
+    after = apply_arch_event(sigma, e)
+    assert granted(after, "fav") == frozenset({"bob"})
+    assert after.group is sigma.group  # a step moves only the side it names
+    sigma = apply_arch_event(after, ArchEvent("ungroupact", 2, user="alice", tar="bob", action="fav"))
+    assert granted(sigma, "fav") == frozenset() and sigma.group is after.group
+    member = apply_arch_event(sigma, ArchEvent("grouphas", 3, user="alice", tar="bob"))
+    assert member.group == {"bob"} and member.can is sigma.can
+    left = apply_arch_event(member, ArchEvent("ungrouphas", 4, user="alice", tar="bob"))
+    assert left.group == frozenset() and left.can is sigma.can
 
 
 def test_addfriends_edits_all_alias_actions_and_group():
@@ -409,6 +414,26 @@ def test_enumeration_matches_naive_oracle_on_steps_that_change_nothing():
     assert len(states) > 1
 
 
+def test_enumeration_matches_naive_oracle_on_two_values_and_friend_events():
+    """Two values per term, grants that friend events add and take back, an
+    un-action and a delete, up to bound 4, where each user's t needs 3 bits."""
+    pa = Architecture(
+        activities=frozenset({Own("alice", X), Possess(X), Act1("?i", "fav", X),
+                              UnAct1("?i", "unfav", X), AddFriends("alice", "?tar", ("fav",)),
+                              UnFriends("alice", "?tar", ("fav",)), Delete(X, dd=3)}),
+        perms=Perms(can={"fav": frozenset({"alice"}), "unfav": frozenset({"alice", "bob"})},
+                    by={"fav": {"alice": frozenset({"bob"}), "bob": frozenset({"alice", "bob"})}}),
+    )
+    universe = Universe(users=("alice", "bob"), values=("v", "w"))
+    for max_len in range(5):
+        states = enumerate_states(pa, max_len, universe)
+        assert states == naive_reachable(pa, max_len, universe), max_len
+    assert len(states) == 2883
+    assert {st.t for s in states for st in s.users} == set(range(5))
+    assert any(st.value(X) == "w" for s in states for st in s.users)
+    assert any(("fav", "bob") in s.can for s in states) and any(s.group for s in states)
+
+
 def test_enumeration_matches_naive_oracle_on_generated_models():
     for seed in range(100):
         rng = random.Random(seed)
@@ -436,6 +461,12 @@ def test_enumeration_instantiates_the_events_once(monkeypatch):
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "facebook"
 
 
+def _fixture(name):
+    """A fixture architecture and the universe the ``enumerate`` command searches."""
+    pa = parse_architecture((FIXTURES / name).read_text(encoding="utf-8"))
+    return pa, Universe(users=tuple(sorted(_concrete_users(pa))))
+
+
 @pytest.mark.parametrize("name, max_len, count", [
     ("simplified.dca", 4, 1688), ("simplified.dca", 5, 3805), ("full.dca", 3, 7932),
 ])
@@ -443,11 +474,23 @@ def test_fixture_state_counts(name, max_len, count):
     """The reachable-state counts of the fixtures, over the universe the
     ``enumerate`` command searches, in the oracle's order; no state is
     returned twice."""
-    pa = parse_architecture((FIXTURES / name).read_text(encoding="utf-8"))
-    universe = Universe(users=tuple(sorted(_concrete_users(pa))))
+    pa, universe = _fixture(name)
     states = enumerate_states(pa, max_len, universe)
     assert len(states) == len(set(states)) == count
     assert states == naive_reachable(pa, max_len, universe)
+
+
+def test_full_fixture_state_count_at_length_4():
+    """Counted only: the oracle takes seconds at this bound."""
+    pa, universe = _fixture("full.dca")
+    assert len(enumerate_states(pa, 4, universe)) == 61689
+
+
+def test_enumeration_limit_is_the_state_count():
+    pa, universe = _fixture("simplified.dca")
+    assert len(enumerate_states(pa, 4, universe, max_states=1688)) == 1688
+    with pytest.raises(EnumerationLimit, match="more than 1687 states within bound 4"):
+        enumerate_states(pa, 4, universe, max_states=1687)
 
 
 def test_enumeration_limit_trips():

@@ -1,8 +1,10 @@
-"""Source hygiene: every module-level import in the package is used, every
-name the package defines is named somewhere besides its definition, and no
-test asserts a condition that cannot fail."""
+"""Source hygiene: the package imports only the standard library and itself,
+every module-level import in the package is used, every name the package
+defines is named somewhere besides its definition, and no test asserts a
+condition that cannot fail."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -13,6 +15,34 @@ SRC = ROOT / "src" / "datactl"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")  # __init__ re-exports
 # Where a definition may be named: the package, its tests and its benchmark.
 CORPUS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Modules the source imports from outside the standard library and the
+    package: the runtime is stdlib-only."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue  # not an import, or a relative one, which stays in the package
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names | {"datactl"}]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_the_standard_library(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_foreign_import_is_reported():
+    source = ("from __future__ import annotations\nimport os, numpy as np\nfrom . import dsl\n"
+              "from datactl.model import SP\n\n\ndef load():\n    from yaml import safe_load\n"
+              "    import xml.etree.ElementTree\n")
+    assert foreign_imports(source) == ["line 2: numpy", "line 8: yaml"]
 
 
 def unused_imports(source: str) -> list[str]:
