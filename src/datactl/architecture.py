@@ -345,11 +345,13 @@ class UserState(NamedTuple):
 class GlobalState:
     """Per-user variable states plus the permission state.
 
-    Immutable and hashable, so a state is its own dedupe key: two states are
-    equal when their users' defined bindings and times, their ``can`` grants
-    and their ``group`` agree.  ``can`` and ``group`` change as group events
-    run; the holder tables never change, so ``perms`` (the architecture's) and
-    ``slot`` (each user's position in ``users``) stay out of the comparison.
+    Immutable and hashable, for callers and tests that compare states (the
+    search in :func:`enumerate_states` dedupes on its kernel's ints): two
+    states are equal when their users' defined bindings and times, their
+    ``can`` grants and their ``group`` agree.  ``can`` and ``group`` change as
+    group events run; the holder tables never change, so ``perms`` (the
+    architecture's) and ``slot`` (each user's position in ``users``) stay out
+    of the comparison.
     """
 
     users: tuple[UserState, ...]  # one per user, sorted by user
@@ -418,11 +420,9 @@ class Step(NamedTuple):
         for i in self.slots:
             users[i] = users[i].at(t, self.term, self.value)
         can, group = sigma.can, sigma.group
-        move = frozenset.union if self.adds else frozenset.difference
-        if self.grants:
-            can = move(can, self.grants)
-        if self.members:
-            group = move(group, self.members)
+        if self.grants or self.members:
+            move = frozenset.union if self.adds else frozenset.difference
+            can, group = move(can, self.grants), move(group, self.members)
         return GlobalState(tuple(users), can, group, sigma.perms, sigma.slot)
 
 
