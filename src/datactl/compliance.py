@@ -113,8 +113,7 @@ def _audit(
                     c2.append(Violation("C2", dt, f"{actor!r} not permitted to perform {action!r}", i))
                 elif kind in (ACT1, ACT2):
                     # The guard passed: the act sanctions whoever it adds to the holders.
-                    base = e.action if sets is None else (sets.base_of(e.action) or e.action)
-                    gained = pol.perms.holders(base, e.actor, e.tar if kind == ACT2 else None)
+                    gained = pol.perms.holders(e.action, e.actor, e.tar if kind == ACT2 else None)
                     for user in gained:
                         key = (dt, user)
                         sanctioned_at[key] = min(e.t, sanctioned_at.get(key, e.t))

@@ -46,7 +46,7 @@ from .semantics import (
     ACT1,
     ACT2,
     DELETE,
-    DELETEREQ,
+    GROUP_PREFIX,
     GROUPACT,
     GROUPHAS,
     OWN,
@@ -57,6 +57,9 @@ from .semantics import (
     UNGROUPHAS,
     USE,
     AbstractEvent,
+    EventTemplate,
+    event_name,
+    possible_events,
 )
 
 T = TypeVar("T")
@@ -303,7 +306,7 @@ def parse_policy(text: str, file: str = "<input>") -> PolicyModel:
         model.policies[ident] = pol
     p.eof()
 
-    errors = validate_model(model)
+    errors = validate_model(model) + _event_table(model)[1]
     if errors:
         p.error("; ".join(errors), 0)
     return model
@@ -394,26 +397,52 @@ class _Reject(Exception):
     the trace parsers report it at the event's name."""
 
 
-_PREDEFINED_EVENT_NAMES = {OWN, STORE, USE, DELETEREQ, DELETE, GROUPHAS, UNGROUPHAS}
-# The event kind of a declared action, by the action's kind; both levels'
-# traces name these kinds alike.
-_EVENT_KIND = {UNARY: ACT1, UNARY_REVOKE: UNACT1, BINARY: ACT2, BINARY_REVOKE: UNACT2}
+def _read_events(
+    p: _Parser, head: str, readers: dict[str, Callable[[_Parser], object]], strict: bool,
+    build: Callable[[str, int, dict], Sequence[T]],
+) -> list[T]:
+    """``head { name(field=value, ...); ... }`` at both trace levels.  Each
+    event needs a timestamp, strictly increasing if ``strict``, else
+    non-decreasing; ``build(name, t, fields)`` returns the events it stands
+    for, and a ``_Reject`` it raises is reported at the event's name."""
+    p.expect(head)
+    p.expect("{")
+    events: list[T] = []
+    last_t: int | None = None
+    while not p.at("}"):
+        at = p.current.offset
+        name = p.ident("event name")
+        fields = _parse_fields(p, "event", readers)
+        p.expect(";")
+        t = fields.get("t")
+        if t is None:
+            p.error(f"event {name!r} carries no timestamp", at)
+        if last_t is not None and (t <= last_t if strict else t < last_t):
+            order = "strictly increasing" if strict else "non-decreasing"
+            p.error(f"timestamps must be {order}: {t} after {last_t}", at)
+        last_t = t
+        try:
+            events += build(name, t, fields)
+        except _Reject as err:
+            p.error(str(err), at)
+    p.expect("}")
+    p.eof()
+    return events
 
 
-def _resolve_event_name(name: str, model: PolicyModel) -> tuple[str, str | None]:
-    """Surface event name -> (kind, action)."""
-    if name in _PREDEFINED_EVENT_NAMES:
-        return name, None
-    for prefix, kind in (("ungroup", UNGROUPACT), ("group", GROUPACT)):
-        if name.startswith(prefix):
-            action = name[len(prefix):]
-            act = model.sets.find(action)
-            if act is not None and not act.is_revoke:
-                return kind, action
-    act = model.sets.find(name)
-    if act is None:
-        raise _Reject(f"unknown event {name!r}")
-    return _EVENT_KIND[act.kind], name
+def _event_table(model: PolicyModel) -> tuple[dict[str, EventTemplate], list[str]]:
+    """The model's event inventory by name, and the names that would make a
+    trace ambiguous: one that two templates share, or an alias name that is
+    also a template's."""
+    table: dict[str, EventTemplate] = {}
+    errors = []
+    for template in possible_events(model.sets):
+        if table.setdefault(template.name, template) is not template:
+            errors.append(f"two events are named {template.name!r}")
+    if model.alias is not None:
+        errors += [f"alias name {name!r} is also an event name"
+                   for name in (model.alias.add_name, model.alias.remove_name) if name in table]
+    return table, errors
 
 
 _TRACE_FIELDS: dict[str, Callable[[_Parser], object]] = {
@@ -427,86 +456,52 @@ _TRACE_FIELDS: dict[str, Callable[[_Parser], object]] = {
 
 
 def parse_trace(text: str, model: PolicyModel, file: str = "<input>") -> list[AbstractEvent]:
-    p = _Parser(text, file)
-    p.expect("trace")
-    p.expect("{")
-    events: list[AbstractEvent] = []
-    last_t: int | None = None
-    while not p.at("}"):
-        at = p.current.offset
-        name = p.ident("event name")
-        fields = _parse_fields(p, "event", _TRACE_FIELDS)
-        p.expect(";")
-        t = fields.get("t")
-        if t is None:
-            p.error(f"event {name!r} carries no timestamp", at)
-        if last_t is not None and t <= last_t:
-            p.error(f"timestamps must be strictly increasing: {t} after {last_t}", at)
-        last_t = t
+    table = _event_table(model)[0]
+    alias = model.alias
+    actions = () if alias is None else alias.actions
+    adds = {} if alias is None else {alias.add_name: True, alias.remove_name: False}
+
+    def build(name: str, t: int, fields: dict) -> Sequence[AbstractEvent]:
         dt_ident = fields.get("dt")
         if dt_ident is None:
-            p.error(f"event {name!r} names no datum", at)
-        if dt_ident not in model.data:
-            p.error(f"unknown datum {dt_ident!r}", at)
-        dt = model.data[dt_ident]
-        try:
-            if model.alias is not None and name in (model.alias.add_name, model.alias.remove_name):
-                events.extend(_expand_alias(model, name, t, fields, dt))
-            else:
-                kind, action = _resolve_event_name(name, model)
-                events.append(_build_event(model, kind, action, t, fields, dt))
-        except _Reject as err:
-            p.error(str(err), at)
-    p.expect("}")
-    p.eof()
-    return events
+            raise _Reject(f"event {name!r} names no datum")
+        dt = model.data.get(dt_ident)
+        if dt is None:
+            raise _Reject(f"unknown datum {dt_ident!r}")
+        actor, tar = fields.get("or"), fields.get("tar")
+        if name in adds:
+            if actor is None or tar is None:
+                raise _Reject(f"{name!r} requires or=... and tar=...")
+            return _alias_run(actions, adds[name], t, dt, actor, tar)
+        template = table.get(name)
+        if template is None:
+            raise _Reject(f"unknown event {name!r}")
+        kind, binary = template.kind, template.binary
+        if actor is None and kind not in (STORE, USE, DELETE):
+            raise _Reject("event requires a performer (or=...)")
+        if binary and tar is None:
+            raise _Reject("binary event requires a target (tar=...)")
+        if not binary and tar is not None:
+            raise _Reject("unary event does not take a target")
+        own = kind == OWN
+        return (AbstractEvent(
+            kind, t, dt, actor, tar, template.action,
+            purposes=fields.get("purposes") if kind == USE else None,
+            value=fields.get("value") if own else None,
+            policy=model.policy_of(dt) if own else None,
+        ),)
+
+    return _read_events(_Parser(text, file), "trace", _TRACE_FIELDS, True, build)
 
 
-def _build_event(
-    model: PolicyModel, kind: str, action: str | None, t: int, fields: dict, dt: DataRef,
-) -> AbstractEvent:
-    binary = kind in (GROUPACT, UNGROUPACT, GROUPHAS, UNGROUPHAS, ACT2, UNACT2)
-    needs_actor = kind not in (STORE, USE, DELETE)
-    actor = fields.get("or")
-    tar = fields.get("tar")
-    if needs_actor and actor is None:
-        raise _Reject("event requires a performer (or=...)")
-    if binary and tar is None:
-        raise _Reject("binary event requires a target (tar=...)")
-    if not binary and tar is not None:
-        raise _Reject("unary event does not take a target")
-    return AbstractEvent(
-        kind=kind,
-        t=t,
-        dt=dt,
-        actor=actor,
-        tar=tar,
-        action=action,
-        purposes=fields.get("purposes") if kind == USE else None,
-        value=fields.get("value") if kind == OWN else None,
-        policy=model.policy_of(dt) if kind == OWN else None,
-    )
-
-
-def _expand_alias(
-    model: PolicyModel, name: str, t: int, fields: dict, dt: DataRef,
+def _alias_run(
+    actions: Sequence[str], adding: bool, t: int, dt: DataRef, actor: str | None, tar: str | None,
 ) -> list[AbstractEvent]:
-    """One alias event becomes the per-action group events plus the has-group
-    event, all sharing the surface timestamp."""
-    alias = model.alias
-    assert alias is not None
-    actor, tar = fields.get("or"), fields.get("tar")
-    if actor is None or tar is None:
-        raise _Reject(f"{name!r} requires or=... and tar=...")
-    adding = name == alias.add_name
-    kind = GROUPACT if adding else UNGROUPACT
-    has_kind = GROUPHAS if adding else UNGROUPHAS
-    out = [
-        AbstractEvent(kind=kind, t=t, dt=dt, actor=actor, tar=tar, action=action)
-        for action in alias.actions
-    ]
-    out.append(AbstractEvent(kind=has_kind, t=t, dt=dt, actor=actor, tar=tar))
-    return out
+    """The events an alias event over ``actions`` stands for: one group event
+    per action plus the has-group event, all at the alias event's time."""
+    kind, has_kind = (GROUPACT, GROUPHAS) if adding else (UNGROUPACT, UNGROUPHAS)
+    run = [AbstractEvent(kind, t, dt, actor, tar, action) for action in actions]
+    return run + [AbstractEvent(has_kind, t, dt, actor, tar)]
 
 
 # ---------------------------------------------------------------------------
@@ -642,10 +637,10 @@ def _parse_perms_block(p: _Parser) -> Perms:
 # Architecture trace documents
 
 
-_ARCH_PREDEFINED = {
-    "own", "possess", "deletereq", "delete", "grouphas", "ungrouphas",
-    "addfriends", "unfriends",
-}
+# The architecture-trace events that name no action: one per activity kind
+# without an ``action`` slot, each named after its kind.
+_ACTION_FREE = {schema.kind: (schema.kind, None)
+                for schema in ACTIVITIES.values() if "action" not in schema.args}
 
 
 _ARCH_TRACE_FIELDS: dict[str, Callable[[_Parser], object]] = {
@@ -661,57 +656,44 @@ _ARCH_TRACE_FIELDS: dict[str, Callable[[_Parser], object]] = {
 def parse_arch_trace(
     text: str, sets: ActivitySets | None = None, file: str = "<input>"
 ) -> list[ArchEvent]:
-    p = _Parser(text, file)
-    p.expect("archtrace")
-    p.expect("{")
-    events: list[ArchEvent] = []
-    last_t: int | None = None
-    while not p.at("}"):
-        at = p.current.offset
-        name = p.ident("event name")
-        fields = _parse_fields(p, "event", _ARCH_TRACE_FIELDS)
-        p.expect(";")
-        t = fields.get("t")
-        if t is None:
-            p.error(f"event {name!r} carries no timestamp", at)
-        if last_t is not None and t < last_t:
-            p.error(f"timestamps must be non-decreasing: {t} after {last_t}", at)
-        last_t = t
+    """An architecture trace.  With ``sets``, an event name is an action-free
+    kind or the name of one of the inventory's group or declared-action
+    events; without, a name is read by its shape."""
+    table = None
+    if sets is not None:
+        table = {t.name: (t.kind, t.action) for t in possible_events(sets) if t.action is not None}
+        table.update(_ACTION_FREE)
+
+    def build(name: str, t: int, fields: dict) -> Sequence[ArchEvent]:
         tar = fields.get("tar")
-        try:
-            kind, action = _resolve_arch_event_name(name, tar, sets)
-        except _Reject as err:
-            p.error(str(err), at)
-        if kind in ("act2", "unact2") and tar is None:
-            p.error("binary event requires a target (tar=...)", at)
-        events.append(ArchEvent(
+        found = _arch_event_by_shape(name, tar) if table is None else table.get(name)
+        if found is None:
+            raise _Reject(f"unknown event {name!r}")
+        kind, action = found
+        if kind in (ACT2, UNACT2) and tar is None:
+            raise _Reject("binary event requires a target (tar=...)")
+        return (ArchEvent(
             kind=kind, t=t, user=SP if kind == "possess" else fields.get("user"), tar=tar,
             action=action, term=fields.get("var"), value=fields.get("value"),
             actions=fields.get("actions", ()),
-        ))
-    p.expect("}")
-    p.eof()
-    return events
+        ),)
+
+    return _read_events(_Parser(text, file), "archtrace", _ARCH_TRACE_FIELDS, False, build)
 
 
-def _resolve_arch_event_name(
-    name: str, tar: str | None, sets: ActivitySets | None
-) -> tuple[str, str | None]:
-    if name in _ARCH_PREDEFINED:
-        return name, None
-    for prefix, kind in (("ungroup", "ungroupact"), ("group", "groupact")):
-        if name.startswith(prefix) and name not in ("grouphas", "ungrouphas"):
-            return kind, name[len(prefix):]
-    if sets is not None:
-        act = sets.find(name)
-        if act is None:
-            raise _Reject(f"unknown event {name!r}")
-        return _EVENT_KIND[act.kind], name
-    # Without declared activity sets, infer the family from the shape.
+def _arch_event_by_shape(name: str, tar: str | None) -> tuple[str, str | None] | None:
+    """(kind, action) of an event name when no actions are declared: an
+    action-free kind, ``group<act>`` or ``ungroup<act>``, else a declared
+    action whose family the ``un`` prefix and the target tell."""
+    if name in _ACTION_FREE:
+        return _ACTION_FREE[name]
+    for kind, prefix in GROUP_PREFIX.items():
+        if name.startswith(prefix):
+            return (kind, name[len(prefix):]) if name != prefix else None
     revoke = name.startswith("un")
     if tar is not None:
-        return ("unact2" if revoke else "act2"), name
-    return ("unact1" if revoke else "act1"), name
+        return (UNACT2 if revoke else ACT2), name
+    return (UNACT1 if revoke else ACT1), name
 
 
 # ---------------------------------------------------------------------------
@@ -822,64 +804,55 @@ def serialize_policy(model: PolicyModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _surface_events(events: Sequence[AbstractEvent], model: PolicyModel):
-    """Collapse alias expansions back into their surface form."""
+def _print_events(head: str, events: Iterable[tuple[str, list[str]]]) -> str:
+    """``head { name(field, ...); ... }`` from (name, fields) pairs; both trace
+    levels print through it."""
+    lines = [f"{head} {{"]
+    lines += [f"  {name}({', '.join(fields)});" for name, fields in events]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _surface_events(
+    events: Sequence[AbstractEvent], model: PolicyModel
+) -> list[tuple[str, AbstractEvent]]:
+    """(name, event) per surface event: a run of events that an alias event
+    stands for collapses back into the alias name and the run's first event."""
     alias = model.alias
-    out: list = []
+    out = []
     i = 0
-    n = len(events)
-    while i < n:
+    while i < len(events):
         e = events[i]
         if alias is not None and e.kind in (GROUPACT, UNGROUPACT):
             adding = e.kind == GROUPACT
-            want = len(alias.actions) + 1
-            run = events[i : i + want]
-            if _is_alias_run(run, alias, adding):
-                name = alias.add_name if adding else alias.remove_name
-                out.append(("alias", name, run[0]))
-                i += want
+            run = _alias_run(alias.actions, adding, e.t, e.dt, e.actor, e.tar)
+            if list(events[i : i + len(run)]) == run:
+                out.append((alias.add_name if adding else alias.remove_name, e))
+                i += len(run)
                 continue
-        out.append(("event", None, e))
+        out.append((e.surface_name, e))
         i += 1
     return out
 
 
-def _is_alias_run(run: Sequence[AbstractEvent], alias: FriendAlias, adding: bool) -> bool:
-    if len(run) != len(alias.actions) + 1:
-        return False
-    first = run[0]
-    kind = GROUPACT if adding else UNGROUPACT
-    has_kind = GROUPHAS if adding else UNGROUPHAS
-    for e, action in zip(run[:-1], alias.actions):
-        if (e.kind, e.action, e.t, e.actor, e.tar, e.dt) != (
-            kind, action, first.t, first.actor, first.tar, first.dt
-        ):
-            return False
-    last = run[-1]
-    return (last.kind, last.t, last.actor, last.tar, last.dt) == (
-        has_kind, first.t, first.actor, first.tar, first.dt
-    )
+def _trace_fields(e: AbstractEvent) -> list[str]:
+    fields = [f"t={e.t}"]
+    if e.actor is not None:
+        fields.append(f"or={e.actor}")
+    if e.tar is not None:
+        fields.append(f"tar={e.tar}")
+    fields.append(f"dt={e.dt.ident}")
+    if e.kind == USE and e.purposes is not None:
+        fields.append(f"purposes={_fmt_set(e.purposes)}")
+    if e.kind == OWN and e.value is not None:
+        fields.append(f'value="{e.value}"')
+    return fields
 
 
 def serialize_trace(events: Sequence[AbstractEvent], model: PolicyModel) -> str:
-    lines = ["trace {"]
-    for tag, name, e in _surface_events(events, model):
-        if tag == "alias":
-            lines.append(f"  {name}(t={e.t}, or={e.actor}, tar={e.tar}, dt={e.dt.ident});")
-            continue
-        fields = [f"t={e.t}"]
-        if e.actor is not None:
-            fields.append(f"or={e.actor}")
-        if e.tar is not None:
-            fields.append(f"tar={e.tar}")
-        fields.append(f"dt={e.dt.ident}")
-        if e.kind == USE and e.purposes is not None:
-            fields.append(f"purposes={_fmt_set(e.purposes)}")
-        if e.kind == OWN and e.value is not None:
-            fields.append(f'value="{e.value}"')
-        lines.append(f"  {e.surface_name}({', '.join(fields)});")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _print_events(
+        "trace", [(name, _trace_fields(e)) for name, e in _surface_events(events, model)]
+    )
 
 
 def serialize_term(term: Term) -> str:
@@ -936,29 +909,25 @@ def serialize_architecture(pa: Architecture) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _arch_trace_fields(e: ArchEvent) -> list[str]:
+    fields = [f"t={e.t}"]
+    if e.user is not None and e.kind != "possess":
+        fields.append(f"user={e.user}")
+    if e.tar is not None:
+        fields.append(f"tar={e.tar}")
+    if e.term is not None:
+        fields.append(f"var={serialize_term(e.term)}")
+    if e.value is not None:
+        fields.append(f'value="{e.value}"')
+    if e.actions:
+        fields.append(f"actions={_fmt_set(e.actions)}")
+    return fields
+
+
 def serialize_arch_trace(events: Sequence[ArchEvent]) -> str:
-    lines = ["archtrace {"]
-    for e in events:
-        if e.kind in ("groupact", "ungroupact"):
-            name = ("group" if e.kind == "groupact" else "ungroup") + (e.action or "")
-        elif e.kind in ("act1", "unact1", "act2", "unact2"):
-            name = e.action or e.kind
-        else:
-            name = e.kind
-        fields = [f"t={e.t}"]
-        if e.user is not None and e.kind != "possess":
-            fields.append(f"user={e.user}")
-        if e.tar is not None:
-            fields.append(f"tar={e.tar}")
-        if e.term is not None:
-            fields.append(f"var={serialize_term(e.term)}")
-        if e.value is not None:
-            fields.append(f'value="{e.value}"')
-        if e.actions:
-            fields.append(f"actions={_fmt_set(e.actions)}")
-        lines.append(f"  {name}({', '.join(fields)});")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _print_events(
+        "archtrace", [(event_name(e.kind, e.action), _arch_trace_fields(e)) for e in events]
+    )
 
 
 def serialize_query(prop: HasProperty) -> str:

@@ -346,10 +346,9 @@ def check_correspondence(
     extendable: dict[str, set[tuple[str, str]]] = {}
     for e in trace or []:
         if e.kind == GROUPACT:
-            base = sets.base_of(e.action) or e.action
             targets = users if is_pattern(e.tar) else [e.tar]
             for tar in targets:
-                extendable.setdefault(e.dt.ident, set()).add((base, tar))
+                extendable.setdefault(e.dt.ident, set()).add((e.action, tar))
 
     report = CorrespondenceReport()
     for ident in sorted(model.data):

@@ -382,6 +382,7 @@ def validate_model(model: PolicyModel) -> list[str]:
         errors.extend(prefix + e for e in validate_policy(pol, model.sets))
     if model.alias is not None:
         for action in model.alias.actions:
-            if model.sets.find(action) is None:
-                errors.append(f"alias {model.alias.add_name!r} covers undeclared action {action!r}")
+            if action not in model.sets.base_names():
+                errors.append(f"alias {model.alias.add_name!r} covers {action!r},"
+                              " which is not a declared base action")
     return errors

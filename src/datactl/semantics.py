@@ -31,6 +31,18 @@ ACT2 = "act2"
 UNACT2 = "unact2"
 
 ACT_KINDS = (ACT1, UNACT1, ACT2, UNACT2)
+# The name prefix of each group kind; the rest of the name is the action.
+GROUP_PREFIX = {GROUPACT: "group", UNGROUPACT: "ungroup"}
+
+
+def event_name(kind: str, action: str | None) -> str:
+    """The name of an event in traces of either level: ``group<act>`` or
+    ``ungroup<act>`` for a group kind, the action for a declared action's kind,
+    and the kind itself for the rest."""
+    prefix = GROUP_PREFIX.get(kind)
+    if prefix is not None:
+        return prefix + action  # type: ignore[operator]
+    return action if kind in ACT_KINDS else kind  # type: ignore[return-value]
 
 
 class SemanticsError(Exception):
@@ -56,23 +68,20 @@ class AbstractEvent:
     @property
     def surface_name(self) -> str:
         """The event name as written in traces, e.g. ``grouplike`` or ``tag``."""
-        if self.kind == GROUPACT:
-            return f"group{self.action}"
-        if self.kind == UNGROUPACT:
-            return f"ungroup{self.action}"
-        if self.kind in ACT_KINDS:
-            return self.action  # type: ignore[return-value]
-        return self.kind
+        return event_name(self.kind, self.action)
 
 
 @dataclass(frozen=True)
 class EventTemplate:
-    """One entry of the possible-event inventory for a datum."""
+    """One entry of the possible-event inventory."""
 
-    name: str
     kind: str
     action: str | None = None
     binary: bool = False
+
+    @property
+    def name(self) -> str:
+        return event_name(self.kind, self.action)
 
 
 @dataclass(frozen=True)
@@ -101,33 +110,17 @@ class AbstractState:
 INITIAL_STATE = AbstractState()
 
 
-def possible_events(sets: ActivitySets, dt: DataRef, pol: Policy) -> list[EventTemplate]:
-    """The event inventory for one datum under the given activity sets.
-
-    One template per predefined event, one group/ungroup pair per base action,
-    and one template per declared action.  The group family covers the base
-    actions only, matching the per-service instantiation of the inventory.
-    """
-    templates = [
-        EventTemplate(OWN, OWN),
-        EventTemplate(STORE, STORE),
-        EventTemplate(USE, USE),
-        EventTemplate(DELETEREQ, DELETEREQ),
-        EventTemplate(DELETE, DELETE),
-    ]
+def possible_events(sets: ActivitySets) -> list[EventTemplate]:
+    """The event inventory under the given activity sets, the same for every
+    datum: one template per predefined event, one group/ungroup pair per base
+    action, and one template per declared action.  Trace names resolve through
+    it, so a valid model gives each template its own name."""
+    templates = [EventTemplate(kind) for kind in (OWN, STORE, USE, DELETEREQ, DELETE)]
     for name in sets.base_names():
-        templates.append(EventTemplate(f"group{name}", GROUPACT, action=name, binary=True))
-        templates.append(EventTemplate(f"ungroup{name}", UNGROUPACT, action=name, binary=True))
-    templates.append(EventTemplate(GROUPHAS, GROUPHAS, binary=True))
-    templates.append(EventTemplate(UNGROUPHAS, UNGROUPHAS, binary=True))
-    for act in sets.a1:
-        templates.append(EventTemplate(act.name, ACT1, action=act.name))
-    for act in sets.ua1:
-        templates.append(EventTemplate(act.name, UNACT1, action=act.name))
-    for act in sets.a2:
-        templates.append(EventTemplate(act.name, ACT2, action=act.name, binary=True))
-    for act in sets.ua2:
-        templates.append(EventTemplate(act.name, UNACT2, action=act.name, binary=True))
+        templates += [EventTemplate(GROUPACT, name, True), EventTemplate(UNGROUPACT, name, True)]
+    templates += [EventTemplate(GROUPHAS, binary=True), EventTemplate(UNGROUPHAS, binary=True)]
+    for family, kind in ((sets.a1, ACT1), (sets.ua1, UNACT1), (sets.a2, ACT2), (sets.ua2, UNACT2)):
+        templates += [EventTemplate(kind, act.name, kind in (ACT2, UNACT2)) for act in family]
     return templates
 
 

@@ -219,8 +219,7 @@ def test_criterion_service_corpus():
         assert len(model.sets.a1) == 2 and len(model.sets.a2) == 4
         assert model.alias is not None and len(model.alias.actions) == 6
 
-        photo = model.data["photo1"]
-        templates = possible_events(model.sets, photo, model.policy_of(photo))
+        templates = possible_events(model.sets)
         assert len(templates) == 31
 
         events = parse_trace(open(f"{FIX}/fb_all.dct").read(), model)

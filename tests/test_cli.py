@@ -88,6 +88,27 @@ def test_validate_errors_do_not_depend_on_the_hash_seed(tmp_path):
     assert "unknown storage place 'loc'; policy for 'd1': unknown storage place 's'" in runs[0].stderr
 
 
+@pytest.mark.parametrize("declarations, message", [
+    ("actions { unary like/unlike; unary has/unhas; }",
+     "two events are named 'grouphas'; two events are named 'ungrouphas'"),
+    ("actions { unary foo/unfoo; unary groupfoo/ungroupfoo; }",
+     "two events are named 'groupfoo'; two events are named 'ungroupfoo'"),
+    ("actions { unary like/unlike; }\nalias own/unf = groupact(like) + grouphas;",
+     "alias name 'own' is also an event name"),
+    ("actions { unary like/unlike; unary comment/uncomment; }\n"
+     "alias like/unf = groupact(comment) + grouphas;",
+     "alias name 'like' is also an event name"),
+    ("actions { unary like/unlike; }\nalias addf/unf = groupact(unlike) + grouphas;",
+     "alias 'addf' covers 'unlike', which is not a declared base action"),
+], ids=["base action has", "declared group name", "alias own", "alias like", "alias of un-action"])
+def test_validate_rejects_an_ambiguous_model(capsys, tmp_path, declarations, message):
+    doc = tmp_path / "ambiguous.dcp"
+    doc.write_text(declarations + "\n")
+    code, out, err = run(capsys, "validate", str(doc))
+    assert (code, out) == (2, "")
+    assert err == f"error: {doc}:1:1: {message}\n"
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "validate", "no/such/file.dcp")
     assert code == 2 and "cannot read" in err

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from datactl.architecture import (
+    ACTIVITIES,
     Act2,
     AddFriends,
     ArchEvent,
@@ -40,6 +41,7 @@ from datactl.dsl import (
 from datactl.logic import And, Has, HasNever, HasNot, HasSp
 from datactl.mapping import MappingContext, image_trace
 from datactl.model import SP, Perms
+from datactl.semantics import possible_events
 
 from modelgen import compliant_trace, random_model
 
@@ -223,6 +225,11 @@ def test_alias_trace_round_trip():
     # each alias event expands to one group event per covered action + has-group
     assert len(events) == 1 + 2 * (len(model.alias.actions) + 1)
     assert serialize_trace(events, model) == doc
+    # followed by another event than its has-group event, a run of group
+    # events is no alias event
+    partial = events[1 : len(model.alias.actions) + 1] + events[-1:]
+    assert serialize_trace(partial, model).count("(t=2, or=alice, tar=bob, dt=photo1)") == \
+        len(model.alias.actions)
 
 
 def test_trace_round_trip_fixtures():
@@ -232,6 +239,27 @@ def test_trace_round_trip_fixtures():
         events = parse_trace(open(path).read(), model, file=path)
         canonical = serialize_trace(events, model)
         assert parse_trace(canonical, model) == events, name
+
+
+def _models():
+    """(label, model): the facebook model and ``random_model`` seeds 0-99."""
+    yield "facebook", parse_policy((FIX / "facebook.dcp").read_text(encoding="utf-8"))
+    for seed in range(100):
+        yield f"seed {seed}", random_model(random.Random(seed))
+
+
+def test_every_policy_event_name_round_trips():
+    """Each inventory template, written as a one-event trace, parses to its
+    kind and action and prints its name back."""
+    for label, model in _models():
+        ident = sorted(model.data)[0]
+        for template in possible_events(model.sets):
+            tar = ", tar=u2" if template.binary else ""
+            text = f"trace {{\n  {template.name}(t=1, or=u1{tar}, dt={ident});\n}}\n"
+            events = parse_trace(text, model)
+            assert [(e.kind, e.action) for e in events] == [(template.kind, template.action)], \
+                (label, template)
+            assert serialize_trace(events, model) == text, (label, template)
 
 
 # --- architecture round trips -----------------------------------------------
@@ -337,6 +365,49 @@ def test_arch_trace_round_trip():
     normalized[7] = ArchEvent("delete", 8, user=None, term=X)
     assert [e.kind for e in reparsed] == [e.kind for e in ARCH_TRACE]
     assert serialize_arch_trace(reparsed) == text
+
+
+def test_arch_trace_image_round_trips():
+    model = parse_policy((FIX / "facebook.dcp").read_text(encoding="utf-8"))
+    clean = parse_trace((FIX / "fb_clean.dct").read_text(encoding="utf-8"), model)
+    text = serialize_arch_trace(image_trace(clean, MappingContext(model)))
+    assert serialize_arch_trace(parse_arch_trace(text, model.sets)) == text
+
+
+def test_every_arch_event_name_round_trips():
+    """Each action-free activity kind, each group and ungroup event of a base
+    action and each declared action, written as a one-event arch trace, parses
+    to its kind and action with and without the declared actions, and prints
+    its name back."""
+    free = [(schema.kind, schema.kind, None)
+            for schema in ACTIVITIES.values() if "action" not in schema.args]
+    for label, model in _models():
+        named = [(t.name, t.kind, t.action)
+                 for t in possible_events(model.sets) if t.action is not None]
+        for name, kind, action in dict.fromkeys(free + named):  # two kinds are possess
+            user = "" if kind == "possess" else ", user=u1"
+            tar = ", tar=u2" if kind in ("groupact", "ungroupact", "act2", "unact2") else ""
+            text = f"archtrace {{\n  {name}(t=1{user}{tar});\n}}\n"
+            for sets in (model.sets, None):
+                events = parse_arch_trace(text, sets)
+                assert [(e.kind, e.action) for e in events] == [(kind, action)], (label, name, sets)
+                assert serialize_arch_trace(events) == text, (label, name, sets)
+
+
+@pytest.mark.parametrize("name", ["groupbogus", "groupunlike", "group"])
+def test_arch_trace_group_names_must_name_a_base_action(name):
+    sets = parse_policy((FIX / "facebook.dcp").read_text(encoding="utf-8")).sets
+    text = f"archtrace {{\n  {name}(t=1, user=alice, tar=bob);\n}}"
+    with pytest.raises(ParseError) as err:
+        parse_arch_trace(text, sets, file="f.dct")
+    assert str(err.value) == f"f.dct:2:3: unknown event {name!r}"
+
+
+@pytest.mark.parametrize("name", ["group", "ungroup"])
+def test_arch_trace_group_names_need_an_action(name):
+    with pytest.raises(ParseError) as err:
+        parse_arch_trace(f"archtrace {{\n  {name}(t=1, user=alice, tar=bob);\n}}", file="f.dct")
+    assert str(err.value) == f"f.dct:2:3: unknown event {name!r}"
 
 
 def test_arch_trace_binary_event_requires_a_target():

@@ -1,7 +1,8 @@
 """Source hygiene: the package imports only the standard library and itself,
 every module-level import in the package is used, every name the package
-defines is named somewhere besides its definition, and no test asserts a
-condition that cannot fail."""
+defines is named somewhere besides its definition, every parameter of a
+function in the package is read, and no test asserts a condition that cannot
+fail."""
 
 import ast
 import sys
@@ -184,6 +185,40 @@ def test_unreferenced_definition_is_reported():
     for read in ("import pkg.second\nprint(pkg.second.RULES)\n",
                  "from .second import RULES\n", "from pkg import second\nsecond.RULES\n"):
         assert unreferenced(second, referenced | references(read), "second", shared) == [], read
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters of a ``def`` that its body, nested functions included, never
+    reads.  Lambdas are exempt: a dispatch table's lambdas share one signature."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                      if p is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [f"line {node.lineno}: {node.name}({p})" for p in params if p not in read]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_unread_parameter_is_reported():
+    source = (
+        "READERS = {'a': lambda p, what: p.read()}\n\n\n"
+        "def outer(x, y, *args, flag=False, **kwargs):\n"
+        "    def inner(z):\n        return x + len(args)\n"
+        "    return inner\n\n\n"
+        "class Box:\n    def size(self, unit):\n        return self.n\n"
+    )
+    assert unread_parameters(source) == [
+        "line 4: outer(y)", "line 4: outer(flag)", "line 4: outer(kwargs)",
+        "line 5: inner(z)", "line 11: size(unit)",
+    ]
 
 
 TESTS = sorted((ROOT / "tests").glob("*.py"))

@@ -240,7 +240,7 @@ def test_every_policy_event_kind_is_mapped():
         a1=(ActionId("fav", UNARY),), ua1=(ActionId("unfav", UNARY_REVOKE, revokes="fav"),),
         a2=(ActionId("link", BINARY),), ua2=(ActionId("unlink", BINARY_REVOKE, revokes="link"),),
     )
-    kinds = {t.kind for t in possible_events(sets, DT, policy())}
+    kinds = {t.kind for t in possible_events(sets)}
     assert kinds == set(_ACTIVITY_OF) | {STORE, DELETE, USE}
     assert set(_FRIENDS_OF) <= set(_ACTIVITY_OF)
 

@@ -237,7 +237,7 @@ def test_iter_states_length():
 
 
 def test_possible_events_counts():
-    templates = possible_events(SETS, DT, POL)
+    templates = possible_events(SETS)
     # 5 predefined + 2 group pairs (fav, link) + has pair + 4 actions
     assert len(templates) == 5 + 4 + 2 + 4
     names = {t.name for t in templates}
@@ -245,4 +245,4 @@ def test_possible_events_counts():
     assert {"fav", "unfav", "link", "unlink"} <= names
 
     empty = ActivitySets()
-    assert len(possible_events(empty, DT, POL)) == 7
+    assert len(possible_events(empty)) == 7
