@@ -9,6 +9,7 @@ each reported as one ``error:`` line; 3 internal limits (state-space guard).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -97,7 +98,8 @@ def cmd_validate(args) -> int:
     elif kind == "architecture":
         parse_architecture(text, file=args.file)
     elif kind == "arch-trace":
-        parse_arch_trace(text, file=args.file)
+        sets = _load_policy(args.policy).sets if args.policy else None
+        parse_arch_trace(text, sets, file=args.file)
     elif kind == "trace":
         if not args.policy:
             raise SystemExit2("validating a trace requires --policy")
@@ -242,7 +244,10 @@ def _bound(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    one: parsing reads it without changing it."""
     parser = argparse.ArgumentParser(
         prog="datactl",
         description="Define, audit, and derive data-control policies and architectures.",
@@ -252,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", allow_abbrev=False, help="parse a document and report errors")
     p.add_argument("file")
-    p.add_argument("--policy", help="model file, required when validating a trace")
+    p.add_argument("--policy", help="model file, required when validating a trace "
+                   "and used to check an arch trace's event names")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("check-trace", allow_abbrev=False,

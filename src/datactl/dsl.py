@@ -432,13 +432,18 @@ def _read_events(
 
 def _event_table(model: PolicyModel) -> tuple[dict[str, EventTemplate], list[str]]:
     """The model's event inventory by name, and the names that would make a
-    trace ambiguous: one that two templates share, or an alias name that is
-    also a template's."""
+    trace ambiguous: one that two templates share, one that a template with
+    an action shares with an action-free architecture event, or an alias name
+    that is also a template's.  Each name is reported once."""
     table: dict[str, EventTemplate] = {}
-    errors = []
+    clashes: dict[str, str] = {}
     for template in possible_events(model.sets):
-        if table.setdefault(template.name, template) is not template:
-            errors.append(f"two events are named {template.name!r}")
+        name = template.name
+        if table.setdefault(name, template) is not template:
+            clashes[name] = f"two events are named {name!r}"
+        elif template.action is not None and name in _ACTION_FREE:
+            clashes[name] = f"event {name!r} is also an architecture event name"
+    errors = list(clashes.values())
     if model.alias is not None:
         errors += [f"alias name {name!r} is also an event name"
                    for name in (model.alias.add_name, model.alias.remove_name) if name in table]

@@ -5,6 +5,7 @@ import argparse
 import ast
 import inspect
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -27,12 +28,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_in_subprocess(launcher, *argv, **env) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter started with the ``launcher`` arguments
+    (such as ``-m datactl.cli``), with ``env`` added to the environment."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), **env)
+    return subprocess.run([sys.executable, *launcher, *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
 def run_with_hash_seed(seed: str, *argv) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter whose string hashes use ``seed``."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
-    return subprocess.run([sys.executable, "-m", "datactl.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
+    return run_in_subprocess(("-m", "datactl.cli"), *argv, PYTHONHASHSEED=seed)
 
 
 # --- validate ---------------------------------------------------------------
@@ -100,13 +107,32 @@ def test_validate_errors_do_not_depend_on_the_hash_seed(tmp_path):
      "alias name 'like' is also an event name"),
     ("actions { unary like/unlike; }\nalias addf/unf = groupact(unlike) + grouphas;",
      "alias 'addf' covers 'unlike', which is not a declared base action"),
-], ids=["base action has", "declared group name", "alias own", "alias like", "alias of un-action"])
+    ("actions { unary like/unlike; unary possess/unpossess; }",
+     "event 'possess' is also an architecture event name"),
+    ("actions { unary friends/unfriends; binary addfriends/unaddfriends; }",
+     "event 'unfriends' is also an architecture event name; "
+     "event 'addfriends' is also an architecture event name"),
+], ids=["base action has", "declared group name", "alias own", "alias like", "alias of un-action",
+        "action possess", "actions named like friends events"])
 def test_validate_rejects_an_ambiguous_model(capsys, tmp_path, declarations, message):
     doc = tmp_path / "ambiguous.dcp"
     doc.write_text(declarations + "\n")
     code, out, err = run(capsys, "validate", str(doc))
     assert (code, out) == (2, "")
     assert err == f"error: {doc}:1:1: {message}\n"
+
+
+@pytest.mark.parametrize("name", ["grouplike", "groupbogus", "groupunlike"])
+def test_validate_checks_arch_trace_names_against_the_policy(capsys, tmp_path, name):
+    doc = tmp_path / "group.dct"
+    doc.write_text(f"archtrace {{\n  {name}(t=1, user=alice, tar=bob);\n}}\n")
+    # Without a model a group name is read by its shape.
+    assert run(capsys, "validate", str(doc)) == (0, f"{doc}: valid arch-trace document\n", "")
+    code, out, err = run(capsys, "validate", str(doc), "--policy", DCP)
+    if name == "grouplike":
+        assert (code, out, err) == (0, f"{doc}: valid arch-trace document\n", "")
+    else:
+        assert (code, out, err) == (2, "", f"error: {doc}:2:3: unknown event {name!r}\n")
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -465,6 +491,79 @@ def test_every_accepted_flag_is_read_or_rejected(capsys):
 def test_flag_prefix_is_not_taken_for_the_flag(capsys):
     assert main(["enumerate", "arch", "--max-l", "1"]) == 2  # a prefix of --max-len
     assert "unrecognized arguments: --max-l 1" in capsys.readouterr().err
+
+
+# --- repeated calls and entry points -----------------------------------------
+
+
+def test_main_can_be_called_repeatedly(capsys, tmp_path):
+    before = build_parser.cache_info()
+    every_subcommand = [
+        ["validate", f"{FIX}/fb_clean.dct", "--policy", DCP],
+        ["check-trace", DCP, f"{FIX}/fb_badpurpose.dct"],
+        ["check-trace", DCP, f"{FIX}/fb_clean.dct", "--format", "tsv"],
+        ["derive-arch", DCP, "--events", f"{FIX}/fb_all.dct", "--simplify-friends"],
+        ["derive-arch", DCP, "-o", str(tmp_path / "derived.dca")],
+        ["eval-has", f"{FIX}/simplified.dca", f"{FIX}/photo1.dcq", "--max-len", "2"],
+        ["check-correspondence", DCP, "--trace", f"{FIX}/fb_corr.dct", "--verbose"],
+        ["compare-policies", DCP, DCP, "--format", "tsv"],
+        ["compare-archs", f"{FIX}/full.dca", f"{FIX}/simplified.dca"],
+        ["enumerate", f"{FIX}/simplified.dca", "--max-len", "2"],
+    ]
+    for argv in every_subcommand:
+        first = run(capsys, *argv)
+        # A usage error of the same subcommand in between: a missing
+        # positional, or an unknown flag after the positionals.
+        assert run(capsys, argv[0], "--no-such-flag")[0] == 2
+        assert run(capsys, *argv, "--no-such-flag")[0] == 2
+        assert run(capsys, *argv) == first, argv
+
+    # Flags set in one call are not the defaults of the next: the plain
+    # text form lists only the failing results.
+    argv = ("check-correspondence", DCP, "--trace", f"{FIX}/fb_all.dct")
+    plain = run(capsys, *argv)
+    *failing, verdict = plain[1].splitlines()
+    assert verdict == "correspondence fails" and "\t" not in plain[1]
+    assert failing and all(": fails (" in line for line in failing)
+    code, out, _ = run(capsys, *argv, "--format", "tsv", "--verbose")
+    assert code == 1 and "\tholds\t" in out
+    assert run(capsys, *argv) == plain
+
+    after = build_parser.cache_info()
+    assert after.misses - before.misses <= 1 and after.currsize == 1
+
+
+def test_main_builds_its_parser_at_most_once(capsys, tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    arch = write_small_arch(tmp_path)
+    for _ in range(50):
+        assert main(["enumerate", arch, "--max-len", "1"]) == 0
+    capsys.readouterr()
+    assert len(built) <= 9, built  # the root parser and its 8 subparsers
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", DCP], 0),
+    (["check-trace", DCP, f"{FIX}/fb_badpurpose.dct"], 1),
+    (["enumerate", f"{FIX}/simplified.dca", "--max-len", "-1"], 2),
+], ids=["success", "finding", "usage error"])
+def test_entry_points_exit_with_the_code_of_main(capsys, argv, code):
+    assert main(argv) == code
+    capsys.readouterr()
+    # The wrapper an installer writes for the ``datactl`` console script
+    # calls its entry point with no arguments and exits with the result.
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    module, function = re.search(r'^datactl = "(\S+):(\S+)"$', pyproject, re.M).groups()
+    script = f"import sys; from {module} import {function}; sys.exit({function}())"
+    for launcher in (("-m", "datactl.cli"), ("-c", script)):
+        assert run_in_subprocess(launcher, *argv).returncode == code, launcher
 
 
 # --- the search universe ----------------------------------------------------
