@@ -149,6 +149,10 @@ def cmd_eval_has(args) -> int:
     holds_deduce = holds_semantic = None
     if args.mode in ("deduce", "both"):
         trace = parse_arch_trace(_read(args.archtrace), file=args.archtrace) if args.archtrace else []
+        index = arch_mod.is_compatible(trace, pa)[1]
+        if index is not None:
+            raise SystemExit2(
+                f"{args.archtrace}: event {index} instantiates no activity of {args.arch}")
         derived = conclusions(deduce(pa, trace, users))
         holds_deduce = all(p in derived for p in parts)
         print(f"deduce: {'derivable' if holds_deduce else 'not derivable'}")

@@ -6,7 +6,7 @@ Everything here is an immutable value; well-formedness is checked by the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 # Distinguished principal for the service provider / data controller.
@@ -212,21 +212,6 @@ class Policy:
     storage: StorageSpec = StorageSpec()
     perms: Perms = Perms()
 
-    def _with_can(self, action: str, users: frozenset[str]) -> "Policy":
-        return replace(self, perms=replace(self.perms, can={**self.perms.can, action: users}))
-
-    def grant_can(self, action: str, user: str) -> "Policy":
-        return self._with_can(action, self.perms.can_do(action) | {user})
-
-    def revoke_can(self, action: str, user: str) -> "Policy":
-        return self._with_can(action, self.perms.can_do(action) - {user})
-
-    def grant_group(self, user: str) -> "Policy":
-        return replace(self, perms=replace(self.perms, group=self.perms.group | {user}))
-
-    def revoke_group(self, user: str) -> "Policy":
-        return replace(self, perms=replace(self.perms, group=self.perms.group - {user}))
-
 
 @dataclass(frozen=True)
 class FriendAlias:
@@ -259,16 +244,6 @@ class PolicyModel:
             seen.update(pol.perms.users())
         seen.discard(SP)
         return frozenset(seen)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PolicyModel):
-            return NotImplemented
-        return (
-            self.sets == other.sets
-            and self.data == other.data
-            and self.policies == other.policies
-            and self.alias == other.alias
-        )
 
 
 def validate_activity_sets(sets: ActivitySets) -> list[str]:

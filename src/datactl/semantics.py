@@ -31,6 +31,9 @@ ACT2 = "act2"
 UNACT2 = "unact2"
 
 ACT_KINDS = (ACT1, UNACT1, ACT2, UNACT2)
+GROUP_KINDS = (GROUPACT, UNGROUPACT, GROUPHAS, UNGROUPHAS)
+# The kinds that take back what their counterpart kind gives.
+UNDO_KINDS = (UNGROUPACT, UNGROUPHAS, UNACT1, UNACT2)
 # The name prefix of each group kind; the rest of the name is the action.
 GROUP_PREFIX = {GROUPACT: "group", UNGROUPACT: "ungroup"}
 
@@ -174,41 +177,25 @@ def step(
     if kind == DELETE:
         return None
 
-    if kind == GROUPACT:
-        return replace(
-            entry,
-            t=e.t,
-            policy=pol.grant_can(e.action, e.tar),
-            h_has=entry.h_has | {e.tar},
-        )
+    move = frozenset.difference if kind in UNDO_KINDS else frozenset.union
 
-    if kind == UNGROUPACT:
-        return replace(
-            entry,
-            t=e.t,
-            policy=pol.revoke_can(e.action, e.tar),
-            h_has=entry.h_has - {e.tar},
-        )
-
-    if kind == GROUPHAS:
-        return replace(entry, t=e.t, policy=pol.grant_group(e.tar), h_has=entry.h_has | {e.tar})
-
-    if kind == UNGROUPHAS:
-        return replace(entry, t=e.t, policy=pol.revoke_group(e.tar), h_has=entry.h_has - {e.tar})
+    if kind in GROUP_KINDS:
+        perms, tar = pol.perms, {e.tar}
+        if kind in (GROUPACT, UNGROUPACT):
+            perms = replace(perms, can={**perms.can, e.action: move(perms.can_do(e.action), tar)})
+        else:
+            perms = replace(perms, group=move(perms.group, tar))
+        policy = replace(pol, perms=perms)
+        return replace(entry, t=e.t, policy=policy, h_has=move(entry.h_has, tar))
 
     if kind in ACT_KINDS:
-        base = e.action
-        if kind in (UNACT1, UNACT2):
-            if sets is not None:
-                base = sets.base_of(e.action) or e.action
         if e.actor not in pol.perms.can_do(e.action):
             return entry  # permission guard: unauthorized actions are no-ops
-
-        binary = kind in (ACT2, UNACT2)
-        held = pol.perms.holders(base, e.actor, e.tar if binary else None)
-        if kind in (ACT1, ACT2):
-            return replace(entry, t=e.t, h_has=entry.h_has | held)
-        return replace(entry, t=e.t, h_has=entry.h_has - held)
+        base = e.action
+        if kind in UNDO_KINDS and sets is not None:
+            base = sets.base_of(e.action) or e.action
+        held = pol.perms.holders(base, e.actor, e.tar if kind in (ACT2, UNACT2) else None)
+        return replace(entry, t=e.t, h_has=move(entry.h_has, held))
 
     raise SemanticsError(f"unknown event kind {kind!r}", j)
 
@@ -232,12 +219,7 @@ def run_trace(
     """Left fold of ``apply_event`` from the all-undefined initial state."""
     state = INITIAL_STATE
     for j, e in enumerate(trace, start=1):
-        try:
-            state = apply_event(state, e, j, sets)
-        except SemanticsError as err:
-            if err.index is None:
-                raise SemanticsError(str(err), j) from err
-            raise
+        state = apply_event(state, e, j, sets)
     return state
 
 

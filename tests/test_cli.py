@@ -176,6 +176,14 @@ def test_check_trace_text_warns_of_an_unattributed_delete(capsys, tmp_path):
                    "no preceding deletereq names a performer\ncompliant\n")
 
 
+def test_check_trace_names_the_failing_event_once(capsys, tmp_path):
+    trace = tmp_path / "t.dct"
+    trace.write_text('trace {\n  own(t=1, or=alice, dt=photo1, value="pic");\n'
+                     '  own(t=2, or=alice, dt=photo1, value="pic");\n}\n')
+    code, out, err = run(capsys, "check-trace", DCP, str(trace))
+    assert (code, out, err) == (2, "", "error: event 2: duplicate own for datum 'photo1'\n")
+
+
 # --- derive-arch ------------------------------------------------------------
 
 
@@ -350,6 +358,22 @@ def test_eval_has_negative(capsys, tmp_path):
     code, out, _ = run(capsys, "eval-has", arch, str(query), "--mode", "enumerate",
                        "--max-len", "2")
     assert code == 1 and "does not hold" in out
+
+
+def test_eval_has_rejects_an_arch_trace_the_architecture_does_not_admit(capsys, tmp_path):
+    photo1 = "var=X{ow=alice, ds={alice, bob}, id=photo1}, value=\"pic\""
+    query = tmp_path / "q.dcq"
+    query.write_text("HAS[alice](X{ow=alice, ds={alice, bob}, id=photo1}, t=1)")
+    trace = tmp_path / "t.dct"
+    argv = ("eval-has", f"{FIX}/simplified.dca", str(query), "--mode", "deduce",
+            "--archtrace", str(trace))
+    trace.write_text(f"archtrace {{\n  own(t=1, user=alice, {photo1});\n"
+                     f"  like(t=2, user=bob, {photo1});\n}}\n")
+    assert run(capsys, *argv) == (0, "deduce: derivable\n", "")
+    trace.write_text(f"archtrace {{\n  own(t=1, user=alice, {photo1});\n"
+                     "  groupbogus(t=2, user=alice, tar=bob);\n}\n")
+    assert run(capsys, *argv) == (
+        2, "", f"error: {trace}: event 2 instantiates no activity of {FIX}/simplified.dca\n")
 
 
 def test_eval_has_conjunction_counts_the_users_of_its_parts(capsys, tmp_path):

@@ -126,8 +126,44 @@ def test_unknown_arch_trace_field_is_located_at_its_equals_sign():
     (parse_architecture, "architecture {\n  Own[a](Y{ow=a});\n}", "2:10: unknown term head 'Y'"),
     (parse_has_query, "HAS_maybe[a](X{ow=a, ds={a}, id=d1}, 1)",
      "1:1: unknown HAS form 'HAS_maybe'"),
-], ids=["perms field", "activity", "term head", "HAS form"])
+    (parse_policy, "actions { unary fav/unfav; }\ndata d1 { ow = a; ds = {a}; type = Notes;\n"
+     "  policy { purposes = {p}; delete = {man:1}; where = {sploc}; how = {rot13}; } }",
+     "3:70: unknown storage form 'rot13'"),
+], ids=["perms field", "activity", "term head", "HAS form", "storage form"])
 def test_unknown_word_is_located_at_the_word(parse, document, where):
+    with pytest.raises(ParseError) as err:
+        parse(document, file="f")
+    assert str(err.value).startswith(f"f:{where}")
+
+
+def parse_facebook_trace(text, file):
+    model = parse_policy((FIX / "facebook.dcp").read_text(encoding="utf-8"))
+    return parse_trace(text, model, file=file)
+
+
+DATUM = ("data d1 { ow = a; ds = {a}; type = Notes;\n"
+         "  policy { purposes = {p}; delete = {man:1}; where = {sploc}; how = {plain}; } }\n")
+
+
+@pytest.mark.parametrize("parse, document, where", [
+    (parse_facebook_trace, "trace {\n  store(t=1);\n}", "2:3: event 'store' names no datum"),
+    (parse_facebook_trace, "trace {\n  addfriends(t=1, or=alice, dt=photo1);\n}",
+     "2:3: 'addfriends' requires or=... and tar=..."),
+    (parse_facebook_trace, "trace {\n  like(t=1, dt=photo1);\n}",
+     "2:3: event requires a performer (or=...)"),
+    (parse_facebook_trace, "trace {\n  post(t=1, or=alice, dt=photo1);\n}",
+     "2:3: binary event requires a target (tar=...)"),
+    (parse_facebook_trace, "trace {\n  like(t=1, or=alice, tar=bob, dt=photo1);\n}",
+     "2:3: unary event does not take a target"),
+    (parse_facebook_trace, "trace {\n  store(dt=photo1);\n}",
+     "2:3: event 'store' carries no timestamp"),
+    (parse_policy, "actions { unary fav/unfav; }\n" + DATUM + DATUM, "4:6: duplicate datum 'd1'"),
+    (parse_policy, "", "1:1: empty document"),
+    (parse_has_query, "HAS_sp(enc(X{ow=a, ds={a}, id=d1}, key[sp]))",
+     "1:45: possession queries take a plain variable"),
+], ids=["no datum", "alias without tar", "no performer", "binary without tar",
+        "unary with tar", "no timestamp", "duplicate datum", "empty document", "query term"])
+def test_rejected_document_is_located(parse, document, where):
     with pytest.raises(ParseError) as err:
         parse(document, file="f")
     assert str(err.value).startswith(f"f:{where}")

@@ -17,6 +17,7 @@ from datactl.architecture import (
     KeyVar,
     Own,
     Possess,
+    PossessOneOf,
     UnAct1,
     UnGroupHas,
     Universe,
@@ -144,9 +145,13 @@ def test_h8_via_symbolic_decryption():
 
 
 def test_h8_plain_possession():
-    plain = Architecture(activities=frozenset({Possess(X)}))
-    found = results_for("H8", deduce(plain, [], USERS))
-    assert [r.conclusion for r in found] == [HasSp(X)]
+    # Either activity lets the provider possess X in the clear, which the
+    # bounded search confirms.
+    for held in (Possess(X), PossessOneOf(frozenset({X, enc(X, KeyVar(SP))}))):
+        plain = Architecture(activities=frozenset({held}))
+        found = results_for("H8", deduce(plain, [], USERS))
+        assert [r.conclusion for r in found] == [HasSp(X)], held
+        assert eval_semantic(plain, HasSp(X), Universe(users=USERS), max_len=1).holds, held
 
 
 def test_h9_for_ungranted_users_only():

@@ -107,16 +107,6 @@ def test_sp_readable():
     assert not clkey.sp_readable() and not client.sp_readable()
 
 
-def test_grant_and_revoke_round_trip():
-    pol = make_policy()
-    granted = pol.grant_can("fav", "u2")
-    assert "u2" in granted.perms.can_do("fav")
-    assert "u2" not in granted.revoke_can("fav", "u2").perms.can_do("fav")
-    grouped = pol.grant_group("u3")
-    assert "u3" in grouped.perms.group
-    assert "u3" not in grouped.revoke_group("u3").perms.group
-
-
 def test_generated_models_validate():
     for seed in range(50):
         model = random_model(random.Random(seed))

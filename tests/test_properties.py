@@ -10,14 +10,16 @@ from datactl.architecture import Act1, Architecture, Own, Universe, Var, enumera
 from datactl.dsl import parse_policy, parse_trace, serialize_policy, serialize_trace
 from datactl.model import Perms
 from datactl.semantics import (
-    ACT1,
-    ACT2,
+    ACT_KINDS,
     GROUPACT,
+    GROUPHAS,
     OWN,
     UNGROUPACT,
+    UNGROUPHAS,
     AbstractEvent,
     apply_event,
     iter_states,
+    possible_events,
     run_trace,
     state_at,
 )
@@ -74,19 +76,20 @@ def test_guard_fallthrough(seed):
     for ident, dt in model.data.items():
         if state.get(dt) is None:
             continue
-        for act in model.sets.all_actions():
-            kind = ACT2 if act.is_binary else ACT1
-            tar = dt.ow if act.is_binary else None
-            e = AbstractEvent(kind=kind, t=10_000, dt=dt, actor="stranger",
-                              tar=tar, action=act.name)
+        for template in possible_events(model.sets):
+            if template.kind not in ACT_KINDS:
+                continue
+            tar = dt.ow if template.binary else None
+            e = AbstractEvent(kind=template.kind, t=10_000, dt=dt, actor="stranger",
+                              tar=tar, action=template.action)
             assert apply_event(state, e, sets=model.sets) == state
 
 
 @given(seeds, USERS)
 @settings(max_examples=40, deadline=None)
 def test_group_inverse(seed, tar):
-    """grant-then-revoke restores the can-group and the holder set when the
-    target held neither beforehand."""
+    """grant-then-revoke restores the can-group, the has-group and the holder
+    set when the target held none of them beforehand."""
     model, trace = _model_and_trace(seed)
     state = run_trace(trace, model.sets)
     for ident, dt in model.data.items():
@@ -94,17 +97,21 @@ def test_group_inverse(seed, tar):
         if entry is None or not model.sets.all_actions():
             continue
         action = model.sets.all_actions()[0].name
-        if tar in entry.h_has or tar in entry.policy.perms.can_do(action):
+        perms = entry.policy.perms
+        if tar in entry.h_has or tar in perms.can_do(action) or tar in perms.group:
             continue
-        grant = AbstractEvent(kind=GROUPACT, t=10_000, dt=dt, actor=dt.ow,
-                              tar=tar, action=action)
-        revoke = AbstractEvent(kind=UNGROUPACT, t=10_001, dt=dt, actor=dt.ow,
-                               tar=tar, action=action)
-        granted = apply_event(state, grant, sets=model.sets)
-        restored = apply_event(granted, revoke, sets=model.sets)
-        out = restored.get(dt)
-        assert out.h_has == entry.h_has
-        assert out.policy.perms.can_do(action) == entry.policy.perms.can_do(action)
+        for grant_kind, revoke_kind, edited in ((GROUPACT, UNGROUPACT, action),
+                                                (GROUPHAS, UNGROUPHAS, None)):
+            grant = AbstractEvent(kind=grant_kind, t=10_000, dt=dt, actor=dt.ow,
+                                  tar=tar, action=edited)
+            revoke = AbstractEvent(kind=revoke_kind, t=10_001, dt=dt, actor=dt.ow,
+                                   tar=tar, action=edited)
+            granted = apply_event(state, grant, sets=model.sets)
+            restored = apply_event(granted, revoke, sets=model.sets)
+            out = restored.get(dt)
+            assert out.h_has == entry.h_has
+            assert out.policy.perms.can_do(action) == perms.can_do(action)
+            assert out.policy.perms.group == perms.group
 
 
 @given(GRANTS, GRANTS, USERS, USERS, USERS, USER_SETS)

@@ -211,6 +211,11 @@ def test_duplicate_own_rejected():
         apply_event(owned_state(), own_event(t=2))
 
 
+def test_own_without_policy_rejected():
+    with pytest.raises(SemanticsError, match="own event carries no policy"):
+        apply_event(INITIAL_STATE, own_event(pol=None))
+
+
 def test_event_on_undefined_datum_rejected():
     with pytest.raises(SemanticsError):
         apply_event(INITIAL_STATE, AbstractEvent(kind=STORE, t=1, dt=DT))
@@ -229,6 +234,9 @@ def test_state_at_prefix_semantics():
     assert state_at(trace, 0, SETS).get(DT) is None
     assert SP not in state_at(trace, 1, SETS).get(DT).h_has
     assert SP in state_at(trace, 2, SETS).get(DT).h_has
+    for i in (-1, 3):
+        with pytest.raises(IndexError, match=f"prefix length {i} out of range"):
+            state_at(trace, i, SETS)
 
 
 def test_iter_states_length():
