@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence, TypeVar
+from itertools import islice
+from typing import Callable, Iterable, NoReturn, Sequence, TypeVar
 
 from .architecture import (
     ACTIVITIES,
@@ -85,22 +86,17 @@ class ParseError(Exception):
         super().__init__(f"{span}: {message}{hint}")
 
 
-class Token(NamedTuple):
-    kind: str  # ident / number / string / punct / eof
-    text: str
-    offset: int  # into the source text; ``locate`` turns it into a line and column
-
-
-# One alternative per token kind, tried in order; ``error`` takes any other
-# character, including the opening quote of an unterminated string.
-_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
-    ("skip", r"[ \t\r\n]+|#[^\n]*"),
-    ("punct", r"[{}()\[\]=,;:/+]"),
-    ("string", r'"[^"\n]*"'),
-    ("number", r"[0-9]+"),
-    ("ident", r"[A-Za-z_?][A-Za-z0-9_?-]*"),
-    ("error", r"."),
-)))
+# One match per token: the blanks and comments before a token, then the token.
+# A token is its text, a string with its quotes, so its first character tells
+# its kind; the empty token at the end is ``eof``.  Any other character, the
+# opening quote of an unterminated string included, is a token of its own that
+# ``tokenize`` rejects.
+_TOKEN = re.compile(r'(?:[ \t\r\n]+|#[^\n]*)*([{}()\[\]=,;:/+]|"[^"\n]*"|[0-9]+'
+                    r'|[A-Za-z_?][A-Za-z0-9_?-]*|.|\Z)')
+# The first characters of the number, identifier and punctuation tokens.
+_DIGITS = frozenset("0123456789")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_?")
+_STARTS = _IDENT_START | _DIGITS | frozenset("{}()[]=,;:/+")
 
 
 def locate(text: str, offset: int, file: str = "<input>") -> SourceSpan:
@@ -109,24 +105,21 @@ def locate(text: str, offset: int, file: str = "<input>") -> SourceSpan:
     return SourceSpan(file, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
-def tokenize(text: str, file: str = "<input>") -> list[Token]:
-    tokens: list[Token] = []
-    append, new = tokens.append, tuple.__new__  # a third faster than Token(...)
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "skip":
-            continue
-        tok = m[0]
-        if kind == "error":
-            message = "unterminated string" if tok == '"' else f"unexpected character {tok!r}"
-            raise ParseError(message, locate(text, m.start(), file))
-        append(new(Token, (kind, tok[1:-1] if kind == "string" else tok, m.start())))
-    append(Token("eof", "", len(text)))
+def tokenize(text: str, file: str = "<input>") -> list[str]:
+    tokens = _TOKEN.findall(text)
+    if tokens[-2:] == ["", ""]:  # text ending in a blank or a comment matches eof twice
+        tokens.pop()
+    bad = {tok for tok in set(tokens) if len(tok) == 1 and tok not in _STARTS}
+    if bad:
+        m = next(m for m in _TOKEN.finditer(text) if m[1] in bad)
+        message = "unterminated string" if m[1] == '"' else f"unexpected character {m[1]!r}"
+        raise ParseError(message, locate(text, m.start(1), file))
     return tokens
 
 
 class _Parser:
-    """A cursor over one document's tokens; ``current`` is the next one."""
+    """A cursor over one document's tokens; ``current`` is the next one and
+    ``pos`` its index, which ``error`` turns into a line and column."""
 
     def __init__(self, text: str, file: str):
         self.text = text
@@ -135,56 +128,60 @@ class _Parser:
         self.pos = 0
         self.current = self.tokens[0]
 
-    def advance(self) -> Token:
+    def advance(self) -> str:
         tok = self.current
-        if tok.kind != "eof":
+        if tok:
             self.pos += 1
             self.current = self.tokens[self.pos]
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.current
-        return tok.text == text and tok.kind in ("punct", "ident")
+        return self.current == text
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
+        if self.current == text:
             self.advance()
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        if not self.at(text):
+    def expect(self, text: str) -> str:
+        if self.current != text:
             self.fail(f"found {self.describe()}", {text})
         return self.advance()
 
     def describe(self) -> str:
         tok = self.current
-        return "end of input" if tok.kind == "eof" else repr(tok.text)
+        if not tok:
+            return "end of input"
+        return repr(tok[1:-1] if tok[0] == '"' else tok)
 
-    def error(self, message: str, offset: int, expected: Iterable[str] = ()) -> NoReturn:
+    def error(self, message: str, at: int | None, expected: Iterable[str] = ()) -> NoReturn:
+        """Fail at token number ``at``, or at the start of the document if None;
+        the token's offset is found by lexing again up to it."""
+        offset = 0 if at is None else next(islice(_TOKEN.finditer(self.text), at, None)).start(1)
         raise ParseError(message, locate(self.text, offset, self.file), frozenset(expected))
 
     def fail(self, message: str, expected: Iterable[str] = ()) -> NoReturn:
-        self.error(message, self.current.offset, expected)
+        self.error(message, self.pos, expected)
 
     def fail_previous(self, message: str, expected: Iterable[str] = ()) -> NoReturn:
         """Fail at the token just read."""
-        self.error(message, self.tokens[self.pos - 1].offset, expected)
+        self.error(message, self.pos - 1, expected)
 
     def ident(self, what: str = "identifier") -> str:
-        if self.current.kind != "ident":
+        if self.current[:1] not in _IDENT_START:
             self.fail(f"found {self.describe()}", {what})
-        return self.advance().text
+        return self.advance()
 
     def number(self) -> int:
-        if self.current.kind != "number":
+        if self.current[:1] not in _DIGITS:
             self.fail(f"found {self.describe()}", {"number"})
-        return int(self.advance().text)
+        return int(self.advance())
 
     def string(self) -> str:
-        if self.current.kind != "string":
+        if self.current[:1] != '"':
             self.fail(f"found {self.describe()}", {"string"})
-        return self.advance().text
+        return self.advance()[1:-1]
 
     def items(self, left: str, right: str, read: Callable[[_Parser], T]) -> list[T]:
         """``left item, item, ... right``: possibly empty, a trailing comma allowed."""
@@ -202,7 +199,7 @@ class _Parser:
         return frozenset(self.items("{", "}", _set_element))
 
     def eof(self) -> None:
-        if self.current.kind != "eof":
+        if self.current:
             self.fail(f"trailing input {self.describe()}", {"end of input"})
 
 
@@ -237,7 +234,7 @@ def _parse_fields(
 
 def parse_policy(text: str, file: str = "<input>") -> PolicyModel:
     p = _Parser(text, file)
-    if p.current.kind == "eof":
+    if not p.current:
         p.fail("empty document", {"actions"})
     p.expect("actions")
     p.expect("{")
@@ -274,7 +271,7 @@ def parse_policy(text: str, file: str = "<input>") -> PolicyModel:
 
     model = PolicyModel(sets=sets, alias=alias)
     while p.accept("data"):
-        at = p.current.offset
+        at = p.pos
         ident = p.ident("datum id")
         p.expect("{")
         ow = ds = dtype = None
@@ -308,7 +305,7 @@ def parse_policy(text: str, file: str = "<input>") -> PolicyModel:
 
     errors = validate_model(model) + _event_table(model)[1]
     if errors:
-        p.error("; ".join(errors), 0)
+        p.error("; ".join(errors), None)
     return model
 
 
@@ -410,7 +407,7 @@ def _read_events(
     events: list[T] = []
     last_t: int | None = None
     while not p.at("}"):
-        at = p.current.offset
+        at = p.pos
         name = p.ident("event name")
         fields = _parse_fields(p, "event", readers)
         p.expect(";")
@@ -514,8 +511,8 @@ def _alias_run(
 
 
 def _var_ds(p: _Parser) -> frozenset[str] | str:
-    if p.current.kind == "ident" and p.current.text.startswith("?"):
-        return p.advance().text
+    if p.current[:1] == "?":
+        return p.advance()
     return p.name_set()
 
 
@@ -621,7 +618,7 @@ def parse_architecture(text: str, file: str = "<input>") -> Architecture:
     pa = Architecture(activities=frozenset(activities), perms=perms)
     ok, witness = is_consistent(pa)
     if not ok:
-        p.error(f"inconsistent architecture: {witness} is owned by two users", 0)
+        p.error(f"inconsistent architecture: {witness} is owned by two users", None)
     return pa
 
 
@@ -734,6 +731,7 @@ def _parse_query_atom(p: _Parser) -> HasProperty:
         values["user"] = p.ident("principal")
         p.expect("]")
     p.expect("(")
+    at = p.pos
     term = _parse_term(p)
     if "t" in slots:
         p.expect(",")
@@ -741,12 +739,13 @@ def _parse_query_atom(p: _Parser) -> HasProperty:
         p.expect("=")
         values["t"] = p.number()
     p.expect(")")
-    return cls(var=_require_var(p, term), **values)
+    return cls(var=_require_var(p, term, at), **values)
 
 
-def _require_var(p: _Parser, term: Term) -> Var:
+def _require_var(p: _Parser, term: Term, at: int) -> Var:
+    """``term``, which starts at token number ``at``, if it is a variable."""
     if not isinstance(term, Var):
-        p.fail("possession queries take a plain variable")
+        p.error("possession queries take a plain variable", at)
     return term  # type: ignore[return-value]
 
 
@@ -952,5 +951,4 @@ _KINDS = {"actions": "policy", "trace": "trace", "architecture": "architecture",
 
 def sniff_kind(text: str) -> str:
     """Best-effort document kind from the first token alone."""
-    first = next((m[0] for m in _TOKEN.finditer(text) if m.lastgroup != "skip"), "")
-    return _KINDS.get(first, "query")
+    return _KINDS.get(_TOKEN.match(text)[1], "query")

@@ -52,14 +52,62 @@ X = Var(ow="alice", ds=frozenset({"alice", "bob"}), ident="d1")
 # --- tokens and errors ------------------------------------------------------
 
 
+def _token_offsets(text, tokens):
+    """Each token's offset in ``text``, found by skipping the blanks and
+    comments before it; fails unless every token is the text found there and
+    the last one, ``eof``, sits at the end."""
+    offsets, at = [], 0
+    for tok in tokens:
+        while at < len(text) and text[at] in " \t\r\n#":
+            at = text.find("\n", at) if text[at] == "#" else at + 1
+            at = len(text) if at < 0 else at
+        assert text.startswith(tok, at), (tok, at)
+        offsets.append(at)
+        at += len(tok)
+    assert tokens[-1] == "" and offsets[-1] == len(text)
+    return offsets
+
+
 def test_tokenizer_positions_and_comments():
     text = "actions {\n  # note\n  unary fav/unfav;\n}"
     tokens = tokenize(text, file="f.dcp")
-    texts = [t.text for t in tokens if t.kind != "eof"]
-    assert texts == ["actions", "{", "unary", "fav", "/", "unfav", ";", "}"]
-    unary = next(t for t in tokens if t.text == "unary")
-    span = locate(text, unary.offset)
+    assert tokens == ["actions", "{", "unary", "fav", "/", "unfav", ";", "}", ""]
+    span = locate(text, _token_offsets(text, tokens)[tokens.index("unary")])
     assert (span.line, span.column) == (3, 3)
+    # a string keeps its quotes, so its first character tells its kind
+    assert tokenize('value="a b" 12 x') == ['value', '=', '"a b"', '12', 'x', '']
+
+
+@pytest.mark.parametrize("name", ["fb_clean image", *sorted(p.name for p in FIX.iterdir())])
+def test_every_token_is_its_own_text(name):
+    text = next(text for doc, text, _ in _fixture_parsers() if doc == name)
+    tokens = tokenize(text)
+    assert len(_token_offsets(text, tokens)) == len(tokens)
+
+
+@pytest.mark.parametrize("text", ["a b", "a b  \n", "a b # note", "a b # note\n", "", " ", "# x"],
+                         ids=["token", "blank", "comment", "comment and newline", "empty",
+                              "only a blank", "only a comment"])
+def test_one_eof_token_however_the_text_ends(text):
+    tokens = tokenize(text)
+    assert tokens.count("") == 1 and tokens[-1] == ""
+    assert tokens[:-1] == text.split("#")[0].split()
+
+
+@pytest.mark.parametrize("name, count", [
+    ("facebook.dcp", 318), ("full.dca", 739), ("simplified.dca", 645), ("photo1.dcq", 51),
+    ("fb_all.dct", 555),
+])
+def test_fixture_token_counts(name, count):
+    assert len(tokenize((FIX / name).read_text(encoding="utf-8"))) == count
+
+
+def test_bad_character_is_the_first_in_the_text():
+    with pytest.raises(ParseError) as err:
+        tokenize("a ² @", file="f")
+    assert str(err.value) == "f:1:3: unexpected character '²'"
+    # inside a comment or a string the same character is no error
+    assert tokenize('# ²\n"²"') == ['"²"', ""]
 
 
 def test_parse_error_is_located():
@@ -160,9 +208,16 @@ DATUM = ("data d1 { ow = a; ds = {a}; type = Notes;\n"
     (parse_policy, "actions { unary fav/unfav; }\n" + DATUM + DATUM, "4:6: duplicate datum 'd1'"),
     (parse_policy, "", "1:1: empty document"),
     (parse_has_query, "HAS_sp(enc(X{ow=a, ds={a}, id=d1}, key[sp]))",
-     "1:45: possession queries take a plain variable"),
+     "1:8: possession queries take a plain variable"),
+    (parse_arch_trace, 'archtrace {\n  own(t="1 2");\n}', "2:9: found '1 2' (expected number)"),
+    (parse_has_query, "HAS_sp(X{ow=42, ds={a}, id=d1})", "1:13: found '42' (expected owner)"),
+    (parse_architecture, "architecture {\n  Own[a](X{ow=a, ds={a}, id=d1});\n",
+     "3:1: found end of input (expected activity)"),
+    (parse_has_query, 'HAS_sp(X{ow=a, ds={a}, id=d1}) "more"',
+     "1:32: trailing input 'more' (expected end of input)"),
 ], ids=["no datum", "alias without tar", "no performer", "binary without tar",
-        "unary with tar", "no timestamp", "duplicate datum", "empty document", "query term"])
+        "unary with tar", "no timestamp", "duplicate datum", "empty document", "query term",
+        "found a string", "found a number", "found end of input", "trailing input"])
 def test_rejected_document_is_located(parse, document, where):
     with pytest.raises(ParseError) as err:
         parse(document, file="f")
