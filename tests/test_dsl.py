@@ -224,6 +224,32 @@ def test_rejected_document_is_located(parse, document, where):
     assert str(err.value).startswith(f"f:{where}")
 
 
+@pytest.mark.parametrize("block, message", [
+    ("unary fav/unfav; unary fav/unfav2;",
+     "action 'fav' declared more than once; two revoke actions target the same A1 action;"
+     " two events are named 'groupfav'; two events are named 'ungroupfav';"
+     " two events are named 'fav'"),
+    ("unary fav/unfav; unary pin/unfav;",
+     "action 'unfav' declared more than once; two events are named 'unfav'"),
+    ("unary fav/fav;", "action 'fav' declared more than once; two events are named 'fav'"),
+    ("unary fav/unfav; binary fav/unlink;",
+     "action 'fav' declared more than once; two events are named 'groupfav';"
+     " two events are named 'ungroupfav'; two events are named 'fav'"),
+    ("unary use/unuse;",
+     "action 'use' collides with a predefined action; two events are named 'use'"),
+    ("unary groupact/unx;", "action 'groupact' collides with a predefined action"),
+    ("binary link/unlink; unary fav/unlink;",
+     "action 'unlink' declared more than once; two events are named 'unlink'"),
+], ids=["base twice", "un-action twice", "action is its own un-action", "base in both arities",
+        "predefined name", "predefined group name", "un-action in both arities"])
+def test_malformed_actions_block_message(block, message):
+    """The full text of each rejected declaration list, reported for the whole
+    document."""
+    with pytest.raises(ParseError) as err:
+        parse_policy(f"actions {{ {block} }}\n", file="f")
+    assert str(err.value) == f"f:1:1: {message}"
+
+
 def _fixture_parsers():
     """(name, text, parser) for every fixture and for the architecture image of
     ``fb_clean.dct``."""
