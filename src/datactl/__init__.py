@@ -9,7 +9,6 @@ rules or by bounded state-space enumeration.
 __version__ = "0.1.0"
 
 from .model import (  # noqa: F401
-    ActionId,
     ActivitySets,
     DataRef,
     Policy,

@@ -27,12 +27,7 @@ from .architecture import (
 )
 from .logic import FORMS, SLOTS, And, HasProperty
 from .model import (
-    BINARY,
-    BINARY_REVOKE,
     SP,
-    UNARY,
-    UNARY_REVOKE,
-    ActionId,
     ActivitySets,
     DataRef,
     DeletionSpec,
@@ -238,23 +233,18 @@ def parse_policy(text: str, file: str = "<input>") -> PolicyModel:
         p.fail("empty document", {"actions"})
     p.expect("actions")
     p.expect("{")
-    a1, ua1, a2, ua2 = [], [], [], []
+    pairs: dict[str, list[tuple[str, str]]] = {"unary": [], "binary": []}
     while not p.at("}"):
         family = p.ident("unary or binary")
-        if family not in ("unary", "binary"):
-            p.fail_previous(f"unknown action family {family!r}", {"unary", "binary"})
+        if family not in pairs:
+            p.fail_previous(f"unknown action family {family!r}", pairs)
         base = p.ident("action name")
         p.expect("/")
         rev = p.ident("revoke action name")
         p.expect(";")
-        if family == "unary":
-            a1.append(ActionId(base, UNARY))
-            ua1.append(ActionId(rev, UNARY_REVOKE, revokes=base))
-        else:
-            a2.append(ActionId(base, BINARY))
-            ua2.append(ActionId(rev, BINARY_REVOKE, revokes=base))
+        pairs[family].append((base, rev))
     p.expect("}")
-    sets = ActivitySets(a1=tuple(a1), ua1=tuple(ua1), a2=tuple(a2), ua2=tuple(ua2))
+    sets = ActivitySets(unary=tuple(pairs["unary"]), binary=tuple(pairs["binary"]))
 
     alias = None
     if p.accept("alias"):
@@ -774,10 +764,8 @@ def _perm_lines(perms: Perms) -> list[str]:
 
 def serialize_policy(model: PolicyModel) -> str:
     lines = ["actions {"]
-    for base, rev in zip(model.sets.a1, model.sets.ua1):
-        lines.append(f"  unary {base.name}/{rev.name};")
-    for base, rev in zip(model.sets.a2, model.sets.ua2):
-        lines.append(f"  binary {base.name}/{rev.name};")
+    lines += [f"  unary {base}/{rev};" for base, rev in model.sets.unary]
+    lines += [f"  binary {base}/{rev};" for base, rev in model.sets.binary]
     lines.append("}")
     if model.alias is not None:
         actions = ", ".join(model.alias.actions)

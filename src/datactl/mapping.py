@@ -35,7 +35,7 @@ from .architecture import (
 )
 from .logic import h1_applicable, h2_applicable, h3_applicable, h8_conclusions
 from .dsl import serialize_activity
-from .model import SP, ActionId, DataRef, FriendAlias, Perms, Policy, PolicyModel
+from .model import SP, DataRef, FriendAlias, Perms, Policy, PolicyModel
 from .semantics import (
     ACT1,
     ACT2,
@@ -274,19 +274,19 @@ class CorrespondenceReport:
 
 
 def _policy_grants(
-    j: str, pol: Policy, actions: Sequence[ActionId], users: Sequence[str], binary: bool,
+    j: str, pol: Policy, actions: Sequence[str], users: Sequence[str], binary: bool,
     extendable: frozenset[tuple[str, str]],
 ) -> bool:
     """Whether one of ``actions``, performed by a user its can-group admits
     (or the trace can add), grants ``j`` the datum: against some target in
     ``users`` when the actions are ``binary``."""
     targets = users if binary else [None]
-    for act in actions:
+    for action in actions:
         for i in users:
-            if i not in pol.perms.can_do(act.name) and (act.name, i) not in extendable:
+            if i not in pol.perms.can_do(action) and (action, i) not in extendable:
                 continue
             for tar in targets:
-                if j in pol.perms.holders(act.name, i, tar):
+                if j in pol.perms.holders(action, i, tar):
                     return True
     return False
 
@@ -325,7 +325,8 @@ def check_correspondence(
     derived architecture when no explicit one is given.
     """
     model = ctx.model
-    sets = model.sets
+    unary = [base for base, _ in model.sets.unary]
+    binary = [base for base, _ in model.sets.binary]
     users = sorted(model.users() | {SP})
 
     # When no explicit architecture is supplied, derive one per datum from the
@@ -361,8 +362,8 @@ def check_correspondence(
 
         for j in users:
             c3i = j == dt.ow
-            c3ii = _policy_grants(j, pol, sets.a1, users, False, ext)
-            c3iii = _policy_grants(j, pol, sets.a2, users, True, ext)
+            c3ii = _policy_grants(j, pol, unary, users, False, ext)
+            c3iii = _policy_grants(j, pol, binary, users, True, ext)
             h1 = h1_applicable(pa_here, j, x)
             h2 = h2_applicable(pa_here, j, x, users)
             h3 = h3_applicable(pa_here, j, x, users)
@@ -379,8 +380,8 @@ def check_correspondence(
             report.results.append(
                 _biconditional("P2", j, ident, c3i, h1, "ownership clause", "owner rule")
             )
-            for prop, arity, actions, clause, rule in (("P3", "unary", sets.a1, c3ii, h2),
-                                                       ("P4", "binary", sets.a2, c3iii, h3)):
+            for prop, arity, actions, clause, rule in (("P3", "unary", unary, c3ii, h2),
+                                                       ("P4", "binary", binary, c3iii, h3)):
                 if actions:
                     result = _biconditional(prop, j, ident, clause, rule,
                                             f"{arity}-action clause", f"{arity}-action rule")

@@ -26,64 +26,35 @@ PREDEFINED_ACTIONS = frozenset(
     }
 )
 
-UNARY = "unary"
-UNARY_REVOKE = "unary-revoke"
-BINARY = "binary"
-BINARY_REVOKE = "binary-revoke"
-
 STORAGE_PLACES = frozenset({"clientloc", "sploc"})
 STORAGE_FORMS = frozenset({("plain", "none"), ("enc", "spkey"), ("enc", "clkey")})
 DELETION_MODES = frozenset({"man", "aut"})
 
 
 @dataclass(frozen=True)
-class ActionId:
-    """A declared activity. ``revokes`` pairs an un-action with its base action."""
-
-    name: str
-    kind: str  # UNARY / UNARY_REVOKE / BINARY / BINARY_REVOKE
-    revokes: str | None = None
-
-    @property
-    def is_binary(self) -> bool:
-        return self.kind in (BINARY, BINARY_REVOKE)
-
-    @property
-    def is_revoke(self) -> bool:
-        return self.kind in (UNARY_REVOKE, BINARY_REVOKE)
-
-
-@dataclass(frozen=True)
 class ActivitySets:
-    """The four declared activity families; revocation is a bijection a1<->ua1, a2<->ua2."""
+    """The declared actions, each paired with the un-action that takes it back:
+    ``(action, un-action)`` names per arity, in declaration order."""
 
-    a1: tuple[ActionId, ...] = ()
-    ua1: tuple[ActionId, ...] = ()
-    a2: tuple[ActionId, ...] = ()
-    ua2: tuple[ActionId, ...] = ()
+    unary: tuple[tuple[str, str], ...] = ()
+    binary: tuple[tuple[str, str], ...] = ()
 
-    def all_actions(self) -> tuple[ActionId, ...]:
-        return self.a1 + self.ua1 + self.a2 + self.ua2
-
-    def names(self) -> frozenset[str]:
-        return frozenset(a.name for a in self.all_actions())
+    def names(self) -> tuple[str, ...]:
+        """Every declared name: the unary actions, their un-actions, then the
+        binary actions and theirs."""
+        return tuple(pair[i] for pairs in (self.unary, self.binary)
+                     for i in (0, 1) for pair in pairs)
 
     def base_names(self) -> tuple[str, ...]:
-        """Names of the non-revoke actions, declaration order (A1 then A2)."""
-        return tuple(a.name for a in self.a1 + self.a2)
-
-    def find(self, name: str) -> ActionId | None:
-        for a in self.all_actions():
-            if a.name == name:
-                return a
-        return None
+        """The actions without their un-actions, declaration order (unary first)."""
+        return tuple(base for base, _ in self.unary + self.binary)
 
     def base_of(self, name: str) -> str | None:
-        """For an un-action, the action it revokes; for a base action, itself."""
-        act = self.find(name)
-        if act is None:
-            return None
-        return act.revokes if act.is_revoke else act.name
+        """For an un-action, the action it takes back; for an action, itself."""
+        for base, undo in self.unary + self.binary:
+            if name in (base, undo):
+                return base
+        return None
 
 
 @dataclass(frozen=True)
@@ -247,66 +218,25 @@ class PolicyModel:
 
 
 def validate_activity_sets(sets: ActivitySets) -> list[str]:
-    """Structural check of the four activity families; empty list means well-formed."""
+    """The declared names that clash: one declared twice, or one that is a
+    predefined action.  An empty list means well-formed."""
     errors: list[str] = []
-    if len(sets.a1) != len(sets.ua1):
-        errors.append(
-            f"unary sets differ in size: |A1|={len(sets.a1)} but |UA1|={len(sets.ua1)}"
-        )
-    if len(sets.a2) != len(sets.ua2):
-        errors.append(
-            f"binary sets differ in size: |A2|={len(sets.a2)} but |UA2|={len(sets.ua2)}"
-        )
-
     seen: set[str] = set()
-    for act in sets.all_actions():
-        if act.name in seen:
-            errors.append(f"action {act.name!r} declared more than once")
-        seen.add(act.name)
-        if act.name in PREDEFINED_ACTIONS:
-            errors.append(f"action {act.name!r} collides with a predefined action")
-
-    expected = {
-        UNARY: sets.a1,
-        UNARY_REVOKE: sets.ua1,
-        BINARY: sets.a2,
-        BINARY_REVOKE: sets.ua2,
-    }
-    for kind, family in expected.items():
-        for act in family:
-            if act.kind != kind:
-                errors.append(f"action {act.name!r} has kind {act.kind!r}, expected {kind!r}")
-
-    # revokes must be a bijection between each base family and its revoke family
-    for base_family, rev_family, label in (
-        (sets.a1, sets.ua1, "A1"),
-        (sets.a2, sets.ua2, "A2"),
-    ):
-        base_names = {a.name for a in base_family}
-        targets: list[str] = []
-        for rev in rev_family:
-            if rev.revokes is None:
-                errors.append(f"revoke action {rev.name!r} names no counterpart")
-            elif rev.revokes not in base_names:
-                errors.append(
-                    f"revoke action {rev.name!r} targets {rev.revokes!r}, not in {label}"
-                )
-            else:
-                targets.append(rev.revokes)
-        if len(targets) != len(set(targets)):
-            errors.append(f"two revoke actions target the same {label} action")
-        for base in base_family:
-            if base.name not in targets:
-                errors.append(f"action {base.name!r} has no revoke counterpart")
+    for name in sets.names():
+        if name in seen:
+            errors.append(f"action {name!r} declared more than once")
+        seen.add(name)
+        if name in PREDEFINED_ACTIONS:
+            errors.append(f"action {name!r} collides with a predefined action")
     return errors
 
 
 def validate_policy(pol: Policy, sets: ActivitySets) -> list[str]:
     """Check one policy against the declared activity sets."""
     errors: list[str] = []
-    declared = sets.names() | PREDEFINED_ACTIONS
-    base_declared = {a.name for a in sets.a1 + sets.a2}
-    binary_declared = {a.name for a in sets.a2}
+    declared = set(sets.names()) | PREDEFINED_ACTIONS
+    base_declared = set(sets.base_names())
+    binary_declared = {base for base, _ in sets.binary}
 
     for action in pol.perms.can:
         if action not in declared:

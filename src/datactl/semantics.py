@@ -122,8 +122,10 @@ def possible_events(sets: ActivitySets) -> list[EventTemplate]:
     for name in sets.base_names():
         templates += [EventTemplate(GROUPACT, name, True), EventTemplate(UNGROUPACT, name, True)]
     templates += [EventTemplate(GROUPHAS, binary=True), EventTemplate(UNGROUPHAS, binary=True)]
-    for family, kind in ((sets.a1, ACT1), (sets.ua1, UNACT1), (sets.a2, ACT2), (sets.ua2, UNACT2)):
-        templates += [EventTemplate(kind, act.name, kind in (ACT2, UNACT2)) for act in family]
+    for pairs, act, unact, binary in ((sets.unary, ACT1, UNACT1, False),
+                                      (sets.binary, ACT2, UNACT2, True)):
+        templates += [EventTemplate(act, base, binary) for base, _ in pairs]
+        templates += [EventTemplate(unact, undo, binary) for _, undo in pairs]
     return templates
 
 

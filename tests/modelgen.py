@@ -8,12 +8,7 @@ import random
 from dataclasses import dataclass
 
 from datactl.model import (
-    BINARY,
-    BINARY_REVOKE,
     SP,
-    UNARY,
-    UNARY_REVOKE,
-    ActionId,
     ActivitySets,
     DataRef,
     DeletionSpec,
@@ -23,17 +18,16 @@ from datactl.model import (
     StorageSpec,
 )
 from datactl.semantics import (
-    ACT1,
-    ACT2,
+    ACT_KINDS,
     DELETE,
     DELETEREQ,
     GROUPHAS,
     OWN,
     STORE,
-    UNACT1,
-    UNACT2,
     USE,
     AbstractEvent,
+    EventTemplate,
+    possible_events,
 )
 
 USER_POOL = ("u1", "u2", "u3", "u4")
@@ -53,14 +47,8 @@ STORAGE_CHOICES = (
 def random_model(rng: random.Random) -> PolicyModel:
     users = list(USER_POOL[: rng.randint(2, 4)])
 
-    a1, ua1, a2, ua2 = [], [], [], []
-    for base, rev in UNARY_POOL[: rng.randint(0, 2)]:
-        a1.append(ActionId(base, UNARY))
-        ua1.append(ActionId(rev, UNARY_REVOKE, revokes=base))
-    for base, rev in BINARY_POOL[: rng.randint(0, 2)]:
-        a2.append(ActionId(base, BINARY))
-        ua2.append(ActionId(rev, BINARY_REVOKE, revokes=base))
-    sets = ActivitySets(a1=tuple(a1), ua1=tuple(ua1), a2=tuple(a2), ua2=tuple(ua2))
+    sets = ActivitySets(unary=UNARY_POOL[: rng.randint(0, 2)],
+                        binary=BINARY_POOL[: rng.randint(0, 2)])
 
     model = PolicyModel(sets=sets)
     for k in range(rng.randint(1, 3)):
@@ -74,11 +62,11 @@ def random_model(rng: random.Random) -> PolicyModel:
         been: dict[str, dict[str, frozenset[str]]] = {}
         # Empty grant sets are omitted: they are semantically identical to
         # absent entries and the canonical serializer drops them.
-        for act in sets.all_actions():
+        for act in _act_templates(sets):
             chosen = frozenset(rng.sample(users, rng.randint(0, len(users))))
             if chosen:
-                can[act.name] = chosen
-        for act in list(sets.a1) + list(sets.a2):
+                can[act.action] = chosen
+        for action in sets.base_names():
             table = {}
             for u in users:
                 if rng.random() < 0.6:
@@ -86,8 +74,8 @@ def random_model(rng: random.Random) -> PolicyModel:
                     if chosen:
                         table[u] = chosen
             if table:
-                by[act.name] = table
-        for act in sets.a2:
+                by[action] = table
+        for action, _ in sets.binary:
             table = {}
             for u in users:
                 if rng.random() < 0.6:
@@ -95,7 +83,7 @@ def random_model(rng: random.Random) -> PolicyModel:
                     if chosen:
                         table[u] = chosen
             if table:
-                been[act.name] = table
+                been[action] = table
 
         wh, ho = rng.choice(STORAGE_CHOICES)
         pol = Policy(
@@ -107,6 +95,11 @@ def random_model(rng: random.Random) -> PolicyModel:
         model.data[ident] = dt
         model.policies[ident] = pol
     return model
+
+
+def _act_templates(sets: ActivitySets) -> list[EventTemplate]:
+    """The templates of the declared actions and un-actions, in inventory order."""
+    return [t for t in possible_events(sets) if t.kind in ACT_KINDS]
 
 
 @dataclass
@@ -129,6 +122,7 @@ def compliant_trace(model: PolicyModel, rng: random.Random, max_len: int = 20):
     clock = TraceState()
     trace: list[AbstractEvent] = []
     alive: set[str] = set()
+    acts = _act_templates(model.sets)
 
     order = sorted(model.data)
     rng.shuffle(order)
@@ -152,20 +146,16 @@ def compliant_trace(model: PolicyModel, rng: random.Random, max_len: int = 20):
         elif choice < 0.5:
             purposes = frozenset(rng.sample(sorted(pol.ap), rng.randint(0, len(pol.ap))))
             trace.append(AbstractEvent(kind=USE, t=clock.tick(), dt=dt, purposes=purposes))
-        elif choice < 0.85 and model.sets.all_actions():
-            act = rng.choice(model.sets.all_actions())
-            performers = sorted(pol.perms.can_do(act.name))
+        elif choice < 0.85 and acts:
+            act = rng.choice(acts)
+            performers = sorted(pol.perms.can_do(act.action))
             if not performers:
                 continue
             actor = rng.choice(performers)
-            tar = rng.choice(users) if act.is_binary else None
-            kind = {
-                UNARY: ACT1, UNARY_REVOKE: UNACT1,
-                BINARY: ACT2, BINARY_REVOKE: UNACT2,
-            }[act.kind]
+            tar = rng.choice(users) if act.binary else None
             trace.append(
-                AbstractEvent(kind=kind, t=clock.tick(), dt=dt, actor=actor,
-                              tar=tar, action=act.name)
+                AbstractEvent(kind=act.kind, t=clock.tick(), dt=dt, actor=actor,
+                              tar=tar, action=act.action)
             )
         elif choice < 0.92 and len(alive) > 1:
             # Deletion pair: request then honour it on the next tick.
@@ -179,40 +169,21 @@ def full_events(model: PolicyModel) -> list[AbstractEvent]:
     """One event per entry of each datum's possible-event inventory, with
     pattern principals.  Used to derive the architecture that covers every
     possible trace of the model."""
-    from datactl.semantics import GROUPACT, UNGROUPACT, UNGROUPHAS
-    from datactl.model import BINARY as B, BINARY_REVOKE as BR
-
-    t = 0
     out: list[AbstractEvent] = []
-
-    def tick() -> int:
-        nonlocal t
-        t += 1
-        return t
-
     for ident in sorted(model.data):
         dt = model.data[ident]
         pol = model.policy_of(dt)
-        out.append(AbstractEvent(kind=OWN, t=tick(), dt=dt, actor=dt.ow,
-                                 value=f"v-{ident}", policy=pol))
-        out.append(AbstractEvent(kind=STORE, t=tick(), dt=dt))
-        out.append(AbstractEvent(kind=USE, t=tick(), dt=dt, purposes=pol.ap))
-        out.append(AbstractEvent(kind=DELETEREQ, t=tick(), dt=dt, actor="?i"))
-        out.append(AbstractEvent(kind=DELETE, t=tick(), dt=dt))
-        for name in model.sets.base_names():
-            out.append(AbstractEvent(kind=GROUPACT, t=tick(), dt=dt,
-                                     actor="?i", tar="?tar", action=name))
-            out.append(AbstractEvent(kind=UNGROUPACT, t=tick(), dt=dt,
-                                     actor="?i", tar="?tar", action=name))
-        out.append(AbstractEvent(kind=GROUPHAS, t=tick(), dt=dt, actor="?i", tar="?tar"))
-        out.append(AbstractEvent(kind=UNGROUPHAS, t=tick(), dt=dt, actor="?i", tar="?tar"))
-        for act in model.sets.all_actions():
-            kind = {
-                UNARY: ACT1, UNARY_REVOKE: UNACT1, B: ACT2, BR: UNACT2,
-            }[act.kind]
-            tar = "?tar" if act.kind in (B, BR) else None
-            out.append(AbstractEvent(kind=kind, t=tick(), dt=dt, actor="?i",
-                                     tar=tar, action=act.name))
+        for template in possible_events(model.sets):
+            if template.kind == OWN:
+                fields = dict(actor=dt.ow, value=f"v-{ident}", policy=pol)
+            elif template.kind == USE:
+                fields = dict(purposes=pol.ap)
+            elif template.kind in (STORE, DELETE):
+                fields = {}
+            else:
+                fields = dict(actor="?i", tar="?tar" if template.binary else None,
+                              action=template.action)
+            out.append(AbstractEvent(kind=template.kind, t=len(out) + 1, dt=dt, **fields))
     return out
 
 
@@ -235,16 +206,12 @@ def inject_c1(model: PolicyModel, trace, rng: random.Random):
 
 def inject_c2(model: PolicyModel, trace, rng: random.Random):
     dt = rng.choice(_alive_after(model, trace))
-    actions = model.sets.all_actions()
-    if actions:
-        act = rng.choice(actions)
-        kind = {
-            UNARY: ACT1, UNARY_REVOKE: UNACT1,
-            BINARY: ACT2, BINARY_REVOKE: UNACT2,
-        }[act.kind]
-        tar = dt.ow if act.is_binary else None
-        bad = AbstractEvent(kind=kind, t=_next_t(trace), dt=dt, actor="mallory",
-                            tar=tar, action=act.name)
+    acts = _act_templates(model.sets)
+    if acts:
+        act = rng.choice(acts)
+        tar = dt.ow if act.binary else None
+        bad = AbstractEvent(kind=act.kind, t=_next_t(trace), dt=dt, actor="mallory",
+                            tar=tar, action=act.action)
         return trace + [bad]
     # No declared actions: an unpermitted deletion request followed by the
     # deletion attributes the delete to a non-member of the delete group.

@@ -216,7 +216,7 @@ def test_criterion_service_corpus():
     with criterion("service corpus: declared sets, 31 event templates,"
                    " derived architecture matches both goldens", 5.0):
         model = parse_policy(open(f"{FIX}/facebook.dcp").read())
-        assert len(model.sets.a1) == 2 and len(model.sets.a2) == 4
+        assert len(model.sets.unary) == 2 and len(model.sets.binary) == 4
         assert model.alias is not None and len(model.alias.actions) == 6
 
         templates = possible_events(model.sets)

@@ -10,15 +10,12 @@ from datactl.compliance import RULES, ComplianceReport, Violation, check_rule, c
 from datactl.dsl import parse_policy, parse_trace, sniff_kind
 from datactl.model import (
     SP,
-    ActionId,
     ActivitySets,
     DataRef,
     DeletionSpec,
     Perms,
     Policy,
     StorageSpec,
-    UNARY,
-    UNARY_REVOKE,
 )
 from datactl.semantics import (
     ACT1,
@@ -38,10 +35,7 @@ from datactl.semantics import (
 
 from modelgen import INJECTORS, compliant_trace, random_model
 
-SETS = ActivitySets(
-    a1=(ActionId("fav", UNARY),),
-    ua1=(ActionId("unfav", UNARY_REVOKE, revokes="fav"),),
-)
+SETS = ActivitySets(unary=(("fav", "unfav"),))
 
 DT = DataRef(ow="alice", ds=frozenset({"alice"}), dtype="Notes", ident="d1")
 

@@ -226,9 +226,8 @@ def test_rejected_document_is_located(parse, document, where):
 
 @pytest.mark.parametrize("block, message", [
     ("unary fav/unfav; unary fav/unfav2;",
-     "action 'fav' declared more than once; two revoke actions target the same A1 action;"
-     " two events are named 'groupfav'; two events are named 'ungroupfav';"
-     " two events are named 'fav'"),
+     "action 'fav' declared more than once; two events are named 'groupfav';"
+     " two events are named 'ungroupfav'; two events are named 'fav'"),
     ("unary fav/unfav; unary pin/unfav;",
      "action 'unfav' declared more than once; two events are named 'unfav'"),
     ("unary fav/fav;", "action 'fav' declared more than once; two events are named 'fav'"),

@@ -39,10 +39,7 @@ from datactl.mapping import (
 )
 from datactl.model import (
     SP,
-    ActionId,
     ActivitySets,
-    BINARY,
-    BINARY_REVOKE,
     DataRef,
     DeletionSpec,
     FriendAlias,
@@ -50,8 +47,6 @@ from datactl.model import (
     Policy,
     PolicyModel,
     StorageSpec,
-    UNARY,
-    UNARY_REVOKE,
 )
 from datactl.semantics import (
     ACT1,
@@ -85,10 +80,7 @@ def policy(wh="sploc", how=("plain", "none"), **kw):
     return Policy(**defaults)
 
 
-SETS = ActivitySets(
-    a1=(ActionId("fav", UNARY),),
-    ua1=(ActionId("unfav", UNARY_REVOKE, revokes="fav"),),
-)
+SETS = ActivitySets(unary=(("fav", "unfav"),))
 
 
 def make_model(pol=None, alias=None, sets=SETS):
@@ -236,10 +228,7 @@ def test_image_trace_alias_collapse():
 
 
 def test_every_policy_event_kind_is_mapped():
-    sets = ActivitySets(
-        a1=(ActionId("fav", UNARY),), ua1=(ActionId("unfav", UNARY_REVOKE, revokes="fav"),),
-        a2=(ActionId("link", BINARY),), ua2=(ActionId("unlink", BINARY_REVOKE, revokes="link"),),
-    )
+    sets = ActivitySets(unary=(("fav", "unfav"),), binary=(("link", "unlink"),))
     kinds = {t.kind for t in possible_events(sets)}
     assert kinds == set(_ACTIVITY_OF) | {STORE, DELETE, USE}
     assert set(_FRIENDS_OF) <= set(_ACTIVITY_OF)

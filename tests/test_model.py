@@ -1,11 +1,6 @@
 import random
 
 from datactl.model import (
-    BINARY,
-    BINARY_REVOKE,
-    UNARY,
-    UNARY_REVOKE,
-    ActionId,
     ActivitySets,
     DeletionSpec,
     Perms,
@@ -20,38 +15,24 @@ from modelgen import random_model
 
 
 def make_sets():
-    return ActivitySets(
-        a1=(ActionId("fav", UNARY),),
-        ua1=(ActionId("unfav", UNARY_REVOKE, revokes="fav"),),
-        a2=(ActionId("link", BINARY),),
-        ua2=(ActionId("unlink", BINARY_REVOKE, revokes="link"),),
-    )
+    return ActivitySets(unary=(("fav", "unfav"),), binary=(("link", "unlink"),))
 
 
 def test_valid_sets_pass():
     assert validate_activity_sets(make_sets()) == []
 
 
-def test_size_mismatch_reported():
-    sets = ActivitySets(a1=(ActionId("fav", UNARY),))
-    errors = validate_activity_sets(sets)
-    assert any("differ in size" in e for e in errors)
-
-
-def test_revoke_must_target_declared_base():
-    sets = ActivitySets(
-        a1=(ActionId("fav", UNARY),),
-        ua1=(ActionId("unfav", UNARY_REVOKE, revokes="ghost"),),
-    )
-    assert any("targets 'ghost'" in e for e in validate_activity_sets(sets))
-
-
 def test_predefined_name_collision_rejected():
-    sets = ActivitySets(
-        a1=(ActionId("use", UNARY),),
-        ua1=(ActionId("unuse", UNARY_REVOKE, revokes="use"),),
-    )
-    assert any("predefined" in e for e in validate_activity_sets(sets))
+    sets = ActivitySets(unary=(("use", "unuse"),))
+    assert validate_activity_sets(sets) == ["action 'use' collides with a predefined action"]
+
+
+def test_name_declared_twice_rejected():
+    """Names are checked in inventory order: unary actions, their un-actions,
+    binary actions, theirs."""
+    sets = ActivitySets(unary=(("a", "x"), ("y", "a"), ("y", "z")))
+    assert validate_activity_sets(sets) == ["action 'y' declared more than once",
+                                            "action 'a' declared more than once"]
 
 
 def test_base_of_resolves_revokes():

@@ -95,9 +95,9 @@ def test_group_inverse(seed, tar):
     state = run_trace(trace, model.sets)
     for ident, dt in model.data.items():
         entry = state.get(dt)
-        if entry is None or not model.sets.all_actions():
+        if entry is None or not model.sets.base_names():
             continue
-        action = model.sets.all_actions()[0].name
+        action = model.sets.base_names()[0]
         perms = entry.policy.perms
         if tar in entry.h_has or tar in perms.can_do(action) or tar in perms.group:
             continue

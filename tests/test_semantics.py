@@ -4,12 +4,7 @@ event-inventory counts."""
 import pytest
 
 from datactl.model import (
-    BINARY,
-    BINARY_REVOKE,
     SP,
-    UNARY,
-    UNARY_REVOKE,
-    ActionId,
     ActivitySets,
     DataRef,
     DeletionSpec,
@@ -41,12 +36,7 @@ from datactl.semantics import (
     state_at,
 )
 
-SETS = ActivitySets(
-    a1=(ActionId("fav", UNARY),),
-    ua1=(ActionId("unfav", UNARY_REVOKE, revokes="fav"),),
-    a2=(ActionId("link", BINARY),),
-    ua2=(ActionId("unlink", BINARY_REVOKE, revokes="link"),),
-)
+SETS = ActivitySets(unary=(("fav", "unfav"),), binary=(("link", "unlink"),))
 
 DT = DataRef(ow="alice", ds=frozenset({"alice", "bob"}), dtype="Notes", ident="d1")
 
