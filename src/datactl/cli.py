@@ -59,6 +59,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise SystemExit2(f"cannot read {path}: {err.strerror}")
+    except UnicodeDecodeError as err:
+        raise SystemExit2(f"cannot read {path}: byte {err.start} is not UTF-8")
 
 
 class SystemExit2(Exception):
@@ -106,6 +108,8 @@ def cmd_validate(args) -> int:
         parse_trace(text, _load_policy(args.policy), file=args.file)
     else:
         parse_has_query(text, file=args.file)
+    if args.policy and kind not in ("trace", "arch-trace"):
+        raise SystemExit2(f"--policy applies to traces and arch traces, not to {kind} documents")
     print(f"{args.file}: valid {kind} document")
     return EXIT_OK
 
@@ -133,7 +137,10 @@ def cmd_derive_arch(args) -> int:
     pa = derive_architecture(events, ctx)
     rendered = serialize_architecture(pa)
     if args.output:
-        Path(args.output).write_text(rendered, encoding="utf-8")
+        try:
+            Path(args.output).write_text(rendered, encoding="utf-8")
+        except OSError as err:
+            raise SystemExit2(f"cannot write {args.output}: {err.strerror}")
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(rendered)
@@ -141,6 +148,8 @@ def cmd_derive_arch(args) -> int:
 
 
 def cmd_eval_has(args) -> int:
+    if args.archtrace and args.mode == "enumerate":
+        raise SystemExit2("--archtrace feeds the deduction rules, which --mode enumerate does not run")
     pa = _load_architecture(args.arch)
     prop = parse_has_query(_read(args.query), file=args.query)
     parts = prop.parts if isinstance(prop, And) else (prop,)

@@ -140,6 +140,20 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2 and "cannot read" in err
 
 
+def test_file_that_is_not_utf8_is_usage_error(capsys, tmp_path):
+    doc = tmp_path / "bad.dcp"
+    doc.write_bytes(b"actions {}\n\xff")
+    assert run(capsys, "validate", str(doc)) == (
+        2, "", f"error: cannot read {doc}: byte 11 is not UTF-8\n")
+
+
+@pytest.mark.parametrize("name", ["facebook.dcp", "full.dca", "photo1.dcq"])
+def test_validate_rejects_policy_for_a_document_that_is_not_a_trace(capsys, name):
+    kind = {"facebook.dcp": "policy", "full.dca": "architecture", "photo1.dcq": "query"}[name]
+    assert run(capsys, "validate", f"{FIX}/{name}", "--policy", "no/such/file.dcp") == (
+        2, "", f"error: --policy applies to traces and arch traces, not to {kind} documents\n")
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
@@ -204,6 +218,12 @@ def test_derive_arch_matches_goldens(capsys, tmp_path):
                      "--simplify-friends", "-o", str(out_path))
     assert code == 0
     assert out_path.read_text() == canonical(f"{FIX}/simplified.dca")
+
+
+def test_derive_arch_unwritable_output_is_usage_error(capsys, tmp_path):
+    out_path = tmp_path / "no" / "such" / "dir" / "x.dca"
+    assert run(capsys, "derive-arch", DCP, "-o", str(out_path)) == (
+        2, "", f"error: cannot write {out_path}: No such file or directory\n")
 
 
 def test_derive_arch_idempotent_output(capsys, tmp_path):
@@ -374,6 +394,14 @@ def test_eval_has_rejects_an_arch_trace_the_architecture_does_not_admit(capsys, 
                      "  groupbogus(t=2, user=alice, tar=bob);\n}\n")
     assert run(capsys, *argv) == (
         2, "", f"error: {trace}: event 2 instantiates no activity of {FIX}/simplified.dca\n")
+
+
+def test_eval_has_rejects_an_arch_trace_it_would_not_read(capsys):
+    """Only the deduction rules read ``--archtrace``; the search never does."""
+    argv = ("eval-has", f"{FIX}/simplified.dca", f"{FIX}/photo1.dcq", "--mode", "enumerate",
+            "--archtrace", "no/such/trace.dct")
+    assert run(capsys, *argv) == (
+        2, "", "error: --archtrace feeds the deduction rules, which --mode enumerate does not run\n")
 
 
 def test_eval_has_conjunction_counts_the_users_of_its_parts(capsys, tmp_path):
