@@ -234,8 +234,9 @@ def validate_activity_sets(sets: ActivitySets) -> list[str]:
 def validate_policy(pol: Policy, sets: ActivitySets) -> list[str]:
     """Check one policy against the declared activity sets."""
     errors: list[str] = []
-    declared = set(sets.names()) | PREDEFINED_ACTIONS
-    base_declared = set(sets.base_names())
+    pairs = sets.unary + sets.binary
+    declared = PREDEFINED_ACTIONS.union(*pairs)
+    base_declared = {base for base, _ in pairs}
     binary_declared = {base for base, _ in sets.binary}
 
     for action in pol.perms.can:
