@@ -62,10 +62,10 @@ def random_model(rng: random.Random) -> PolicyModel:
         been: dict[str, dict[str, frozenset[str]]] = {}
         # Empty grant sets are omitted: they are semantically identical to
         # absent entries and the canonical serializer drops them.
-        for act in _act_templates(sets):
+        for action in sets.names():
             chosen = frozenset(rng.sample(users, rng.randint(0, len(users))))
             if chosen:
-                can[act.action] = chosen
+                can[action] = chosen
         for action in sets.base_names():
             table = {}
             for u in users:
