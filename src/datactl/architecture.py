@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Mapping, NamedTuple, Union, get_args
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union, get_args
 
 from .model import SP, Perms
 
@@ -346,7 +346,7 @@ class GlobalState:
     """Per-user variable states plus the permission state.
 
     Immutable and hashable, for callers and tests that compare states (the
-    search in :func:`enumerate_states` dedupes on its kernel's ints): two
+    search in :func:`search_states` dedupes on its kernel's ints): two
     states are equal when their users' defined bindings and times, their
     ``can`` grants and their ``group`` agree.  ``can`` and ``group`` change as
     group events run; the holder tables never change, so ``perms`` (the
@@ -659,20 +659,50 @@ class _Kernel:
         *users, can, group = [field[s >> offset & mask] for offset, mask, field in self.reads]
         return GlobalState(tuple(users), can, group, self.perms, self.slot)
 
+    def search(self, max_len: int, max_states: int) -> Iterator[int]:
+        """Breadth-first from ``init``: each state within ``max_len`` steps, in the
+        order first reached, a whole depth at once, so the cap trips by depth counts."""
+        seen, frontier = {self.init}, [self.init]
+        yield self.init
+        for depth in range(1, max_len + 1):
+            moves = self.moves(depth)
+            next_frontier = []
+            for s in frontier:
+                for guard, keep, put in moves:
+                    if s & guard == guard:
+                        nxt = s & keep | put
+                        if nxt not in seen:
+                            if len(seen) >= max_states:
+                                raise EnumerationLimit(
+                                    f"more than {max_states} states within bound {max_len}")
+                            seen.add(nxt)
+                            next_frontier.append(nxt)
+            yield from next_frontier
+            frontier = next_frontier
+            if not frontier:
+                break
 
-def enumerate_states(
-    pa: Architecture,
-    max_len: int,
-    universe: Universe,
-    max_states: int = 10**6,
-) -> list[GlobalState]:
-    """All states reachable by compatible traces of length <= ``max_len``,
-    with event times fixed to their trace positions, in the order a
-    breadth-first search first reaches them.
 
-    Exact within the bound; raises :class:`EnumerationLimit` when the number
-    of distinct states would exceed ``max_states``.
-    """
+class StateView(NamedTuple):
+    """A state the search reached, read one user at a time: :meth:`user`, as
+    :meth:`GlobalState.user`, decodes one field through its memo table."""
+
+    kernel: _Kernel
+    s: int
+
+    def user(self, name: str) -> UserState:
+        if name not in self.kernel.slot:
+            return UserState(name)
+        offset, mask, part = self.kernel.reads[self.kernel.slot[name]]
+        return part[self.s >> offset & mask]
+
+
+def search_states(pa: Architecture, max_len: int, universe: Universe,
+                  max_states: int = 10**6) -> tuple[_Kernel, Iterator[int]]:
+    """The compiled kernel, and the states reachable by compatible traces of
+    length <= ``max_len`` (event times are trace positions) as its ints, in
+    breadth-first order.  The search runs as they are read and raises
+    :class:`EnumerationLimit` past ``max_states`` distinct states."""
     ok, witness = is_consistent(pa)
     if not ok:
         raise ArchSemanticsError(f"inconsistent architecture: {witness} has two owners")
@@ -685,23 +715,11 @@ def enumerate_states(
         except ArchSemanticsError:
             continue  # it names a user outside the universe, so no state can take it
     kernel = _Kernel(init, steps, max_len)
-    seen = {kernel.init: None}  # insertion-ordered, so the states come out in BFS order
-    frontier = [kernel.init]
-    for depth in range(1, max_len + 1):
-        moves = kernel.moves(depth)
-        next_frontier = []
-        for s in frontier:
-            for guard, keep, put in moves:
-                if s & guard == guard:
-                    nxt = s & keep | put
-                    if nxt not in seen:
-                        if len(seen) >= max_states:
-                            raise EnumerationLimit(
-                                f"more than {max_states} states within bound {max_len}"
-                            )
-                        seen[nxt] = None
-                        next_frontier.append(nxt)
-        frontier = next_frontier
-        if not frontier:
-            break
-    return [kernel.decode(s) for s in seen]
+    return kernel, kernel.search(max_len, max_states)
+
+
+def enumerate_states(pa: Architecture, max_len: int, universe: Universe,
+                     max_states: int = 10**6) -> list[GlobalState]:
+    """The states of :func:`search_states`, in its order, decoded."""
+    kernel, reached = search_states(pa, max_len, universe, max_states)
+    return [kernel.decode(s) for s in reached]

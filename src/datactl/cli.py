@@ -150,6 +150,8 @@ def cmd_derive_arch(args) -> int:
 def cmd_eval_has(args) -> int:
     if args.archtrace and args.mode == "enumerate":
         raise SystemExit2("--archtrace feeds the deduction rules, which --mode enumerate does not run")
+    if args.mode == "deduce" and (args.max_len, args.max_states) != (None, None):
+        raise SystemExit2("--max-len and --max-states bound the search, which --mode deduce does not run")
     pa = _load_architecture(args.arch)
     prop = parse_has_query(_read(args.query), file=args.query)
     parts = prop.parts if isinstance(prop, And) else (prop,)
@@ -167,9 +169,10 @@ def cmd_eval_has(args) -> int:
         print(f"deduce: {'derivable' if holds_deduce else 'not derivable'}")
     if args.mode in ("enumerate", "both"):
         universe = Universe(users=tuple(sorted(users)))
+        max_len = DEFAULT_MAX_LEN if args.max_len is None else args.max_len
+        max_states = DEFAULT_MAX_STATES if args.max_states is None else args.max_states
         try:
-            verdict = eval_semantic(pa, prop, universe,
-                                    max_len=args.max_len, max_states=args.max_states)
+            verdict = eval_semantic(pa, prop, universe, max_len=max_len, max_states=max_states)
         except EnumerationLimit as err:
             print(f"enumerate: limit reached ({err})", file=sys.stderr)
             return EXIT_LIMIT
@@ -180,6 +183,8 @@ def cmd_eval_has(args) -> int:
 
 
 def cmd_check_correspondence(args) -> int:
+    if args.arch and args.simplify_friends:
+        raise SystemExit2("--simplify-friends shapes the derived architecture, which --arch replaces")
     model = _load_policy(args.policy)
     ctx = MappingContext(model=model, simplify_friends=args.simplify_friends)
     trace = _load_trace(args.trace, model) if args.trace else None
@@ -231,14 +236,13 @@ def cmd_compare_archs(args) -> int:
 def cmd_enumerate(args) -> int:
     pa = _load_architecture(args.arch)
     universe = Universe(users=tuple(sorted(_concrete_users(pa))) or ("u1",))
+    _, reached = arch_mod.search_states(pa, args.max_len, universe, max_states=args.max_states)
     try:
-        states = arch_mod.enumerate_states(
-            pa, args.max_len, universe, max_states=args.max_states
-        )
+        count = sum(1 for _ in reached)
     except EnumerationLimit as err:
         print(f"limit reached: {err}", file=sys.stderr)
         return EXIT_LIMIT
-    print(f"{len(states)} reachable states within {args.max_len} events")
+    print(f"{count} reachable states within {args.max_len} events")
     return EXIT_OK
 
 
@@ -295,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query")
     p.add_argument("--mode", choices=("deduce", "enumerate", "both"), default="both")
     p.add_argument("--archtrace", help="architecture trace for the deduction rules")
-    p.add_argument("--max-len", type=_bound, default=DEFAULT_MAX_LEN)
-    p.add_argument("--max-states", type=_bound, default=DEFAULT_MAX_STATES)
+    p.add_argument("--max-len", type=_bound)  # unset unless given: --mode deduce rejects them
+    p.add_argument("--max-states", type=_bound)
     p.set_defaults(func=cmd_eval_has)
 
     p = sub.add_parser("check-correspondence", allow_abbrev=False,

@@ -5,8 +5,8 @@ Two ways to establish a property are provided.  ``deduce`` applies the
 syntactic rules H1-H10 to an architecture and an event trace.  ``eval_semantic``
 decides the property against the enumerated state space, which is exact up to
 the trace-length bound; verdicts whose truth depends on states beyond the
-bound are flagged as bounded.  ``judge`` gives that verdict over states
-already enumerated, from each form's decision about one state (``witness``).
+bound are flagged as bounded.  ``judge`` gives that verdict over states read
+until it is settled, from each form's decision about one state (``witness``).
 """
 
 from __future__ import annotations
@@ -28,16 +28,17 @@ from .architecture import (
     Own,
     Possess,
     PossessOneOf,
+    StateView,
     Term,
     Universe,
     Var,
     base_action,
-    enumerate_states,
     is_compatible,
     is_pattern,
     match_term,
     match_token,
     schema_of,
+    search_states,
 )
 from .model import SP
 
@@ -63,7 +64,7 @@ class HasSp(_Form):
     var: Var
     head, label, user = "HAS_sp", "HAS", SP
 
-    def witness(self, state: GlobalState) -> bool:
+    def witness(self, state: GlobalState | StateView) -> bool:
         """The provider reads the value in the clear, or holds the ciphertext
         under its own key and that key."""
         sp, key = state.user(SP), KeyVar(SP)
@@ -79,7 +80,7 @@ class Has(_Form):
     t: int
     head, label = "HAS", "HAS"
 
-    def witness(self, state: GlobalState) -> bool:
+    def witness(self, state: GlobalState | StateView) -> bool:
         st = state.user(self.user)
         return st.t == self.t and st.value(self.var) is not None
 
@@ -91,7 +92,7 @@ class HasNot(_Form):
     t: int
     head, label = "HAS_not", "HASnot"
 
-    def witness(self, state: GlobalState) -> bool:
+    def witness(self, state: GlobalState | StateView) -> bool:
         st = state.user(self.user)
         return st.t == self.t and st.value(self.var) is None
 
@@ -102,7 +103,7 @@ class HasNever(_Form):
     var: Var
     head, label, universal = "HAS_never", "HASnever", True
 
-    def witness(self, state: GlobalState) -> bool:
+    def witness(self, state: GlobalState | StateView) -> bool:
         return state.user(self.user).value(self.var) is not None
 
 
@@ -114,7 +115,7 @@ SLOTS = {cls: frozenset(f.name for f in fields(cls)) for cls in FORMS.values()}
 
 @dataclass(frozen=True)
 class And:
-    parts: tuple["HasProperty", ...]
+    parts: tuple[_Form, ...]
 
     def render(self) -> str:
         return " and ".join(p.render() for p in self.parts)
@@ -376,25 +377,32 @@ def eval_semantic(
     max_len: int = 4,
     max_states: int = 10**6,
 ) -> SemanticVerdict:
-    """Decide a property over all states reachable within ``max_len`` events.
+    """Decide a property over the states reachable within ``max_len`` events,
+    searched only until :func:`judge` has settled the verdict.
 
     Positive existential answers (a witness state was found) are exact.
     Negative existentials and all universal answers are bounded: they hold of
     every enumerated state but a longer trace might differ.
     """
-    return judge(prop, enumerate_states(pa, max_len, universe, max_states))
+    kernel, reached = search_states(pa, max_len, universe, max_states)
+    return judge(prop, (StateView(kernel, s) for s in reached))
 
 
-def judge(prop: HasProperty, states: list[GlobalState]) -> SemanticVerdict:
-    """The verdict on ``prop`` over the enumerated ``states``; the parts of a
-    conjunction are judged against the same states."""
-    if isinstance(prop, And):
-        verdicts = [judge(p, states) for p in prop.parts]
-        return SemanticVerdict(
-            holds=all(v.holds for v in verdicts),
-            bounded=any(v.bounded for v in verdicts),
-            detail="; ".join(v.detail for v in verdicts if v.detail),
-        )
-    if not _fully_concrete(prop.var):
-        return SemanticVerdict(False, False, "variable is not completely defined")
-    return _VERDICTS[prop.universal, any(prop.witness(s) for s in states)]
+def judge(prop: HasProperty, states: Iterable[GlobalState | StateView]) -> SemanticVerdict:
+    """The verdict on ``prop`` over ``states``, read in order only until each
+    part is settled: by a witness state, or at once for a variable that is not
+    completely defined.  The parts of a conjunction read the same states."""
+    forms = prop.parts if isinstance(prop, And) else (prop,)
+    unsettled = [p for p in forms if _fully_concrete(p.var)]
+    for state in states if unsettled else ():
+        unsettled = [p for p in unsettled if not p.witness(state)]
+        if not unsettled:
+            break
+    verdicts = [_VERDICTS[p.universal, p not in unsettled] if _fully_concrete(p.var)
+                else SemanticVerdict(False, False, "variable is not completely defined")
+                for p in forms]
+    return SemanticVerdict(
+        holds=all(v.holds for v in verdicts),
+        bounded=any(v.bounded for v in verdicts),
+        detail="; ".join(v.detail for v in verdicts if v.detail),
+    )

@@ -404,6 +404,23 @@ def test_eval_has_rejects_an_arch_trace_it_would_not_read(capsys):
         2, "", "error: --archtrace feeds the deduction rules, which --mode enumerate does not run\n")
 
 
+@pytest.mark.parametrize("flag", ["--max-len", "--max-states"])
+def test_eval_has_rejects_a_search_bound_it_would_not_read(capsys, flag):
+    """Only the search reads the bounds; --mode deduce never does."""
+    argv = ("eval-has", f"{FIX}/simplified.dca", f"{FIX}/photo1.dcq", "--mode", "deduce", flag, "4")
+    assert run(capsys, *argv) == (
+        2, "", "error: --max-len and --max-states bound the search, which --mode deduce does not run\n")
+
+
+def test_check_correspondence_rejects_simplify_friends_with_an_architecture(capsys):
+    """--simplify-friends shapes only the architecture derived when --arch is
+    not given."""
+    argv = ("check-correspondence", DCP, "--arch", f"{FIX}/full.dca", "--format", "tsv")
+    assert run(capsys, *argv)[0] in (0, 1)
+    assert run(capsys, *argv, "--simplify-friends") == (
+        2, "", "error: --simplify-friends shapes the derived architecture, which --arch replaces\n")
+
+
 def test_eval_has_conjunction_counts_the_users_of_its_parts(capsys, tmp_path):
     # zed is named only by the query; a conjunction must add zed to the
     # universe as the single property does, so P and "P AND P" agree.
@@ -424,6 +441,38 @@ def test_eval_has_state_limit(capsys, tmp_path):
     code, _, err = run(capsys, "eval-has", arch, str(query), "--mode", "enumerate",
                        "--max-len", "4", "--max-states", "2")
     assert code == 3 and "limit" in err
+
+
+def test_eval_has_state_limit_bounds_the_search_until_the_verdict(capsys, tmp_path):
+    """eval-has searches only until its verdict is settled, finishing that
+    depth: photo1.dcq on simplified.dca is settled at depth 2, within 105
+    states, so a cap that only deeper states would trip no longer fires.  A
+    HAS_never that holds reads every state and trips where enumerate does."""
+    simplified, photo1 = f"{FIX}/simplified.dca", f"{FIX}/photo1.dcq"
+    argv = ("eval-has", simplified, photo1, "--max-len", "4", "--max-states")
+    assert run(capsys, *argv, "200") == (0, "deduce: not derivable\nenumerate: holds\n", "")
+    assert run(capsys, *argv, "105")[0] == 0
+    assert run(capsys, *argv, "104") == (
+        3, "deduce: not derivable\n", "enumerate: limit reached (more than 104 states within bound 4)\n")
+
+    never = tmp_path / "never.dcq"
+    never.write_text("HAS_never[bob](X{ow=alice, ds={alice, bob}, id=photo2})")
+    argv = ("eval-has", simplified, str(never), "--mode", "enumerate", "--max-len", "4", "--max-states")
+    assert run(capsys, *argv, "1688") == (0, "enumerate: holds (within bound)\n", "")
+    assert run(capsys, *argv, "1687") == (
+        3, "", "enumerate: limit reached (more than 1687 states within bound 4)\n")
+    argv = ("enumerate", simplified, "--max-len", "4", "--max-states")
+    assert run(capsys, *argv, "1688") == (0, "1688 reachable states within 4 events\n", "")
+    assert run(capsys, *argv, "1687") == (3, "", "limit reached: more than 1687 states within bound 4\n")
+
+
+def test_enumerate_decodes_no_state(capsys, monkeypatch):
+    def refuse(self, s):
+        raise AssertionError("enumerate decoded a state")
+
+    monkeypatch.setattr(cli.arch_mod._Kernel, "decode", refuse)
+    assert run(capsys, "enumerate", f"{FIX}/full.dca", "--max-len", "3") == (
+        0, "7932 reachable states within 3 events\n", "")
 
 
 def test_enumerate_state_limit(capsys, tmp_path):
@@ -486,7 +535,7 @@ def test_arch_semantics_error_is_usage_error(capsys, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise ArchSemanticsError("inconsistent architecture: d1 has two owners")
 
-    monkeypatch.setattr(cli.arch_mod, "enumerate_states", refuse)
+    monkeypatch.setattr(cli.arch_mod, "search_states", refuse)
     code, _, err = run(capsys, "enumerate", write_small_arch(tmp_path))
     assert code == 2 and err == "error: inconsistent architecture: d1 has two owners\n"
 

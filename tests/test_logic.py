@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -22,9 +23,13 @@ from datactl.architecture import (
     UnGroupHas,
     Universe,
     Var,
+    _Kernel,
     enc,
     enumerate_states,
+    search_states,
 )
+from datactl.cli import _concrete_users
+from datactl.dsl import parse_architecture, parse_has_query
 from datactl.logic import (
     And,
     DeductionResult,
@@ -33,6 +38,7 @@ from datactl.logic import (
     HasNot,
     HasSp,
     SemanticVerdict,
+    _activity_vars,
     conclusions,
     deduce,
     eval_semantic,
@@ -302,16 +308,16 @@ def test_semantic_conjunction():
 
 
 def test_conjunction_enumerates_once(monkeypatch):
-    """The parts of a conjunction are judged against one enumeration."""
+    """The parts of a conjunction are judged against one search."""
     import datactl.logic
 
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return enumerate_states(*args, **kwargs)
+        return search_states(*args, **kwargs)
 
-    monkeypatch.setattr(datactl.logic, "enumerate_states", counting)
+    monkeypatch.setattr(datactl.logic, "search_states", counting)
     pa = Architecture(activities=frozenset({Own("alice", X), Possess(X)}))
     v = eval_semantic(pa, And((Has("alice", X, 1), HasNever("bob", X))), UNIVERSE, max_len=2)
     assert (v.holds, v.bounded) == (True, True)
@@ -337,18 +343,18 @@ def test_deduction_witnessed_on_generated_models(monkeypatch):
     four events of a generated compliant trace's image is witnessed.  The
     un-action verdicts (H5/H6) need the step function to clear the holders of
     the base action, as the policy semantics does.  Each architecture is
-    enumerated once, by one ``eval_semantic`` call whose verdict must equal
-    ``judge`` on the states it enumerated; every conclusion is judged against
-    those states."""
+    searched once, by one ``eval_semantic`` call whose verdict must equal
+    ``judge`` on ``enumerate_states`` of the same architecture and bound;
+    every conclusion is judged against those states."""
     import datactl.logic
 
-    enumerated = []
+    searched = []
 
     def recording(*args, **kwargs):
-        enumerated.append(enumerate_states(*args, **kwargs))
-        return enumerated[-1]
+        searched.append(args)
+        return search_states(*args, **kwargs)
 
-    monkeypatch.setattr(datactl.logic, "enumerate_states", recording)
+    monkeypatch.setattr(datactl.logic, "search_states", recording)
     checked, unwitnessed = 0, []
     for seed in range(200):
         rng = random.Random(seed)
@@ -364,7 +370,8 @@ def test_deduction_witnessed_on_generated_models(monkeypatch):
         if not found:
             continue
         verdict = eval_semantic(pa, found[0].conclusion, universe, max_len=len(image))
-        states = enumerated.pop()
+        assert len(searched) == 1, seed
+        states = enumerate_states(*searched.pop())
         assert verdict == judge(found[0].conclusion, states), seed
         for r in found:
             checked += 1
@@ -372,3 +379,72 @@ def test_deduction_witnessed_on_generated_models(monkeypatch):
                 unwitnessed.append(f"seed {seed}: {r.render()}")
     assert unwitnessed == []
     assert checked >= 650, checked
+
+
+# --- the search stops once the verdict is settled ----------------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "facebook"
+
+
+def every_form(pa, users, bound):
+    """HAS_sp of each of ``pa``'s variables; per user, HAS_never and HAS and
+    HAS_not at each ``t <= bound``; and conjunctions of an existential with a
+    HAS_never, which settle the existential first or never."""
+    props = []
+    for var in _activity_vars(pa):
+        props.append(HasSp(var))
+        for u in users:
+            props.append(HasNever(u, var))
+            props += [cls(u, var, t) for cls in (Has, HasNot) for t in range(bound + 1)]
+        props += [And((HasSp(var), HasNever(users[0], var))),
+                  And((HasNever(users[-1], var), HasNot(users[-1], var, 1)))]
+    return props
+
+
+def test_lazy_verdicts_equal_verdicts_over_every_state():
+    """``eval_semantic`` reads its states one user at a time and stops once
+    every part is settled; its verdict (holds, bounded and detail) must equal
+    ``judge`` over the decoded ``enumerate_states`` of the same architecture
+    and bound, on the architectures derived from generated compliant traces."""
+    bound, checked = 3, 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        model = random_model(rng)
+        pa = derive_architecture(compliant_trace(model, rng), MappingContext(model))
+        users = sorted(model.users())
+        universe = Universe(users=tuple(users))
+        states = enumerate_states(pa, bound, universe)
+        for prop in every_form(pa, users + [SP], bound):
+            assert eval_semantic(pa, prop, universe, bound) == judge(prop, states), (seed, prop)
+            checked += 1
+    assert checked >= 5000, checked
+
+
+def photo1_on(name):
+    """A fixture architecture, the photo1.dcq query and the universe that
+    ``eval-has`` searches."""
+    pa = parse_architecture((FIXTURES / name).read_text(encoding="utf-8"))
+    query = parse_has_query((FIXTURES / "photo1.dcq").read_text(encoding="utf-8"))
+    return pa, query, Universe(users=tuple(sorted(_concrete_users(pa))))
+
+
+@pytest.mark.parametrize("name", ["simplified.dca", "full.dca"])
+def test_lazy_verdicts_equal_verdicts_over_every_state_on_the_fixtures(name):
+    pa, query, universe = photo1_on(name)
+    for max_len in range(5):
+        states = enumerate_states(pa, max_len, universe)
+        for prop in (query, *query.parts):
+            assert eval_semantic(pa, prop, universe, max_len) == judge(prop, states), max_len
+
+
+def test_settled_search_builds_no_deeper_state(monkeypatch):
+    """photo1.dcq on simplified.dca is settled at depth 2: a search bounded
+    at 4 takes no step beyond it, and holds."""
+    depths = []
+    moves = _Kernel.moves
+    monkeypatch.setattr(_Kernel, "moves",
+                        lambda self, depth: depths.append(depth) or moves(self, depth))
+    pa, query, universe = photo1_on("simplified.dca")
+    verdict = eval_semantic(pa, query, universe, max_len=4)
+    assert verdict == SemanticVerdict(True, False, "witness state found; witness state found")
+    assert depths == [1, 2]
