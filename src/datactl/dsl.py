@@ -85,9 +85,12 @@ class ParseError(Exception):
 # A token is its text, a string with its quotes, so its first character tells
 # its kind; the empty token at the end is ``eof``.  Any other character, the
 # opening quote of an unterminated string included, is a token of its own that
-# ``tokenize`` rejects.
-_TOKEN = re.compile(r'(?:[ \t\r\n]+|#[^\n]*)*([{}()\[\]=,;:/+]|"[^"\n]*"|[0-9]+'
-                    r'|[A-Za-z_?][A-Za-z0-9_?-]*|.|\Z)')
+# ``tokenize`` rejects.  The skip is blanks, then comments each followed by
+# blanks.  No run ever has to give characters back (after the longest skip some
+# alternative always matches, and each token ends where its run stops), so
+# every quantifier is possessive; identifiers, the most frequent, come first.
+_TOKEN = re.compile(r'[ \t\r\n]*+(?:#[^\n]*+[ \t\r\n]*+)*+'
+                    r'([A-Za-z_?][A-Za-z0-9_?-]*+|[{}()\[\]=,;:/+]|"[^"\n]*+"|[0-9]++|.|\Z)')
 # The first characters of the number, identifier and punctuation tokens.
 _DIGITS = frozenset("0123456789")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_?")
@@ -114,7 +117,9 @@ def tokenize(text: str, file: str = "<input>") -> list[str]:
 
 class _Parser:
     """A cursor over one document's tokens; ``current`` is the next one and
-    ``pos`` its index, which ``error`` turns into a line and column."""
+    ``pos`` its index, which ``error`` turns into a line and column.  The
+    readers step the cursor themselves: the step is the parser's most
+    frequent operation, so it is two assignments rather than a call."""
 
     def __init__(self, text: str, file: str):
         self.text = text
@@ -123,26 +128,18 @@ class _Parser:
         self.pos = 0
         self.current = self.tokens[0]
 
-    def advance(self) -> str:
-        tok = self.current
-        if tok:
-            self.pos += 1
-            self.current = self.tokens[self.pos]
-        return tok
-
-    def at(self, text: str) -> bool:
-        return self.current == text
-
     def accept(self, text: str) -> bool:
-        if self.current == text:
-            self.advance()
-            return True
-        return False
-
-    def expect(self, text: str) -> str:
         if self.current != text:
-            self.fail(f"found {self.describe()}", {text})
-        return self.advance()
+            return False
+        self.pos += 1
+        self.current = self.tokens[self.pos]
+        return True
+
+    def expect(self, text: str) -> None:
+        if self.current != text:
+            self.missing(text)
+        self.pos += 1
+        self.current = self.tokens[self.pos]
 
     def describe(self) -> str:
         tok = self.current
@@ -163,26 +160,42 @@ class _Parser:
         """Fail at the token just read."""
         self.error(message, self.pos - 1, expected)
 
+    def missing(self, what: str, at: int | None = None) -> NoReturn:
+        """Fail at token number ``at`` (by default the current one), which is
+        not the ``what`` the grammar needs there."""
+        if at is not None:
+            self.pos, self.current = at, self.tokens[at]
+        self.fail(f"found {self.describe()}", {what})
+
     def ident(self, what: str = "identifier") -> str:
-        if self.current[:1] not in _IDENT_START:
-            self.fail(f"found {self.describe()}", {what})
-        return self.advance()
+        tok = self.current
+        if tok[:1] not in _IDENT_START:
+            self.missing(what)
+        self.pos += 1
+        self.current = self.tokens[self.pos]
+        return tok
 
     def number(self) -> int:
-        if self.current[:1] not in _DIGITS:
-            self.fail(f"found {self.describe()}", {"number"})
-        return int(self.advance())
+        tok = self.current
+        if tok[:1] not in _DIGITS:
+            self.missing("number")
+        self.pos += 1
+        self.current = self.tokens[self.pos]
+        return int(tok)
 
     def string(self) -> str:
-        if self.current[:1] != '"':
-            self.fail(f"found {self.describe()}", {"string"})
-        return self.advance()[1:-1]
+        tok = self.current
+        if tok[:1] != '"':
+            self.missing("string")
+        self.pos += 1
+        self.current = self.tokens[self.pos]
+        return tok[1:-1]
 
     def items(self, left: str, right: str, read: Callable[[_Parser], T]) -> list[T]:
         """``left item, item, ... right``: possibly empty, a trailing comma allowed."""
         self.expect(left)
         out = []
-        while not self.at(right):
+        while self.current != right:
             out.append(read(self))
             if not self.accept(","):
                 break
@@ -190,8 +203,29 @@ class _Parser:
         return out
 
     def name_set(self) -> frozenset[str]:
-        """`{ a, b, c }` (possibly empty)."""
-        return frozenset(self.items("{", "}", _set_element))
+        """``{ a, b, c }``, as ``items`` reads it, in one loop over the tokens."""
+        tokens = self.tokens
+        at = self.pos
+        if tokens[at] != "{":
+            self.missing("{")
+        names = []
+        at += 1
+        tok = tokens[at]
+        while tok != "}":
+            if tok[:1] not in _IDENT_START:
+                self.missing("set element", at)
+            names.append(tok)
+            at += 1
+            tok = tokens[at]
+            if tok != ",":
+                if tok != "}":
+                    self.missing("}", at)
+                break
+            at += 1
+            tok = tokens[at]
+        self.pos = at + 1
+        self.current = tokens[at + 1]
+        return frozenset(names)
 
     def eof(self) -> None:
         if self.current:
@@ -203,24 +237,29 @@ def _ident(what: str) -> Callable[[_Parser], str]:
     return lambda p: p.ident(what)
 
 
-_set_element = _ident("set element")
 _action_name = _ident("action name")
 
 
 def _parse_fields(
     p: _Parser, what: str, readers: dict[str, Callable[[_Parser], object]], brackets: str = "()"
 ) -> dict:
-    """``(key=value, ...)``, each value read by its key's reader; a repeated key
-    keeps its last value."""
-    def field(p: _Parser) -> tuple[str, object]:
-        key = p.ident(f"{what} field")
+    """``(key=value, ...)``, each value read by its key's reader, as ``items``
+    reads a list; a repeated key keeps its last value."""
+    left, right = brackets
+    label = what + " field"
+    p.expect(left)
+    fields = {}
+    while p.current != right:
+        key = p.ident(label)
         p.expect("=")
         read = readers.get(key)
         if read is None:
             p.fail_previous(f"unknown {what} field {key!r}", readers)
-        return key, read(p)
-
-    return dict(p.items(*brackets, field))
+        fields[key] = read(p)
+        if not p.accept(","):
+            break
+    p.expect(right)
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +273,7 @@ def parse_policy(text: str, file: str = "<input>") -> PolicyModel:
     p.expect("actions")
     p.expect("{")
     pairs: dict[str, list[tuple[str, str]]] = {"unary": [], "binary": []}
-    while not p.at("}"):
+    while p.current != "}":
         family = p.ident("unary or binary")
         if family not in pairs:
             p.fail_previous(f"unknown action family {family!r}", pairs)
@@ -266,7 +305,7 @@ def parse_policy(text: str, file: str = "<input>") -> PolicyModel:
         p.expect("{")
         ow = ds = dtype = None
         pol = None
-        while not p.at("}"):
+        while p.current != "}":
             key = p.ident("datum field")
             if key == "ow":
                 p.expect("=")
@@ -317,38 +356,36 @@ def _storage_form(p: _Parser) -> tuple[str, str]:
     return ("enc", key_kind)
 
 
+# How to read the value after ``key =`` of each policy field other than the
+# permission lines.
+_POLICY_FIELDS: dict[str, Callable[[_Parser], object]] = {
+    "purposes": _Parser.name_set,
+    "delete": lambda p: DeletionSpec(tuple(sorted(p.items("{", "}", _deletion_mode)))),
+    "where": _Parser.name_set,
+    "how": lambda p: frozenset(p.items("{", "}", _storage_form)),
+}
+
+
 def _parse_policy_block(p: _Parser) -> Policy:
     p.expect("{")
-    ap: frozenset[str] = frozenset()
-    dm = DeletionSpec()
-    wh: frozenset[str] = frozenset()
-    ho: frozenset[tuple[str, str]] = frozenset()
-    tables: dict = {"can": {}, "by": {}, "been": {}, "group": frozenset()}  # Perms fields
-    while not p.at("}"):
+    fields: dict = {}
+    tables: dict = {"can": {}, "by": {}, "been": {}}  # Perms fields
+    while p.current != "}":
         key = p.ident("policy field")
-        if key == "purposes":
-            p.expect("=")
-            ap = p.name_set()
-        elif key == "delete":
-            p.expect("=")
-            dm = DeletionSpec(tuple(sorted(p.items("{", "}", _deletion_mode))))
-        elif key == "where":
-            p.expect("=")
-            wh = p.name_set()
-        elif key == "how":
-            p.expect("=")
-            ho = frozenset(p.items("{", "}", _storage_form))
-        elif key in ("can", "has"):
+        if key == "can" or key == "has":  # the most frequent lines
             _parse_perm_line(p, key, tables)
         else:
-            p.fail_previous(f"unknown policy field {key!r}",
-                            {"purposes", "delete", "where", "how", "can", "has"})
+            read = _POLICY_FIELDS.get(key)
+            if read is None:
+                p.fail_previous(f"unknown policy field {key!r}", {*_POLICY_FIELDS, "can", "has"})
+            p.expect("=")
+            fields[key] = read(p)
         p.expect(";")
     p.expect("}")
     return Policy(
-        ap=ap,
-        dm=dm,
-        storage=StorageSpec(wh=wh, ho=ho),
+        ap=fields.get("purposes", frozenset()),
+        dm=fields.get("delete", DeletionSpec()),
+        storage=StorageSpec(wh=fields.get("where", frozenset()), ho=fields.get("how", frozenset())),
         perms=Perms(**tables),
     )
 
@@ -396,7 +433,7 @@ def _read_events(
     p.expect("{")
     events: list[T] = []
     last_t: int | None = None
-    while not p.at("}"):
+    while p.current != "}":
         at = p.pos
         name = p.ident("event name")
         fields = _parse_fields(p, "event", readers)
@@ -502,7 +539,7 @@ def _alias_run(
 
 def _var_ds(p: _Parser) -> frozenset[str] | str:
     if p.current[:1] == "?":
-        return p.advance()
+        return p.ident()
     return p.name_set()
 
 
@@ -597,7 +634,7 @@ def parse_architecture(text: str, file: str = "<input>") -> Architecture:
     p.expect("{")
     activities: set[Activity] = set()
     perms = Perms()
-    while not p.at("}"):
+    while p.current != "}":
         if p.accept("perms"):
             perms = _parse_perms_block(p)
             continue
@@ -614,8 +651,8 @@ def parse_architecture(text: str, file: str = "<input>") -> Architecture:
 
 def _parse_perms_block(p: _Parser) -> Perms:
     p.expect("{")
-    tables: dict = {"can": {}, "by": {}, "been": {}, "group": frozenset()}  # Perms fields
-    while not p.at("}"):
+    tables: dict = {"can": {}, "by": {}, "been": {}}  # Perms fields
+    while p.current != "}":
         key = p.ident("perms field")
         if key not in ("can", "has"):
             p.fail_previous(f"unknown perms field {key!r}", {"can", "has"})

@@ -69,6 +69,11 @@ class DataRef:
     def __str__(self) -> str:
         return self.ident
 
+    def __hash__(self) -> int:
+        # Equal refs have equal idents, so this agrees with the generated
+        # ``__eq__``; it spares the audit hashing ``ds`` on every lookup.
+        return hash(self.ident)
+
 
 @dataclass(frozen=True)
 class DeletionSpec:

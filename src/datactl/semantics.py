@@ -166,7 +166,7 @@ def step(
 
     if kind == STORE:
         if pol.storage.sp_readable():
-            return replace(entry, t=e.t, h_has=entry.h_has | {SP})
+            return StateEntry(e.t, entry.v, pol, entry.h_has | {SP})
         return entry
 
     if kind == DELETEREQ:
@@ -187,8 +187,7 @@ def step(
             perms = replace(perms, can={**perms.can, e.action: move(perms.can_do(e.action), tar)})
         else:
             perms = replace(perms, group=move(perms.group, tar))
-        policy = replace(pol, perms=perms)
-        return replace(entry, t=e.t, policy=policy, h_has=move(entry.h_has, tar))
+        return StateEntry(e.t, entry.v, replace(pol, perms=perms), move(entry.h_has, tar))
 
     if kind in ACT_KINDS:
         if e.actor not in pol.perms.can_do(e.action):
@@ -197,7 +196,7 @@ def step(
         if kind in UNDO_KINDS and sets is not None:
             base = sets.base_of(e.action) or e.action
         held = pol.perms.holders(base, e.actor, e.tar if kind in (ACT2, UNACT2) else None)
-        return replace(entry, t=e.t, h_has=move(entry.h_has, held))
+        return StateEntry(e.t, entry.v, pol, move(entry.h_has, held))
 
     raise SemanticsError(f"unknown event kind {kind!r}", j)
 
