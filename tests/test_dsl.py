@@ -24,6 +24,7 @@ from datactl.architecture import (
 )
 from datactl.dsl import (
     ParseError,
+    SourceSpan,
     locate,
     parse_arch_trace,
     parse_architecture,
@@ -108,6 +109,77 @@ def test_bad_character_is_the_first_in_the_text():
     assert str(err.value) == "f:1:3: unexpected character '²'"
     # inside a comment or a string the same character is no error
     assert tokenize('# ²\n"²"') == ['"²"', ""]
+
+
+_PUNCT = "{}()[]=,;:/+"
+_ASCII_DIGITS = "0123456789"
+_IDENT_FIRST = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_?"
+
+
+def _scan(text, file):
+    """``tokenize`` written out one character at a time, as the grammar
+    describes the lexer: the token list, or the ParseError of the first
+    character that starts no token."""
+    tokens, i, n = [], 0, len(text)
+    while True:
+        while i < n and text[i] in " \t\r\n#":
+            if text[i] == "#":
+                while i < n and text[i] != "\n":
+                    i += 1
+            else:
+                i += 1
+        if i == n:
+            return tokens + [""]
+        j = i + 1
+        if text[i] in _IDENT_FIRST:
+            while j < n and (text[j] in _IDENT_FIRST or text[j] in _ASCII_DIGITS or text[j] == "-"):
+                j += 1
+        elif text[i] in _ASCII_DIGITS:
+            while j < n and text[j] in _ASCII_DIGITS:
+                j += 1
+        elif text[i] == '"':
+            while j < n and text[j] not in '"\n':
+                j += 1
+            if j == n or text[j] == "\n":
+                j = i  # no closing quote on the line
+            else:
+                j += 1
+        elif text[i] not in _PUNCT:
+            j = i
+        if j == i:
+            lines = text[:i].split("\n")
+            message = "unterminated string" if text[i] == '"' else f"unexpected character {text[i]!r}"
+            raise ParseError(message, SourceSpan(file, len(lines), len(lines[-1]) + 1))
+        tokens.append(text[i:j])
+        i = j
+
+
+# Blanks, comments, string quotes, number and identifier characters,
+# punctuation, and characters that start no token: a vertical tab and
+# non-ASCII letters and digits.  The bad ones are rare, so that most strings
+# lex and an error, when there is one, has tokens before it.
+_LEX_PIECES = ([" ", "\t", "\r", "\n", "# c\n", "#", "# ²"] * 4 + ['"', '"ab"', '"x y'] * 2
+               + list("0123456789-?_aZq") + list(_PUNCT) + ["\x0b", "²", "٣", "é"])
+
+
+def test_tokenize_agrees_with_a_character_scanner():
+    rng = random.Random(18)
+    outcomes = []
+    for _ in range(4000):
+        text = "".join(rng.choice(_LEX_PIECES) for _ in range(rng.randrange(30)))
+        try:
+            expected = _scan(text, "f")
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                tokenize(text, file="f")
+            assert (str(got.value), got.value.span, got.value.expected) == (
+                str(err), err.span, err.expected), repr(text)
+            outcomes.append("error")
+        else:
+            assert tokenize(text, file="f") == expected, repr(text)
+            outcomes.append("tokens")
+    # both outcomes are common, so neither half of the comparison is idle
+    assert min(outcomes.count("error"), outcomes.count("tokens")) > 1000
 
 
 def test_parse_error_is_located():
