@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union, get_args
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union, get_args
 
 from .model import SP, Perms
 
@@ -234,7 +234,7 @@ class ActivitySchema(NamedTuple):
         if "term" in self.args:
             return (act.term,)  # type: ignore[union-attr]
         if "terms" in self.args:
-            return tuple(act.terms)  # type: ignore[union-attr]
+            return tuple(sorted(act.terms, key=serialize_term))  # type: ignore[union-attr]
         return ()
 
 
@@ -262,6 +262,54 @@ def schema_of(act: Activity) -> ActivitySchema:
     if schema is None or schema.cls is not type(act):
         raise TypeError(f"unknown activity {act!r}")
     return schema
+
+
+# ---------------------------------------------------------------------------
+# Canonical text
+#
+# A term's and an activity's text in the ``.dca`` syntax, which the document
+# printers in ``dsl`` use.  It is one-to-one, so it also orders terms and
+# activities the same way in every process, which hashing does not.
+
+
+def serialize_term(term: Term) -> str:
+    if isinstance(term, Var):
+        ds = term.ds if isinstance(term.ds, str) else "{" + ", ".join(sorted(term.ds)) + "}"
+        return f"X{{ow={term.ow}, ds={ds}, id={term.ident}}}"
+    if isinstance(term, KeyVar):
+        return f"key[{term.owner}]"
+    if isinstance(term, Func):
+        return f"{term.name}({', '.join(serialize_term(a) for a in term.args)})"
+    raise TypeError(f"unknown term {term!r}")
+
+
+# How to print each argument slot.
+_ARG_PRINTERS: dict[str, Callable[..., str]] = {
+    "action": str,
+    "actions": ", ".join,
+    "term": serialize_term,
+    "terms": lambda terms: ", ".join(sorted(map(serialize_term, terms))),
+    "dd": lambda dd: f"dd={dd}",
+}
+
+# Per class: the head, its index slots, and its (argument slot, printer) plan.
+_PRINT_PLANS = {
+    schema.cls: (head, schema.index, tuple((slot, _ARG_PRINTERS[slot]) for slot in schema.args))
+    for head, schema in ACTIVITIES.items()
+}
+
+
+def serialize_activity(act: Activity) -> str:
+    plan = _PRINT_PLANS.get(type(act))
+    if plan is None:
+        raise TypeError(f"unknown activity {act!r}")
+    head, index, args = plan
+    out = head
+    if index:
+        out += "[" + ", ".join([getattr(act, slot) for slot in index]) + "]"
+    if args:
+        out += "(" + ", ".join([show(getattr(act, slot)) for slot, show in args]) + ")"
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -559,10 +607,12 @@ def instantiate_events(pa: Architecture, t: int, universe: Universe) -> list[Arc
     Index slots range over the universe's users (an activity without a
     ``user`` slot is the provider's), term slots over their concrete
     instances, and the value of an event that carries a term over the
-    universe's values; ``action`` and ``actions`` are copied.
+    universe's values; ``action`` and ``actions`` are copied.  The events come
+    in the order of the activities' and terms' canonical text, so a search
+    over them runs in the same order in every process.
     """
     events: list[ArchEvent] = []
-    for act in pa.activities:
+    for act in sorted(pa.activities, key=serialize_activity):
         schema = schema_of(act)
         users = _instantiate_users(getattr(act, "user", SP), universe)
         tars = _instantiate_users(act.tar, universe) if "tar" in schema.index else [None]

@@ -24,6 +24,8 @@ from .architecture import (
     Term,
     Var,
     is_consistent,
+    serialize_activity,
+    serialize_term,
 )
 from .logic import FORMS, SLOTS, And, HasProperty
 from .model import (
@@ -882,46 +884,6 @@ def serialize_trace(events: Sequence[AbstractEvent], model: PolicyModel) -> str:
     return _print_events(
         "trace", [(name, _trace_fields(e)) for name, e in _surface_events(events, model)]
     )
-
-
-def serialize_term(term: Term) -> str:
-    if isinstance(term, Var):
-        ds = term.ds if isinstance(term.ds, str) else _fmt_set(term.ds)
-        return f"X{{ow={term.ow}, ds={ds}, id={term.ident}}}"
-    if isinstance(term, KeyVar):
-        return f"key[{term.owner}]"
-    if isinstance(term, Func):
-        return f"{term.name}({', '.join(serialize_term(a) for a in term.args)})"
-    raise TypeError(f"unknown term {term!r}")
-
-
-# How to print each argument slot.
-_ARG_PRINTERS: dict[str, Callable] = {
-    "action": str,
-    "actions": ", ".join,
-    "term": serialize_term,
-    "terms": lambda terms: ", ".join(sorted(map(serialize_term, terms))),
-    "dd": lambda dd: f"dd={dd}",
-}
-
-# Per class: the head, its index slots, and its (argument slot, printer) plan.
-_PRINT_PLANS = {
-    schema.cls: (head, schema.index, tuple((slot, _ARG_PRINTERS[slot]) for slot in schema.args))
-    for head, schema in ACTIVITIES.items()
-}
-
-
-def serialize_activity(act: Activity) -> str:
-    plan = _PRINT_PLANS.get(type(act))
-    if plan is None:
-        raise TypeError(f"unknown activity {act!r}")
-    head, index, args = plan
-    out = head
-    if index:
-        out += "[" + ", ".join([getattr(act, slot) for slot in index]) + "]"
-    if args:
-        out += "(" + ", ".join([show(getattr(act, slot)) for slot, show in args]) + ")"
-    return out
 
 
 def serialize_architecture(pa: Architecture) -> str:

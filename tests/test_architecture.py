@@ -3,7 +3,10 @@ bounded enumerator checked against a naive per-depth oracle and against the
 fold of every trace."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -477,6 +480,37 @@ def test_fixture_state_counts(name, max_len, count):
     states = enumerate_states(pa, max_len, universe)
     assert len(states) == len(set(states)) == count
     assert states == naive_reachable(pa, max_len, universe)
+
+
+# Prints the states of simplified.dca at bound 2 in the search's order, each
+# set sorted, so that two runs print the same text exactly when the search
+# visits the same states in the same order.
+_PRINT_STATES = """
+import sys
+from pathlib import Path
+from datactl.architecture import Universe, enumerate_states, serialize_term
+from datactl.cli import _concrete_users
+from datactl.dsl import parse_architecture
+pa = parse_architecture(Path(sys.argv[1]).read_text(encoding="utf-8"))
+for s in enumerate_states(pa, 2, Universe(users=tuple(sorted(_concrete_users(pa))))):
+    print([(u.user, sorted((serialize_term(term), v) for term, v in u.bindings), u.t)
+           for u in s.users], sorted(s.can), sorted(s.group))
+"""
+
+
+def test_search_order_does_not_depend_on_the_hash_seed():
+    """Each interpreter salts string hashes with its own seed; the order of
+    the search comes from the architecture's text alone."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    printed = [
+        subprocess.run([sys.executable, "-c", _PRINT_STATES, str(FIXTURES / "simplified.dca")],
+                       env={**env, "PYTHONHASHSEED": seed}, capture_output=True, text=True,
+                       check=True, timeout=120).stdout
+        for seed in ("0", "1", "2")
+    ]
+    assert printed[0].count("\n") > 1
+    assert printed[0] == printed[1] == printed[2]
 
 
 def test_full_fixture_state_count_at_length_4():
