@@ -307,8 +307,12 @@ def parse_policy(text: str, file: str = "<input>") -> PolicyModel:
         p.expect("{")
         ow = ds = dtype = None
         pol = None
+        seen = set()
         while p.current != "}":
             key = p.ident("datum field")
+            if key in seen:
+                p.fail_previous(f"repeated datum field {key!r}")
+            seen.add(key)
             if key == "ow":
                 p.expect("=")
                 ow = p.ident("owner")
@@ -380,6 +384,8 @@ def _parse_policy_block(p: _Parser) -> Policy:
             read = _POLICY_FIELDS.get(key)
             if read is None:
                 p.fail_previous(f"unknown policy field {key!r}", {*_POLICY_FIELDS, "can", "has"})
+            if key in fields:
+                p.fail_previous(f"repeated policy field {key!r}")
             p.expect("=")
             fields[key] = read(p)
         p.expect(";")
@@ -395,23 +401,24 @@ def _parse_policy_block(p: _Parser) -> Policy:
 def _parse_perm_line(p: _Parser, key: str, tables: dict) -> None:
     """The rest of a ``can ACT = {...}`` or ``has by|been ACT USER = {...}`` /
     ``has group = {...}`` line after its keyword ``key``, into ``tables``.
-    Policy blocks and perms blocks share this reader."""
+    Policy blocks and perms blocks share this reader.  A line whose entry an
+    earlier line has set is an error at its keyword."""
+    at = p.pos - 1
     if key == "can":
-        action = p.ident("action name")
-        p.expect("=")
-        tables["can"][action] = p.name_set()
-        return
-    which = p.ident("by, been, or group")
-    if which == "group":
-        p.expect("=")
-        tables["group"] = p.name_set()
-    elif which in ("by", "been"):
-        action = p.ident("action name")
-        user = p.ident("user")
-        p.expect("=")
-        tables[which].setdefault(action, {})[user] = p.name_set()
+        table, entry = tables["can"], p.ident("action name")
     else:
-        p.fail_previous(f"unknown has table {which!r}", {"by", "been", "group"})
+        which = p.ident("by, been, or group")
+        if which == "group":
+            table, entry = tables, "group"
+        elif which in ("by", "been"):
+            table = tables[which].setdefault(p.ident("action name"), {})
+            entry = p.ident("user")
+        else:
+            p.fail_previous(f"unknown has table {which!r}", {"by", "been", "group"})
+    if entry in table:
+        p.error(f"repeated permission {' '.join(p.tokens[at:p.pos])!r}", at)
+    p.expect("=")
+    table[entry] = p.name_set()
 
 
 # ---------------------------------------------------------------------------

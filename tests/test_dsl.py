@@ -287,9 +287,21 @@ DATUM = ("data d1 { ow = a; ds = {a}; type = Notes;\n"
      "3:1: found end of input (expected activity)"),
     (parse_has_query, 'HAS_sp(X{ow=a, ds={a}, id=d1}) "more"',
      "1:32: trailing input 'more' (expected end of input)"),
+    (parse_policy, "actions { unary fav/unfav; }\ndata d1 {\n  ow = a;\n  ds = {a};\n  ow = b;\n}\n",
+     "5:3: repeated datum field 'ow'"),
+    (parse_policy, "actions { unary fav/unfav; }\ndata d1 { ow = a; ds = {a}; type = Notes;\n"
+     "  policy { purposes = {p}; purposes = {q}; } }\n", "3:28: repeated policy field 'purposes'"),
+    (parse_policy, "actions { unary fav/unfav; }\ndata d1 { ow = a; ds = {a}; type = Notes;\n"
+     "  policy { can fav = {a, b}; can fav = {b}; } }\n", "3:30: repeated permission 'can fav'"),
+    (parse_architecture, "architecture {\n  perms {\n    has by fav a = {a};\n    has by fav a = {b};\n"
+     "  }\n}\n", "4:5: repeated permission 'has by fav a'"),
+    (parse_architecture, "architecture {\n  perms { has group = {a}; has group = {}; }\n}\n",
+     "2:28: repeated permission 'has group'"),
 ], ids=["no datum", "alias without tar", "no performer", "binary without tar",
         "unary with tar", "no timestamp", "duplicate datum", "empty document", "query term",
-        "found a string", "found a number", "found end of input", "trailing input"])
+        "found a string", "found a number", "found end of input", "trailing input",
+        "repeated datum field", "repeated policy field", "repeated can line",
+        "repeated has-by line", "repeated has-group line"])
 def test_rejected_document_is_located(parse, document, where):
     with pytest.raises(ParseError) as err:
         parse(document, file="f")
