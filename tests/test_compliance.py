@@ -96,6 +96,23 @@ def test_c2_warns_on_unattributed_delete():
     assert any("no preceding deletereq" in w for w in report.warnings)
 
 
+def test_data_sharing_an_ident_stay_apart():
+    """A ref hashes by its ident alone, but refs that differ elsewhere are
+    still distinct keys: each keeps its own entry, holders and violations."""
+    twin = DataRef(ow="bob", ds=frozenset({"bob"}), dtype="Notes", ident="d1")
+    assert hash(DT) == hash(DataRef(ow="alice", ds=frozenset({"alice"}), dtype="Notes", ident="d1"))
+    assert twin != DT and len({DT, twin}) == 2
+    trace = base_trace() + [
+        AbstractEvent(kind=OWN, t=2, dt=twin, actor="bob", value="w", policy=POL),
+        AbstractEvent(kind=GROUPHAS, t=3, dt=DT, actor="alice", tar="carol"),
+        AbstractEvent(kind=GROUPHAS, t=4, dt=twin, actor="bob", tar="carol"),
+        AbstractEvent(kind=GROUPHAS, t=5, dt=twin, actor="bob", tar="alice"),
+        AbstractEvent(kind=USE, t=6, dt=twin, purposes=frozenset({"ads"})),
+    ]
+    found = [(v.rule, v.event_index, v.datum) for v in check_trace(trace, SETS).violations]
+    assert found == [("C1", 6, twin), ("C3", 3, DT), ("C3", 4, twin), ("C3", 5, twin)]
+
+
 def test_c3_flags_unsanctioned_holder():
     trace = base_trace() + [
         AbstractEvent(kind=GROUPHAS, t=2, dt=DT, actor="alice", tar="eve")
