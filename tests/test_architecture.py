@@ -501,15 +501,14 @@ for s in enumerate_states(pa, 2, Universe(users=tuple(sorted(_concrete_users(pa)
 def test_search_order_does_not_depend_on_the_hash_seed():
     """Each interpreter salts string hashes with its own seed; the order of
     the search comes from the architecture's text alone."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    src = Path(__file__).resolve().parent.parent / "src"
     printed = [
         subprocess.run([sys.executable, "-c", _PRINT_STATES, str(FIXTURES / "simplified.dca")],
-                       env={**env, "PYTHONHASHSEED": seed}, capture_output=True, text=True,
-                       check=True, timeout=120).stdout
+                       env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+                       capture_output=True, text=True, check=True, timeout=120).stdout
         for seed in ("0", "1", "2")
     ]
-    assert printed[0].count("\n") > 1
+    assert printed[0].count("\n") == 105
     assert printed[0] == printed[1] == printed[2]
 
 
