@@ -87,12 +87,13 @@ class ParseError(Exception):
 # A token is its text, a string with its quotes, so its first character tells
 # its kind; the empty token at the end is ``eof``.  Any other character, the
 # opening quote of an unterminated string included, is a token of its own that
-# ``tokenize`` rejects.  The skip is blanks, then comments each followed by
-# blanks.  No run ever has to give characters back (after the longest skip some
-# alternative always matches, and each token ends where its run stops), so
-# every quantifier is possessive; identifiers, the most frequent, come first.
-_TOKEN = re.compile(r'[ \t\r\n]*+(?:#[^\n]*+[ \t\r\n]*+)*+'
-                    r'([A-Za-z_?][A-Za-z0-9_?-]*+|[{}()\[\]=,;:/+]|"[^"\n]*+"|[0-9]++|.|\Z)')
+# ``tokenize`` rejects.  The skip is blanks, then either nothing or comments
+# with blanks between and after them: an empty alternative, not a repeat, so a
+# skip without a comment, the usual one, enters no repeat.  The longest skip,
+# which the matcher tries first, always leads to a token (``.`` or ``\Z``), so
+# no run gives characters back.  Identifiers, the most frequent, come first.
+_TOKEN = re.compile(r'[ \t\r\n]*(?:#[^\n]*(?:[ \t\r\n]*#[^\n]*)*[ \t\r\n]*|)'
+                    r'([A-Za-z_?][A-Za-z0-9_?-]*|[{}()\[\]=,;:/+]|"[^"\n]*"|[0-9]+|.|\Z)')
 # The first characters of the number, identifier and punctuation tokens.
 _DIGITS = frozenset("0123456789")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_?")

@@ -1,10 +1,13 @@
 """Source hygiene: the package imports only the standard library and itself,
 every module-level import in the package is used, every name the package
 defines is named somewhere besides its definition, every parameter of a
-function in the package is read, and no test asserts a condition that cannot
+function in the package is read, no regex the package compiles needs a newer
+Python than the one it declares, and no test asserts a condition that cannot
 fail."""
 
 import ast
+import importlib
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -219,6 +222,48 @@ def test_unread_parameter_is_reported():
         "line 4: outer(y)", "line 4: outer(flag)", "line 4: outer(kwargs)",
         "line 5: inner(z)", "line 11: size(unit)",
     ]
+
+
+try:
+    from re import _parser as sre_parse  # Python 3.11 on
+except ImportError:
+    import sre_parse  # Python 3.10
+
+# Regex syntax that Python 3.11 added; ``requires-python`` is ">=3.10".
+NEWER_SYNTAX = {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}
+
+
+def newer_regex_syntax(pattern: str) -> list[str]:
+    """The operators in ``pattern`` that Python 3.10's ``re`` rejects."""
+    found = []
+
+    def walk(node):
+        if isinstance(node, sre_parse.SubPattern):
+            for op, arg in node:
+                if str(op) in NEWER_SYNTAX:
+                    found.append(str(op))
+                walk(arg)
+        elif isinstance(node, (tuple, list)):
+            for item in node:
+                walk(item)
+
+    walk(sre_parse.parse(pattern))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_regexes_parse_under_the_oldest_supported_python(path):
+    module = importlib.import_module(f"datactl.{path.stem}")
+    patterns = {name: value.pattern for name, value in vars(module).items()
+                if isinstance(value, re.Pattern)}
+    assert {name: newer_regex_syntax(p) for name, p in patterns.items()
+            if newer_regex_syntax(p)} == {}
+
+
+def test_newer_regex_syntax_is_reported():
+    assert newer_regex_syntax(r'[ \t]*(?:#[^\n]*|)(a[b-]*|"[^"]*"|.|\Z)') == []
+    assert newer_regex_syntax(r'a*+(?:b(?>c)|d)?(e++)') == [
+        "POSSESSIVE_REPEAT", "ATOMIC_GROUP", "POSSESSIVE_REPEAT"]
 
 
 TESTS = sorted((ROOT / "tests").glob("*.py"))
