@@ -272,9 +272,13 @@ def schema_of(act: Activity) -> ActivitySchema:
 # activities the same way in every process, which hashing does not.
 
 
+def serialize_set(items: Iterable[str]) -> str:
+    return "{" + ", ".join(sorted(items)) + "}"
+
+
 def serialize_term(term: Term) -> str:
     if isinstance(term, Var):
-        ds = term.ds if isinstance(term.ds, str) else "{" + ", ".join(sorted(term.ds)) + "}"
+        ds = term.ds if isinstance(term.ds, str) else serialize_set(term.ds)
         return f"X{{ow={term.ow}, ds={ds}, id={term.ident}}}"
     if isinstance(term, KeyVar):
         return f"key[{term.owner}]"

@@ -25,6 +25,7 @@ from .architecture import (
     Var,
     is_consistent,
     serialize_activity,
+    serialize_set,
     serialize_term,
 )
 from .logic import FORMS, SLOTS, And, HasProperty
@@ -790,22 +791,18 @@ def _require_var(p: _Parser, term: Term, at: int) -> Var:
 # Serialization
 
 
-def _fmt_set(items: Iterable[str]) -> str:
-    return "{" + ", ".join(sorted(items)) + "}"
-
-
 def _perm_lines(perms: Perms) -> list[str]:
     """The ``can`` and ``has`` lines of a permission table, in canonical order;
     policy blocks and perms blocks share this printer."""
-    lines = [f"can {action} = {_fmt_set(perms.can[action])};"
+    lines = [f"can {action} = {serialize_set(perms.can[action])};"
              for action in sorted(perms.can) if perms.can[action]]
     for which, table in (("by", perms.by), ("been", perms.been)):
         for action in sorted(table):
             for user in sorted(table[action]):
                 if table[action][user]:
-                    lines.append(f"has {which} {action} {user} = {_fmt_set(table[action][user])};")
+                    lines.append(f"has {which} {action} {user} = {serialize_set(table[action][user])};")
     if perms.group:
-        lines.append(f"has group = {_fmt_set(perms.group)};")
+        lines.append(f"has group = {serialize_set(perms.group)};")
     return lines
 
 
@@ -825,13 +822,13 @@ def serialize_policy(model: PolicyModel) -> str:
         pol = model.policies[ident]
         lines.append(f"data {ident} {{")
         lines.append(f"  ow = {dt.ow};")
-        lines.append(f"  ds = {_fmt_set(dt.ds)};")
+        lines.append(f"  ds = {serialize_set(dt.ds)};")
         lines.append(f"  type = {dt.dtype};")
         lines.append("  policy {")
-        lines.append(f"    purposes = {_fmt_set(pol.ap)};")
+        lines.append(f"    purposes = {serialize_set(pol.ap)};")
         modes = ", ".join(f"{m}:{dd}" for m, dd in sorted(pol.dm.modes))
         lines.append(f"    delete = {{{modes}}};")
-        lines.append(f"    where = {_fmt_set(pol.storage.wh)};")
+        lines.append(f"    where = {serialize_set(pol.storage.wh)};")
         forms = ", ".join(
             "plain" if form == ("plain", "none") else f"enc({form[1]})"
             for form in sorted(pol.storage.ho)
@@ -882,7 +879,7 @@ def _trace_fields(e: AbstractEvent) -> list[str]:
         fields.append(f"tar={e.tar}")
     fields.append(f"dt={e.dt.ident}")
     if e.kind == USE and e.purposes is not None:
-        fields.append(f"purposes={_fmt_set(e.purposes)}")
+        fields.append(f"purposes={serialize_set(e.purposes)}")
     if e.kind == OWN and e.value is not None:
         fields.append(f'value="{e.value}"')
     return fields
@@ -919,7 +916,7 @@ def _arch_trace_fields(e: ArchEvent) -> list[str]:
     if e.value is not None:
         fields.append(f'value="{e.value}"')
     if e.actions:
-        fields.append(f"actions={_fmt_set(e.actions)}")
+        fields.append(f"actions={serialize_set(e.actions)}")
     return fields
 
 
