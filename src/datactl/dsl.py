@@ -164,11 +164,9 @@ class _Parser:
         """Fail at the token just read."""
         self.error(message, self.pos - 1, expected)
 
-    def missing(self, what: str, at: int | None = None) -> NoReturn:
-        """Fail at token number ``at`` (by default the current one), which is
-        not the ``what`` the grammar needs there."""
-        if at is not None:
-            self.pos, self.current = at, self.tokens[at]
+    def missing(self, what: str) -> NoReturn:
+        """Fail at the current token, which is not the ``what`` the grammar
+        needs there."""
         self.fail(f"found {self.describe()}", {what})
 
     def ident(self, what: str = "identifier") -> str:
@@ -207,29 +205,8 @@ class _Parser:
         return out
 
     def name_set(self) -> frozenset[str]:
-        """``{ a, b, c }``, as ``items`` reads it, in one loop over the tokens."""
-        tokens = self.tokens
-        at = self.pos
-        if tokens[at] != "{":
-            self.missing("{")
-        names = []
-        at += 1
-        tok = tokens[at]
-        while tok != "}":
-            if tok[:1] not in _IDENT_START:
-                self.missing("set element", at)
-            names.append(tok)
-            at += 1
-            tok = tokens[at]
-            if tok != ",":
-                if tok != "}":
-                    self.missing("}", at)
-                break
-            at += 1
-            tok = tokens[at]
-        self.pos = at + 1
-        self.current = tokens[at + 1]
-        return frozenset(names)
+        """`{ a, b, c }` (possibly empty)."""
+        return frozenset(self.items("{", "}", _set_element))
 
     def eof(self) -> None:
         if self.current:
@@ -241,6 +218,7 @@ def _ident(what: str) -> Callable[[_Parser], str]:
     return lambda p: p.ident(what)
 
 
+_set_element = _ident("set element")
 _action_name = _ident("action name")
 
 
