@@ -226,13 +226,15 @@ def _parse_fields(
     p: _Parser, what: str, readers: dict[str, Callable[[_Parser], object]], brackets: str = "()"
 ) -> dict:
     """``(key=value, ...)``, each value read by its key's reader, as ``items``
-    reads a list; a repeated key keeps its last value."""
+    reads a list; a repeated key is an error at its second occurrence."""
     left, right = brackets
     label = what + " field"
     p.expect(left)
     fields = {}
     while p.current != right:
         key = p.ident(label)
+        if key in fields:
+            p.fail_previous(f"repeated {what} field {key!r}")
         p.expect("=")
         read = readers.get(key)
         if read is None:
@@ -281,6 +283,7 @@ def parse_policy(text: str, file: str = "<input>") -> PolicyModel:
         alias = FriendAlias(add_name, remove_name, tuple(actions))
 
     model = PolicyModel(sets=sets, alias=alias)
+    blocks: dict[tuple[str, ...], Policy] = {}
     while p.accept("data"):
         at = p.pos
         ident = p.ident("datum id")
@@ -306,7 +309,7 @@ def parse_policy(text: str, file: str = "<input>") -> PolicyModel:
                 dtype = p.ident("type name")
                 p.expect(";")
             elif key == "policy":
-                pol = _parse_policy_block(p)
+                pol = _shared_policy_block(p, blocks)
             else:
                 p.fail_previous(f"unknown datum field {key!r}", {"ow", "ds", "type", "policy"})
         p.expect("}")
@@ -350,6 +353,34 @@ _POLICY_FIELDS: dict[str, Callable[[_Parser], object]] = {
     "where": _Parser.name_set,
     "how": lambda p: frozenset(p.items("{", "}", _storage_form)),
 }
+
+
+def _shared_policy_block(p: _Parser, blocks: dict[tuple[str, ...], Policy]) -> Policy:
+    """The policy block at the cursor, read once per distinct token run:
+    ``blocks`` maps each run that ``_parse_policy_block`` consumed exactly to
+    the ``Policy`` it returned.  That reader decides from the tokens it
+    consumes alone, so a block equal to such a run is stepped over and shares
+    its ``Policy``.  Any other block goes to the reader, which reports its
+    errors as usual."""
+    tokens, start = p.tokens, p.pos
+    try:
+        # The candidate end: in a well-formed block every ``}`` but the
+        # closing one is followed by ``;``.
+        end = tokens.index("}", start)
+        while tokens[end + 1] == ";":
+            end = tokens.index("}", end + 1)
+    except ValueError:  # no closing brace: the reader reports the error
+        return _parse_policy_block(p)
+    run = tuple(tokens[start:end + 1])
+    pol = blocks.get(run)
+    if pol is not None:
+        p.pos = end + 1
+        p.current = tokens[p.pos]
+        return pol
+    pol = _parse_policy_block(p)
+    if p.pos == end + 1:
+        blocks[run] = pol
+    return pol
 
 
 def _parse_policy_block(p: _Parser) -> Policy:

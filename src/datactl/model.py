@@ -236,14 +236,23 @@ def validate_activity_sets(sets: ActivitySets) -> list[str]:
     return errors
 
 
+def _declared_actions(sets: ActivitySets) -> tuple[frozenset[str], set[str], set[str]]:
+    """The action names a policy's ``can``, ``has by`` and ``has been``
+    tables may use."""
+    pairs = sets.unary + sets.binary
+    return (PREDEFINED_ACTIONS.union(*pairs), {base for base, _ in pairs},
+            {base for base, _ in sets.binary})
+
+
 def validate_policy(pol: Policy, sets: ActivitySets) -> list[str]:
     """Check one policy against the declared activity sets."""
-    errors: list[str] = []
-    pairs = sets.unary + sets.binary
-    declared = PREDEFINED_ACTIONS.union(*pairs)
-    base_declared = {base for base, _ in pairs}
-    binary_declared = {base for base, _ in sets.binary}
+    return _policy_errors(pol, *_declared_actions(sets))
 
+
+def _policy_errors(
+    pol: Policy, declared: frozenset[str], base_declared: set[str], binary_declared: set[str]
+) -> list[str]:
+    errors: list[str] = []
     for action in pol.perms.can:
         if action not in declared:
             errors.append(f"undeclared action {action!r} in can-groups")
@@ -288,9 +297,15 @@ def validate_model(model: PolicyModel) -> list[str]:
         idents.add(dt.ident)
         if ident not in model.policies:
             errors.append(f"datum {ident!r} has no policy")
+    # Data often share one ``Policy`` object (the parser shares equal blocks),
+    # so each object is checked once and its errors reported under every datum.
+    declared = _declared_actions(model.sets)
+    checked: dict[int, list[str]] = {}
     for ident, pol in model.policies.items():
-        prefix = f"policy for {ident!r}: "
-        errors.extend(prefix + e for e in validate_policy(pol, model.sets))
+        found = checked.get(id(pol))
+        if found is None:
+            found = checked[id(pol)] = _policy_errors(pol, *declared)
+        errors.extend(f"policy for {ident!r}: {e}" for e in found)
     if model.alias is not None:
         for action in model.alias.actions:
             if action not in model.sets.base_names():

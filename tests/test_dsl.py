@@ -41,7 +41,7 @@ from datactl.dsl import (
 )
 from datactl.logic import And, Has, HasNever, HasNot, HasSp
 from datactl.mapping import MappingContext, image_trace
-from datactl.model import SP, Perms
+from datactl.model import SP, Perms, PolicyModel
 from datactl.semantics import possible_events
 
 from modelgen import compliant_trace, random_model
@@ -297,11 +297,18 @@ DATUM = ("data d1 { ow = a; ds = {a}; type = Notes;\n"
      "  }\n}\n", "4:5: repeated permission 'has by fav a'"),
     (parse_architecture, "architecture {\n  perms { has group = {a}; has group = {}; }\n}\n",
      "2:28: repeated permission 'has group'"),
+    (parse_facebook_trace, "trace {\n  like(t=2, or=alice, or=mallory, dt=photo1);\n}",
+     "2:23: repeated event field 'or'"),
+    (parse_arch_trace, "archtrace {\n  receive(t=1, user=alice, user=bob,"
+     " var=X{ow=alice, ds={alice}, id=photo1});\n}", "2:28: repeated event field 'user'"),
+    (parse_has_query, "HAS_sp(X{ow=alice, ow=bob, ds={alice}, id=d1})",
+     "1:20: repeated variable field 'ow'"),
 ], ids=["no datum", "alias without tar", "no performer", "binary without tar",
         "unary with tar", "no timestamp", "duplicate datum", "empty document", "query term",
         "found a string", "found a number", "found end of input", "trailing input",
         "repeated datum field", "repeated policy field", "repeated can line",
-        "repeated has-by line", "repeated has-group line"])
+        "repeated has-by line", "repeated has-group line", "repeated trace event field",
+        "repeated arch-trace event field", "repeated variable field"])
 def test_rejected_document_is_located(parse, document, where):
     with pytest.raises(ParseError) as err:
         parse(document, file="f")
@@ -395,6 +402,46 @@ def test_policy_round_trip_fixture():
     canonical = serialize_policy(model)
     assert parse_policy(canonical) == model
     assert serialize_policy(parse_policy(canonical)) == canonical
+
+
+POLICY = ("policy { purposes = {p, q}; delete = {man:1}; where = {sploc}; how = {plain};"
+          " can fav = {a, b}; has by fav a = {a}; }")
+
+
+def test_identical_policy_blocks_share_one_policy():
+    """Token-for-token copies of a policy block share one ``Policy``, and the
+    sharing changes no result: each datum's policy is the one its block
+    parses to alone, near-copies stay apart, the canonical text is the same,
+    and an error in a later copy is located in that copy."""
+    header = "actions { unary fav/unfav; }\n"
+    blocks = {
+        "d1": POLICY,
+        "d2": POLICY.replace(";", " ;\n  # the same tokens, laid out differently\n"),
+        "d3": POLICY.replace("{p, q}", "{p, r}"),  # one set member changed
+        "d4": POLICY,
+        "d5": POLICY.replace(" }", " has group = {a}; }"),  # one extra permission line
+        "d6": "policy { purposes = {p}; where = {clientloc}; how = {enc(clkey)}; }",
+        "d7": POLICY,  # a copy after a different block
+    }
+    data = {d: f"data {d} {{ ow = a; ds = {{a}}; type = Notes; {block} }}\n"
+            for d, block in blocks.items()}
+    model = parse_policy(header + "".join(data.values()))
+    alone = {d: parse_policy(header + datum).policies[d] for d, datum in data.items()}
+    assert model.policies == alone
+    shared = model.policies["d1"]
+    assert all((model.policies[d] is shared) == (d in ("d1", "d2", "d4", "d7")) for d in data)
+    assert len({id(p) for p in model.policies.values()}) == 4
+    assert serialize_policy(model) == serialize_policy(
+        PolicyModel(sets=model.sets, data=model.data, policies=alone))
+
+    broken = POLICY.replace("{a, b}", "{a b}")
+    text = header + "".join(f"data c{k} {{ ow = a; ds = {{a}}; type = Notes;\n  {block} }}\n"
+                            for k, block in enumerate((POLICY, POLICY, broken, POLICY)))
+    with pytest.raises(ParseError) as err:
+        parse_policy(text, file="f")
+    assert err.value.span == locate(text, text.index("{a b}") + 3, "f") == SourceSpan("f", 7, 94)
+    assert err.value.expected == {"}"}
+    assert str(err.value) == "f:7:94: found 'b' (expected })"
 
 
 # --- trace round trips ------------------------------------------------------

@@ -2,12 +2,15 @@
 every module-level import in the package is used, every name the package
 defines is named somewhere besides its definition, every parameter of a
 function in the package is read, no regex the package compiles needs a newer
-Python than the one it declares, and no test asserts a condition that cannot
-fail."""
+Python than the one it declares, the command line prints the same under that
+oldest Python as under the one running the tests, and no test asserts a
+condition that cannot fail."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -264,6 +267,47 @@ def test_newer_regex_syntax_is_reported():
     assert newer_regex_syntax(r'[ \t]*(?:#[^\n]*|)(a[b-]*|"[^"]*"|.|\Z)') == []
     assert newer_regex_syntax(r'a*+(?:b(?>c)|d)?(e++)') == [
         "POSSESSIVE_REPEAT", "ATOMIC_GROUP", "POSSESSIVE_REPEAT"]
+
+
+# The oldest Python that pyproject.toml declares, e.g. "3.10".
+OLDEST = re.search(r'requires-python = ">=(3\.\d+)"',
+                   (ROOT / "pyproject.toml").read_text(encoding="utf-8"))[1]
+FIX = ROOT / "fixtures" / "facebook"
+DCP = str(FIX / "facebook.dcp")
+CLI_RUNS = [
+    *(["validate", str(path), *(["--policy", DCP] if path.suffix == ".dct" else [])]
+      for path in sorted(FIX.iterdir())),
+    ["check-trace", DCP, str(FIX / "fb_clean.dct")],
+    ["check-trace", DCP, str(FIX / "fb_badpurpose.dct")],
+    ["enumerate", str(FIX / "simplified.dca"), "--max-len", "3"],
+]
+
+
+def run_oldest(*args: str) -> subprocess.CompletedProcess:
+    """``python<OLDEST> args`` with the package on its path; a pyenv shim
+    picks that version through ``PYENV_VERSION``."""
+    env = dict(os.environ, PYENV_VERSION=OLDEST, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([f"python{OLDEST}", *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+@pytest.fixture(scope="module")
+def oldest_python():
+    try:
+        probe = run_oldest("-c", "import sys; print('%d.%d' % sys.version_info[:2])")
+    except OSError as err:
+        pytest.skip(f"no python{OLDEST}: {err}")
+    if probe.returncode != 0 or probe.stdout.strip() != OLDEST:
+        pytest.skip(f"python{OLDEST} does not start: {probe.stderr.strip()[-200:]}")
+
+
+@pytest.mark.parametrize("argv", CLI_RUNS,
+                         ids=lambda argv: " ".join(Path(a).name for a in argv))
+def test_cli_agrees_under_the_oldest_supported_python(oldest_python, argv, capsys):
+    from datactl.cli import main
+    old = run_oldest("-m", "datactl.cli", *argv)
+    assert old.stderr == ""
+    assert (old.returncode, old.stdout) == (main(argv), capsys.readouterr().out)
 
 
 TESTS = sorted((ROOT / "tests").glob("*.py"))

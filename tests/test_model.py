@@ -5,6 +5,7 @@ from datactl.model import (
     DeletionSpec,
     Perms,
     Policy,
+    PolicyModel,
     StorageSpec,
     validate_activity_sets,
     validate_model,
@@ -77,6 +78,19 @@ def test_empty_storage_rejected():
 def test_negative_delay_rejected():
     pol = make_policy(dm=DeletionSpec((("man", -1),)))
     assert any("negative" in e for e in validate_policy(pol, make_sets()))
+
+
+def test_model_reports_a_shared_policy_under_each_datum():
+    """A policy object that several data share is reported once per datum, in
+    the data's order, as an equal but separate object is."""
+    bad = make_policy(perms=Perms({"ghost": frozenset({"u1"})}), storage=StorageSpec())
+    copy = make_policy(perms=Perms({"ghost": frozenset({"u1"})}), storage=StorageSpec())
+    model = PolicyModel(sets=make_sets(), policies={"d1": bad, "d2": make_policy(),
+                                                    "d3": bad, "d4": copy})
+    errors = ["undeclared action 'ghost' in can-groups", "storage place set (where) is empty",
+              "storage form set (how) is empty"]
+    assert validate_model(model) == [f"policy for {d!r}: {e}" for d in ("d1", "d3", "d4")
+                                     for e in errors]
 
 
 def test_sp_readable():
