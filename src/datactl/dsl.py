@@ -108,14 +108,54 @@ def locate(text: str, offset: int, file: str = "<input>") -> SourceSpan:
 
 
 def tokenize(text: str, file: str = "<input>") -> list[str]:
-    tokens = _TOKEN.findall(text)
-    if tokens[-2:] == ["", ""]:  # text ending in a blank or a comment matches eof twice
-        tokens.pop()
+    """The tokens of ``text``, ending in one ``eof`` token."""
+    tokens = _shared_block_tokens(text)
+    if tokens is None:
+        tokens = _TOKEN.findall(text)
+        if tokens[-2:] == ["", ""]:  # text ending in a blank or a comment matches eof twice
+            tokens.pop()
     bad = {tok for tok in set(tokens) if len(tok) == 1 and tok not in _STARTS}
     if bad:
         m = next(m for m in _TOKEN.finditer(text) if m[1] in bad)
         message = "unterminated string" if m[1] == '"' else f"unexpected character {m[1]!r}"
         raise ParseError(message, locate(text, m.start(1), file))
+    return tokens
+
+
+def _shared_block_tokens(text: str) -> list[str] | None:
+    """The tokens of a document that repeats a ``data`` block body, as one
+    that gives many data the same policy does, with each distinct body lexed
+    once; None if no two bodies are equal.
+
+    The text is cut at each newline followed by ``data``.  Each piece's
+    first line, the block's head, is lexed alone; the rest of the piece, its
+    body, is lexed once per distinct text, and every copy shares that token
+    run, the same strings.  No token spans a newline (only the skip of blanks
+    and comments does, and it yields none), so lexing the text in pieces cut
+    at newlines gives the tokens of the whole."""
+    pieces = text.split("\ndata ")
+    if len(pieces) < 3:
+        return None
+    blocks = [piece.partition("\n") for piece in pieces[1:]]
+    if len({body for _, _, body in blocks}) == len(blocks):
+        return None
+    tokens = _piece_tokens(pieces[0])
+    runs: dict[str, list[str]] = {}
+    for head, _, body in blocks:
+        tokens.append("data")
+        tokens += _piece_tokens(head)
+        run = runs.get(body)
+        if run is None:
+            run = runs[body] = _piece_tokens(body)
+        tokens += run
+    tokens.append("")
+    return tokens
+
+
+def _piece_tokens(piece: str) -> list[str]:
+    """The tokens of a piece of a text, without ``eof``."""
+    tokens = _TOKEN.findall(piece)
+    del tokens[tokens.index(""):]
     return tokens
 
 

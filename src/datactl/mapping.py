@@ -34,7 +34,7 @@ from .architecture import (
     is_pattern,
 )
 from .logic import h1_applicable, h2_applicable, h3_applicable, h8_conclusions
-from .dsl import serialize_activity
+from .dsl import _perm_lines, serialize_activity
 from .model import SP, DataRef, FriendAlias, Perms, Policy, PolicyModel
 from .semantics import (
     ACT1,
@@ -473,16 +473,23 @@ def _dm_relation(a, b) -> str:
     return _combine(rels)
 
 
+def _perms_relations(a: Perms, b: Perms) -> dict[str, str]:
+    """The relation of each part of two permission tables."""
+    return {
+        "acp": _grant_relation(a.can, b.can),
+        "has.by": _nested_relation(a.by, b.by),
+        "has.been": _nested_relation(a.been, b.been),
+        "has.group": _set_relation(a.group, b.group),
+    }
+
+
 def compare_policies(p1: Policy, p2: Policy) -> PolicyComparison:
     components = {
         "ap": _set_relation(p1.ap, p2.ap),
         "dm": _dm_relation(p1.dm, p2.dm),
         "wh": _set_relation(p1.storage.wh, p2.storage.wh),
         "ho": _set_relation(p1.storage.ho, p2.storage.ho),
-        "acp": _grant_relation(p1.perms.can, p2.perms.can),
-        "has.by": _nested_relation(p1.perms.by, p2.perms.by),
-        "has.been": _nested_relation(p1.perms.been, p2.perms.been),
-        "has.group": _set_relation(p1.perms.group, p2.perms.group),
+        **_perms_relations(p1.perms, p2.perms),
     }
     overall = _combine(set(components.values()))
     return PolicyComparison(overall=overall, components=components)
@@ -493,27 +500,28 @@ class ArchComparison:
     overall: str  # equal / subset / superset / incomparable
     only_first: tuple[Activity, ...]
     only_second: tuple[Activity, ...]
+    perms_first: tuple[str, ...]  # permission lines only the first has
+    perms_second: tuple[str, ...]
 
     def render(self) -> str:
         lines = [f"- {serialize_activity(a)}" for a in self.only_first]
         lines += [f"+ {serialize_activity(a)}" for a in self.only_second]
+        lines += [f"- {line}" for line in self.perms_first]
+        lines += [f"+ {line}" for line in self.perms_second]
         lines.append(f"overall\t{self.overall}")
         return "\n".join(lines)
 
 
 def compare_architectures(pa1: Architecture, pa2: Architecture) -> ArchComparison:
-    only1 = pa1.activities - pa2.activities
-    only2 = pa2.activities - pa1.activities
-    if not only1 and not only2:
-        overall = EQUAL
-    elif not only1:
-        overall = "subset"
-    elif not only2:
-        overall = "superset"
-    else:
-        overall = INCOMPARABLE
+    """Fewer activities and smaller permission tables are a subset; the two
+    orders combine as the components of ``compare_policies`` do."""
+    rels = _perms_relations(pa1.perms, pa2.perms).values()
+    rel = _combine({_set_relation(pa1.activities, pa2.activities), *rels})
+    lines1, lines2 = set(_perm_lines(pa1.perms)), set(_perm_lines(pa2.perms))
     return ArchComparison(
-        overall=overall,
-        only_first=tuple(sorted(only1, key=serialize_activity)),
-        only_second=tuple(sorted(only2, key=serialize_activity)),
+        overall={STRICTER: "subset", LOOSER: "superset"}.get(rel, rel),
+        only_first=tuple(sorted(pa1.activities - pa2.activities, key=serialize_activity)),
+        only_second=tuple(sorted(pa2.activities - pa1.activities, key=serialize_activity)),
+        perms_first=tuple(sorted(lines1 - lines2)),
+        perms_second=tuple(sorted(lines2 - lines1)),
     )

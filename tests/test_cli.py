@@ -244,6 +244,23 @@ def test_compare_archs_equal_and_different(capsys):
     assert "+ AddFriends[?i, ?tar](like, comment, post, tag, mention, share)" in out
 
 
+def test_compare_archs_orders_permissions(capsys, tmp_path):
+    """Two architectures with the same activities, one with two permission
+    lines widened, are not equal: the widened one is a superset."""
+    text = (FIX / "simplified.dca").read_text(encoding="utf-8")
+    widened = text.replace("can like = {alice, bob};", "can like = {alice, bob, carol};")
+    widened = widened.replace("has by post alice = {alice, bob};",
+                              "has by post alice = {alice, bob, carol};")
+    assert widened.count("carol") == 2
+    wide = tmp_path / "wide.dca"
+    wide.write_text(widened, encoding="utf-8")
+    code, out, _ = run(capsys, "compare-archs", f"{FIX}/simplified.dca", str(wide))
+    assert code == 1
+    assert out == ("- can like = {alice, bob};\n- has by post alice = {alice, bob};\n"
+                   "+ can like = {alice, bob, carol};\n+ has by post alice = {alice, bob, carol};\n"
+                   "overall\tsubset\n")
+
+
 def test_compare_archs_output_does_not_depend_on_the_hash_seed(tmp_path):
     empty = tmp_path / "empty.dca"
     empty.write_text("architecture {}\n")

@@ -155,18 +155,39 @@ def _scan(text, file):
 
 
 # Blanks, comments, string quotes, number and identifier characters,
-# punctuation, and characters that start no token: a vertical tab and
-# non-ASCII letters and digits.  The bad ones are rare, so that most strings
-# lex and an error, when there is one, has tokens before it.
+# punctuation, the starts of data blocks, and characters that start no token:
+# a vertical tab and non-ASCII letters and digits.  The bad ones are rare, so
+# that most strings lex and an error, when there is one, has tokens before it.
 _LEX_PIECES = ([" ", "\t", "\r", "\n", "# c\n", "#", "# ²"] * 4 + ['"', '"ab"', '"x y'] * 2
-               + list("0123456789-?_aZq") + list(_PUNCT) + ["\x0b", "²", "٣", "é"])
+               + list("0123456789-?_aZq") + list(_PUNCT) + ["\ndata ", "data "]
+               + ["\x0b", "²", "٣", "é"])
+
+
+def _lex_text(rng):
+    """Random pieces; one time in two, data blocks that repeat one body after
+    random heads, as a policy that gives its data one policy does."""
+    def pieces(most):
+        return "".join(rng.choice(_LEX_PIECES) for _ in range(rng.randrange(most)))
+
+    if rng.random() < 0.5:
+        return pieces(30)
+    body = pieces(12)
+    return pieces(6) + "".join(f"\ndata {pieces(3)}\n{body}" for _ in range(rng.randint(2, 4)))
+
+
+def _equal_bodies(text):
+    """Whether two data blocks of ``text`` have the same body: the same text
+    after their first line and up to the next line that starts with ``data``."""
+    bodies = [piece.partition("\n")[2] for piece in text.split("\ndata ")[1:]]
+    return len(set(bodies)) < len(bodies)
 
 
 def test_tokenize_agrees_with_a_character_scanner():
     rng = random.Random(18)
-    outcomes = []
+    outcomes, repeats = [], 0
     for _ in range(4000):
-        text = "".join(rng.choice(_LEX_PIECES) for _ in range(rng.randrange(30)))
+        text = _lex_text(rng)
+        repeats += _equal_bodies(text)
         try:
             expected = _scan(text, "f")
         except ParseError as err:
@@ -178,8 +199,76 @@ def test_tokenize_agrees_with_a_character_scanner():
         else:
             assert tokenize(text, file="f") == expected, repr(text)
             outcomes.append("tokens")
-    # both outcomes are common, so neither half of the comparison is idle
+    # both outcomes are common, so neither half of the comparison is idle,
+    # and so are texts whose repeated block bodies are lexed once
     assert min(outcomes.count("error"), outcomes.count("tokens")) > 1000
+    assert repeats > 1000
+
+
+_BLOCK = """  ow = alice;
+  ds = {alice, bob};
+  type = Photo;
+  policy {
+    purposes = {social-networking};
+    can like = {alice, bob};  # data like this is shared
+  }
+}
+"""
+
+
+def _repeated_blocks():
+    """A policy of eight data blocks with one body, the first at offset 0 and
+    no header: the third copy with a stray character, one with a comment
+    about data and a string, one with CRLF line ends and one with a tab after
+    ``data``."""
+    copies = [_BLOCK] * 8
+    copies[2] = _BLOCK.replace("Photo", "Photo²")
+    copies[4] = _BLOCK.replace("  ow", '  # data photo9 {\n  "a b" ow')
+    copies[5] = _BLOCK.replace("\n", "\r\n")
+    heads = [f"data photo{k} {{" for k in range(8)]
+    heads[6] = "data\tphoto6 {"
+    return "".join(f"{head}\n{body}" for head, body in zip(heads, copies))
+
+
+def _lex_outcome(lex, text):
+    try:
+        return lex(text, "f")
+    except ParseError as err:
+        return str(err), err.span, err.expected
+
+
+def test_tokenize_agrees_with_a_character_scanner_on_repeated_blocks():
+    """Substitutions, deletions and insertions in a policy of repeated blocks,
+    with and without its stray character, among them cuts that make or break
+    a ``data`` line start."""
+    rng = random.Random(21)
+    bases = [_repeated_blocks(), _repeated_blocks().replace("²", "")]
+    assert all(_equal_bodies(base) for base in bases)
+    alphabet = ["", " ", "\n", "\r\n", "\t", "#", '"', "²", "}", "data ", "\ndata ", "x"]
+    outcomes, repeats = [], 0
+    for _ in range(3000):
+        text = rng.choice(bases)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text))
+            text = text[:i] + rng.choice(alphabet) + text[i + rng.randint(0, 2):]
+        repeats += _equal_bodies(text)
+        got = _lex_outcome(tokenize, text)
+        assert got == _lex_outcome(_scan, text), repr(text)
+        outcomes.append(isinstance(got, list))
+    assert min(outcomes.count(True), outcomes.count(False)) > 1000
+    assert repeats > 2000
+
+
+def test_equal_block_bodies_share_their_tokens():
+    text = "actions { }\n" + "".join(f"data d{k} {{\n{_BLOCK}" for k in range(3))
+    text += "data vault {\n" + _BLOCK.replace("bob", "carol")
+    tokens = tokenize(text)
+    assert tokens == _scan(text, "f")
+    starts = [i for i, tok in enumerate(tokens) if tok == "data"] + [len(tokens) - 1]
+    runs = [tokens[start + 3:end] for start, end in zip(starts, starts[1:])]  # after "data d0 {"
+    assert runs[0] == runs[1] == runs[2] != runs[3]
+    assert "social-networking" in runs[0]
+    assert all(a is b is c for a, b, c in zip(*runs[:3]))
 
 
 def test_parse_error_is_located():
@@ -694,3 +783,13 @@ def test_query_round_trip(prop):
     text = serialize_query(prop)
     assert parse_has_query(text) == prop
     assert serialize_query(parse_has_query(text)) == text
+
+
+def test_fields_come_in_any_order_with_a_trailing_comma():
+    """As the grammar says: a variable's and an event's fields in any order,
+    a trailing comma allowed, and the printer's order on the way back."""
+    prop = parse_has_query("HAS_sp(X{id=d1, ds={a}, ow=a,})")
+    assert prop == HasSp(Var(ow="a", ds=frozenset({"a"}), ident="d1"))
+    assert serialize_query(prop) == "HAS_sp(X{ow=a, ds={a}, id=d1})"
+    events = parse_arch_trace("archtrace { own(var=X{id=d1, ow=a, ds={a}}, user=a, t=1,); }")
+    assert serialize_arch_trace(events) == "archtrace {\n  own(t=1, user=a, var=X{ow=a, ds={a}, id=d1});\n}\n"

@@ -371,3 +371,24 @@ def test_compare_architectures_relations():
     assert cmp.overall == INCOMPARABLE
     assert cmp.only_first == (Own("alice", X),)
     assert cmp.only_second == (Possess(KeyVar(SP)),)
+
+
+def test_compare_architectures_orders_permissions():
+    """Smaller permission tables are a subset too, an empty entry equals a
+    missing one, and the differing permission lines are listed."""
+    acts = frozenset({Own("alice", X)})
+    narrow = Architecture(activities=acts, perms=Perms(can={"like": frozenset({"alice"})}))
+    wide = Architecture(activities=acts, perms=Perms(
+        can={"like": frozenset({"alice", "bob"})}, by={"like": {"alice": frozenset({"bob"})}}))
+    cmp = compare_architectures(narrow, wide)
+    assert cmp.overall == "subset" and cmp.only_first == cmp.only_second == ()
+    assert cmp.perms_first == ("can like = {alice};",)
+    assert cmp.perms_second == ("can like = {alice, bob};", "has by like alice = {bob};")
+    assert compare_architectures(wide, narrow).overall == "superset"
+    # more activities but fewer permissions: neither contains the other
+    more = Architecture(activities=acts | {Possess(X)}, perms=narrow.perms)
+    assert compare_architectures(more, wide).overall == INCOMPARABLE
+    assert compare_architectures(more, narrow).overall == "superset"
+    padded = Perms(can={"like": frozenset({"alice"}), "post": frozenset()}, group=frozenset())
+    same = compare_architectures(narrow, Architecture(activities=acts, perms=padded))
+    assert same.overall == EQUAL and same.render() == "overall\tequal"
