@@ -49,6 +49,7 @@ EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
+EXIT_UNSOUND = 4
 
 DEFAULT_MAX_STATES = 10**6
 DEFAULT_MAX_LEN = 4
@@ -178,6 +179,10 @@ def cmd_eval_has(args) -> int:
             return EXIT_LIMIT
         holds_semantic = verdict.holds
         print(f"enumerate: {verdict.render()}")
+        if holds_deduce and not verdict.holds and not verdict.bounded:
+            print("eval-has: the rules derive the query but the search refutes it"
+                  " (an unsound deduction)", file=sys.stderr)
+            return EXIT_UNSOUND
     ok = (holds_deduce or holds_semantic) is True
     return EXIT_OK if ok else EXIT_FINDINGS
 

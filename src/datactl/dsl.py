@@ -87,14 +87,17 @@ class ParseError(Exception):
 # One match per token: the blanks and comments before a token, then the token.
 # A token is its text, a string with its quotes, so its first character tells
 # its kind; the empty token at the end is ``eof``.  Any other character, the
-# opening quote of an unterminated string included, is a token of its own that
-# ``tokenize`` rejects.  The skip is blanks, then either nothing or comments
-# with blanks between and after them: an empty alternative, not a repeat, so a
-# skip without a comment, the usual one, enters no repeat.  The longest skip,
-# which the matcher tries first, always leads to a token (``.`` or ``\Z``), so
-# no run gives characters back.  Identifiers, the most frequent, come first.
+# opening quote of an unterminated string included, starts a token that runs
+# to the end of the text, so that it is always the last token before ``eof``
+# and ``tokenize`` rejects it by looking at that one token.  The skip is
+# blanks, then either nothing or comments with blanks between and after them:
+# an empty alternative, not a repeat, so a skip without a comment, the usual
+# one, enters no repeat.  The longest skip, which the matcher tries first,
+# always leads to a token (the bad character's or ``\Z``), so no run gives
+# characters back.  Identifiers, the most frequent, come first.
 _TOKEN = re.compile(r'[ \t\r\n]*(?:#[^\n]*(?:[ \t\r\n]*#[^\n]*)*[ \t\r\n]*|)'
-                    r'([A-Za-z_?][A-Za-z0-9_?-]*|[{}()\[\]=,;:/+]|"[^"\n]*"|[0-9]+|.|\Z)')
+                    r'([A-Za-z_?][A-Za-z0-9_?-]*|[{}()\[\]=,;:/+]|"[^"\n]*"|[0-9]+|.[\s\S]*|\Z)')
+_STRING = re.compile(r'"[^"\n]*"')
 # The first characters of the number, identifier and punctuation tokens.
 _DIGITS = frozenset("0123456789")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_?")
@@ -114,12 +117,18 @@ def tokenize(text: str, file: str = "<input>") -> list[str]:
         tokens = _TOKEN.findall(text)
         if tokens[-2:] == ["", ""]:  # text ending in a blank or a comment matches eof twice
             tokens.pop()
-    bad = {tok for tok in set(tokens) if len(tok) == 1 and tok not in _STARTS}
-    if bad:
-        m = next(m for m in _TOKEN.finditer(text) if m[1] in bad)
-        message = "unterminated string" if m[1] == '"' else f"unexpected character {m[1]!r}"
-        raise ParseError(message, locate(text, m.start(1), file))
+        if len(tokens) > 1 and _is_bad(tokens[-2]):
+            m = next(m for m in _TOKEN.finditer(text) if _is_bad(m[1]))
+            c = m[1][0]
+            message = "unterminated string" if c == '"' else f"unexpected character {c!r}"
+            raise ParseError(message, locate(text, m.start(1), file))
     return tokens
+
+
+def _is_bad(token: str) -> bool:
+    """Whether a token other than ``eof`` starts at a character that starts
+    no token, and so runs to the end of the text (or of the piece lexed)."""
+    return token[0] not in _STARTS and (token[0] != '"' or _STRING.fullmatch(token) is None)
 
 
 def _shared_block_tokens(text: str) -> list[str] | None:
@@ -140,23 +149,27 @@ def _shared_block_tokens(text: str) -> list[str] | None:
     if len({body for _, _, body in blocks}) == len(blocks):
         return None
     tokens = _piece_tokens(pieces[0])
-    runs: dict[str, list[str]] = {}
+    runs: dict[str, list[str] | None] = {}
     for head, _, body in blocks:
+        head_run = _piece_tokens(head)
+        if body not in runs:
+            runs[body] = _piece_tokens(body)
+        run = runs[body]
+        if tokens is None or head_run is None or run is None:
+            return None  # lexing the whole text locates the bad character
         tokens.append("data")
-        tokens += _piece_tokens(head)
-        run = runs.get(body)
-        if run is None:
-            run = runs[body] = _piece_tokens(body)
+        tokens += head_run
         tokens += run
     tokens.append("")
     return tokens
 
 
-def _piece_tokens(piece: str) -> list[str]:
-    """The tokens of a piece of a text, without ``eof``."""
+def _piece_tokens(piece: str) -> list[str] | None:
+    """The tokens of a piece of a text, without ``eof``; None if one of them
+    is bad, which makes it the last, as it runs to the end of the piece."""
     tokens = _TOKEN.findall(piece)
     del tokens[tokens.index(""):]
-    return tokens
+    return None if tokens and _is_bad(tokens[-1]) else tokens
 
 
 class _Parser:

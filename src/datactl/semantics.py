@@ -9,7 +9,7 @@ state, which then differs from its predecessor at most at the event's datum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .model import SP, ActivitySets, DataRef, Policy
 
@@ -56,8 +56,11 @@ class SemanticsError(Exception):
         super().__init__(message if index is None else f"event {index}: {message}")
 
 
-@dataclass(frozen=True)
-class AbstractEvent:
+class AbstractEvent(NamedTuple):
+    """One trace event.  A named tuple, immutable like a frozen dataclass but
+    built without a ``__setattr__`` per field: the parser builds one per
+    event."""
+
     kind: str
     t: int
     dt: DataRef
@@ -87,8 +90,10 @@ class EventTemplate:
         return event_name(self.kind, self.action)
 
 
-@dataclass(frozen=True)
-class StateEntry:
+class StateEntry(NamedTuple):
+    """One defined datum's entry; a named tuple, as the fold builds one per
+    step that changes the entry."""
+
     t: int
     v: str | None
     policy: Policy

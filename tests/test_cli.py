@@ -16,6 +16,7 @@ import pytest
 from datactl import cli
 from datactl.architecture import Architecture, GroupAct, Own, Var
 from datactl.cli import _concrete_users, build_parser, main
+from datactl.dsl import parse_has_query
 from datactl.model import SP, Perms
 
 FIX = Path(__file__).resolve().parent.parent / "fixtures" / "facebook"
@@ -395,6 +396,25 @@ def test_eval_has_negative(capsys, tmp_path):
     code, out, _ = run(capsys, "eval-has", arch, str(query), "--mode", "enumerate",
                        "--max-len", "2")
     assert code == 1 and "does not hold" in out
+
+
+@pytest.mark.parametrize("query, exit_code, enumerate_line, stderr", [
+    # a reachable state gives alice the variable: the search refutes the query
+    ("HAS_never[alice](X{ow=alice, ds={alice}, id=d1})", 4, "enumerate: does not hold\n",
+     "eval-has: the rules derive the query but the search refutes it (an unsound deduction)\n"),
+    # no witness within the bound settles nothing: the derived answer stands
+    ("HAS[bob](X{ow=alice, ds={alice}, id=d1}, t=1)", 0,
+     "enumerate: does not hold (within bound)\n", ""),
+])
+def test_eval_has_reports_a_derived_query_the_search_refutes(
+        capsys, tmp_path, monkeypatch, query, exit_code, enumerate_line, stderr):
+    """A rule set that derives every query stands in for an unsound deduction."""
+    arch = write_small_arch(tmp_path)
+    path = tmp_path / "q.dcq"
+    path.write_text(query)
+    monkeypatch.setattr(cli, "conclusions", lambda results: {parse_has_query(query)})
+    code, out, err = run(capsys, "eval-has", arch, str(path), "--mode", "both", "--max-len", "2")
+    assert (code, out, err) == (exit_code, "deduce: derivable\n" + enumerate_line, stderr)
 
 
 def test_eval_has_rejects_an_arch_trace_the_architecture_does_not_admit(capsys, tmp_path):

@@ -2,6 +2,7 @@
 differential check of the one-pass auditor against the rules read literally."""
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from datactl.semantics import (
     ACT2,
     DELETE,
     DELETEREQ,
+    GROUP_KINDS,
     GROUPHAS,
     OWN,
     STORE,
@@ -31,9 +33,10 @@ from datactl.semantics import (
     AbstractEvent,
     SemanticsError,
     iter_states,
+    possible_events,
 )
 
-from modelgen import INJECTORS, compliant_trace, random_model
+from modelgen import INJECTORS, compliant_trace, full_events, random_model
 
 SETS = ActivitySets(unary=(("fav", "unfav"),))
 
@@ -436,3 +439,65 @@ def test_single_pass_over_an_iterator():
         for rule in RULES:
             assert check_rule(rule, iter(trace), model.sets) == [
                 v for v in full.violations if v.rule == rule]
+
+
+# --- single-rule audits against the full audit --------------------------------
+
+
+def _outcome(audit, *args):
+    try:
+        return audit(*args)
+    except SemanticsError as err:
+        return str(err), err.index
+
+
+def _broken_copies(model, trace, rng):
+    """Traces that do not all execute: three shuffles of the compliant trace's
+    events after its ``own`` prefix, mixed with one group event per group
+    template and datum between the owner and a random user, so that policies
+    change and events follow the deletion of their datum; the trace with
+    policies that allow no manual deletion, so that a request is rejected; and
+    the trace followed by its ``own`` events again."""
+    owns = [e for e in trace if e.kind == OWN]
+    users = sorted(model.users())
+    t = trace[-1].t
+    rest = trace[len(owns):] + [
+        AbstractEvent(g.kind, t + k, e.dt, e.dt.ow, rng.choice(users), g.action)
+        for k, (e, g) in enumerate(
+            ((e, g) for e in owns for g in possible_events(model.sets) if g.kind in GROUP_KINDS),
+            start=1)
+    ]
+    copies = []
+    for _ in range(3):
+        rng.shuffle(rest)
+        copies.append(owns + rest)
+    no_manual = DeletionSpec(())
+    copies.append([e._replace(policy=replace(e.policy, dm=no_manual)) if e.kind == OWN else e
+                   for e in trace])
+    copies.append(trace + owns)
+    return copies
+
+
+def test_single_rule_audits_equal_the_full_audit():
+    """``check_rule`` judges one rule and steps only what it reads; on every
+    trace, executing or not, it gives that rule's part of ``check_trace`` or
+    the same error at the same event."""
+    audits = raised = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        model = random_model(rng)
+        trace = compliant_trace(model, rng)
+        traces = [trace, full_events(model)]
+        traces += [bad for bad in (inject(model, list(trace), rng) for inject in INJECTORS.values())
+                   if bad is not None]
+        traces += _broken_copies(model, trace, rng)
+        for events in traces:
+            full = _outcome(check_trace, events, model.sets)
+            for rule in RULES:
+                expected = full if isinstance(full, tuple) else [
+                    v for v in full.violations if v.rule == rule]
+                assert _outcome(check_rule, rule, events, model.sets) == expected, (seed, rule)
+            audits += len(RULES)
+            raised += len(RULES) * isinstance(full, tuple)
+    # both outcomes are common, so neither half of the comparison is idle
+    assert min(raised, audits - raised) > 4000
