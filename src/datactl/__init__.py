@@ -15,7 +15,7 @@ from .model import (  # noqa: F401
     PolicyModel,
     SP,
 )
-from .semantics import AbstractEvent, AbstractState, run_trace  # noqa: F401
+from .semantics import AbstractEvent, run_trace  # noqa: F401
 from .compliance import ComplianceReport, Violation, check_trace  # noqa: F401
 from .architecture import Architecture, ArchEvent, Universe  # noqa: F401
 from .logic import Has, HasNever, HasNot, HasSp, deduce, eval_semantic  # noqa: F401

@@ -267,9 +267,10 @@ def schema_of(act: Activity) -> ActivitySchema:
 # ---------------------------------------------------------------------------
 # Canonical text
 #
-# A term's and an activity's text in the ``.dca`` syntax, which the document
-# printers in ``dsl`` use.  It is one-to-one, so it also orders terms and
-# activities the same way in every process, which hashing does not.
+# A term's, an activity's and a permission table's text in the ``.dca`` syntax,
+# which the document printers in ``dsl`` use.  It is one-to-one, so it also
+# orders terms and activities the same way in every process, which hashing does
+# not.
 
 
 def serialize_set(items: Iterable[str]) -> str:
@@ -314,6 +315,21 @@ def serialize_activity(act: Activity) -> str:
     if args:
         out += "(" + ", ".join([show(getattr(act, slot)) for slot, show in args]) + ")"
     return out
+
+
+def perm_lines(perms: Perms) -> list[str]:
+    """The ``can`` and ``has`` lines of a permission table, in canonical order;
+    policy blocks, perms blocks and ``compare-archs`` share this printer."""
+    lines = [f"can {action} = {serialize_set(perms.can[action])};"
+             for action in sorted(perms.can) if perms.can[action]]
+    for which, table in (("by", perms.by), ("been", perms.been)):
+        for action in sorted(table):
+            for user in sorted(table[action]):
+                if table[action][user]:
+                    lines.append(f"has {which} {action} {user} = {serialize_set(table[action][user])};")
+    if perms.group:
+        lines.append(f"has group = {serialize_set(perms.group)};")
+    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ class ComplianceReport:
 
 
 def _audit(
-    events: Iterable[AbstractEvent], sets: ActivitySets | None, rules: Iterable[str]
+    events: Iterable[AbstractEvent], sets: ActivitySets, rules: Iterable[str]
 ) -> tuple[dict[str, list[Violation]], list[str]]:
     """The audit fold, judging only ``rules``: each one's violations in event
     order, and C2's warnings when C2 is judged.
@@ -200,7 +200,7 @@ def _audit(
 
 
 def check_rule(
-    rule: str, trace: Iterable[AbstractEvent], sets: ActivitySets | None = None
+    rule: str, trace: Iterable[AbstractEvent], sets: ActivitySets
 ) -> list[Violation]:
     """Evaluate a single rule; raises on an unknown rule id or a broken trace."""
     if rule not in RULES:
@@ -209,7 +209,7 @@ def check_rule(
 
 
 def check_trace(
-    trace: Iterable[AbstractEvent], sets: ActivitySets | None = None
+    trace: Iterable[AbstractEvent], sets: ActivitySets
 ) -> ComplianceReport:
     """Full audit in one pass over ``trace``: all five rules, violations
     ordered by rule then position.  A trace that does not execute raises the

@@ -24,6 +24,7 @@ from .architecture import (
     Term,
     Var,
     is_consistent,
+    perm_lines,
     serialize_activity,
     serialize_set,
     serialize_term,
@@ -853,21 +854,6 @@ def _require_var(p: _Parser, term: Term, at: int) -> Var:
 # Serialization
 
 
-def _perm_lines(perms: Perms) -> list[str]:
-    """The ``can`` and ``has`` lines of a permission table, in canonical order;
-    policy blocks and perms blocks share this printer."""
-    lines = [f"can {action} = {serialize_set(perms.can[action])};"
-             for action in sorted(perms.can) if perms.can[action]]
-    for which, table in (("by", perms.by), ("been", perms.been)):
-        for action in sorted(table):
-            for user in sorted(table[action]):
-                if table[action][user]:
-                    lines.append(f"has {which} {action} {user} = {serialize_set(table[action][user])};")
-    if perms.group:
-        lines.append(f"has group = {serialize_set(perms.group)};")
-    return lines
-
-
 def serialize_policy(model: PolicyModel) -> str:
     lines = ["actions {"]
     lines += [f"  unary {base}/{rev};" for base, rev in model.sets.unary]
@@ -896,7 +882,7 @@ def serialize_policy(model: PolicyModel) -> str:
             for form in sorted(pol.storage.ho)
         )
         lines.append(f"    how = {{{forms}}};")
-        lines += [f"    {line}" for line in _perm_lines(pol.perms)]
+        lines += [f"    {line}" for line in perm_lines(pol.perms)]
         lines.append("  }")
         lines.append("}")
     return "\n".join(lines) + "\n"
@@ -961,7 +947,7 @@ def serialize_architecture(pa: Architecture) -> str:
         lines.append(f"  {text};")
     if not pa.perms.is_empty():
         lines.append("  perms {")
-        lines += [f"    {line}" for line in _perm_lines(pa.perms)]
+        lines += [f"    {line}" for line in perm_lines(pa.perms)]
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

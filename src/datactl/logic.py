@@ -401,8 +401,11 @@ def judge(prop: HasProperty, states: Iterable[GlobalState | StateView]) -> Seman
     verdicts = [_VERDICTS[p.universal, p not in unsettled] if _fully_concrete(p.var)
                 else SemanticVerdict(False, False, "variable is not completely defined")
                 for p in forms]
+    # A conjunction that holds is bounded if any part is; one that fails is
+    # bounded only if every failing part is, for one refuted part refutes it.
+    failing = [v for v in verdicts if not v.holds]
     return SemanticVerdict(
-        holds=all(v.holds for v in verdicts),
-        bounded=any(v.bounded for v in verdicts),
+        holds=not failing,
+        bounded=all(v.bounded for v in failing) if failing else any(v.bounded for v in verdicts),
         detail="; ".join(v.detail for v in verdicts if v.detail),
     )

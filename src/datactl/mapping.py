@@ -32,9 +32,10 @@ from .architecture import (
     enc,
     is_consistent,
     is_pattern,
+    perm_lines,
+    serialize_activity,
 )
 from .logic import h1_applicable, h2_applicable, h3_applicable, h8_conclusions
-from .dsl import _perm_lines, serialize_activity
 from .model import SP, DataRef, FriendAlias, Perms, Policy, PolicyModel
 from .semantics import (
     ACT1,
@@ -517,7 +518,7 @@ def compare_architectures(pa1: Architecture, pa2: Architecture) -> ArchCompariso
     orders combine as the components of ``compare_policies`` do."""
     rels = _perms_relations(pa1.perms, pa2.perms).values()
     rel = _combine({_set_relation(pa1.activities, pa2.activities), *rels})
-    lines1, lines2 = set(_perm_lines(pa1.perms)), set(_perm_lines(pa2.perms))
+    lines1, lines2 = set(perm_lines(pa1.perms)), set(perm_lines(pa2.perms))
     return ArchComparison(
         overall={STRICTER: "subset", LOOSER: "superset"}.get(rel, rel),
         only_first=tuple(sorted(pa1.activities - pa2.activities, key=serialize_activity)),

@@ -1,15 +1,17 @@
 """Abstract events, the per-datum state, and the trace transition function.
 
-The state maps each datum to either an entry (time, value, policy, holders)
-or to the undefined marker ``None``.  Transitions are pure: ``step`` maps one
-datum's entry to its successor, and ``apply_event`` lifts it to the whole
-state, which then differs from its predecessor at most at the event's datum.
+The state is a plain map from each datum to either an entry (time, value,
+policy, holders) or the undefined marker ``None``; a datum it does not name is
+undefined too.  Transitions are pure: ``step`` maps one datum's entry to its
+successor, so a state differs from its predecessor at most at the event's
+datum.  An un-action takes back what the action declared with it gives: the
+step reads that pair from the model's activity sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, NamedTuple
+from dataclasses import dataclass, replace
+from typing import Iterator, NamedTuple
 
 from .model import SP, ActivitySets, DataRef, Policy
 
@@ -100,24 +102,6 @@ class StateEntry(NamedTuple):
     h_has: frozenset[str]
 
 
-@dataclass(frozen=True)
-class AbstractState:
-    """Map from datum to entry; data absent from ``entries`` are undefined."""
-
-    entries: Mapping[DataRef, StateEntry | None] = field(default_factory=dict)
-
-    def get(self, dt: DataRef) -> StateEntry | None:
-        return self.entries.get(dt)
-
-    def put(self, dt: DataRef, entry: StateEntry | None) -> "AbstractState":
-        entries = dict(self.entries)
-        entries[dt] = entry
-        return AbstractState(entries)
-
-
-INITIAL_STATE = AbstractState()
-
-
 def possible_events(sets: ActivitySets) -> list[EventTemplate]:
     """The event inventory under the given activity sets, the same for every
     datum: one template per predefined event, one group/ungroup pair per base
@@ -135,18 +119,13 @@ def possible_events(sets: ActivitySets) -> list[EventTemplate]:
 
 
 def step(
-    entry: StateEntry | None,
-    e: AbstractEvent,
-    j: int | None = None,
-    sets: ActivitySets | None = None,
+    entry: StateEntry | None, e: AbstractEvent, j: int, sets: ActivitySets
 ) -> StateEntry | None:
     """One transition of the event's datum: its entry before ``e`` to its
     entry after, ``None`` standing for undefined.  A step that changes nothing
-    returns ``entry`` itself.  ``j`` is the event's trace position; it is
-    carried for fidelity with the transition signature and for error messages.
-
-    ``sets`` is needed only for un-actions, to resolve the base action whose
-    has-grants are withdrawn.
+    returns ``entry`` itself.  ``j`` is the event's trace position, for error
+    messages.  An un-action withdraws the has-grants of the action that
+    ``sets`` pairs it with.
     """
     kind = e.kind
 
@@ -197,53 +176,30 @@ def step(
     if kind in ACT_KINDS:
         if e.actor not in pol.perms.can_do(e.action):
             return entry  # permission guard: unauthorized actions are no-ops
-        base = e.action
-        if kind in UNDO_KINDS and sets is not None:
-            base = sets.base_of(e.action) or e.action
+        base = sets.base_of(e.action) if kind in UNDO_KINDS else e.action
         held = pol.perms.holders(base, e.actor, e.tar if kind in (ACT2, UNACT2) else None)
         return StateEntry(e.t, entry.v, pol, move(entry.h_has, held))
 
     raise SemanticsError(f"unknown event kind {kind!r}", j)
 
 
-def apply_event(
-    state: AbstractState,
-    e: AbstractEvent,
-    j: int | None = None,
-    sets: ActivitySets | None = None,
-) -> AbstractState:
-    """One transition of the whole state: :func:`step` on the event's datum,
-    every other datum left as it is."""
-    before = state.get(e.dt)
-    after = step(before, e, j, sets)
-    return state if after is before else state.put(e.dt, after)
-
-
-def run_trace(
-    trace: list[AbstractEvent], sets: ActivitySets | None = None
-) -> AbstractState:
-    """Left fold of ``apply_event`` from the all-undefined initial state."""
-    state = INITIAL_STATE
-    for j, e in enumerate(trace, start=1):
-        state = apply_event(state, e, j, sets)
-    return state
-
-
-def state_at(
-    trace: list[AbstractEvent], i: int, sets: ActivitySets | None = None
-) -> AbstractState:
-    """State after the first ``i`` events (prefix semantics)."""
-    if not 0 <= i <= len(trace):
-        raise IndexError(f"prefix length {i} out of range for trace of {len(trace)}")
-    return run_trace(trace[:i], sets)
-
-
 def iter_states(
-    trace: list[AbstractEvent], sets: ActivitySets | None = None
-) -> Iterator[AbstractState]:
-    """All prefix states, starting with the initial state; len(trace)+1 items."""
-    state = INITIAL_STATE
+    trace: list[AbstractEvent], sets: ActivitySets
+) -> Iterator[dict[DataRef, StateEntry | None]]:
+    """All prefix states, starting with the all-undefined one; len(trace)+1
+    items.  An event that changes its datum's entry makes a new map."""
+    state: dict[DataRef, StateEntry | None] = {}
     yield state
     for j, e in enumerate(trace, start=1):
-        state = apply_event(state, e, j, sets)
+        before = state.get(e.dt)
+        after = step(before, e, j, sets)
+        if after is not before:
+            state = {**state, e.dt: after}
         yield state
+
+
+def run_trace(trace: list[AbstractEvent], sets: ActivitySets) -> dict[DataRef, StateEntry | None]:
+    """The state after the whole trace."""
+    for state in iter_states(trace, sets):  # yields at least the initial state
+        pass
+    return state

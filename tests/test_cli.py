@@ -17,6 +17,7 @@ from datactl import cli
 from datactl.architecture import Architecture, GroupAct, Own, Var
 from datactl.cli import _concrete_users, build_parser, main
 from datactl.dsl import parse_has_query
+from datactl.logic import And
 from datactl.model import SP, Perms
 
 FIX = Path(__file__).resolve().parent.parent / "fixtures" / "facebook"
@@ -405,6 +406,10 @@ def test_eval_has_negative(capsys, tmp_path):
     # no witness within the bound settles nothing: the derived answer stands
     ("HAS[bob](X{ow=alice, ds={alice}, id=d1}, t=1)", 0,
      "enumerate: does not hold (within bound)\n", ""),
+    # one refuted part refutes a conjunction, though another is only unwitnessed
+    ("HAS_never[alice](X{ow=alice, ds={alice}, id=d1}) AND HAS[bob](X{ow=alice, ds={alice}, id=d1}, t=1)",
+     4, "enumerate: does not hold\n",
+     "eval-has: the rules derive the query but the search refutes it (an unsound deduction)\n"),
 ])
 def test_eval_has_reports_a_derived_query_the_search_refutes(
         capsys, tmp_path, monkeypatch, query, exit_code, enumerate_line, stderr):
@@ -412,7 +417,9 @@ def test_eval_has_reports_a_derived_query_the_search_refutes(
     arch = write_small_arch(tmp_path)
     path = tmp_path / "q.dcq"
     path.write_text(query)
-    monkeypatch.setattr(cli, "conclusions", lambda results: {parse_has_query(query)})
+    prop = parse_has_query(query)
+    parts = set(prop.parts) if isinstance(prop, And) else {prop}
+    monkeypatch.setattr(cli, "conclusions", lambda results: parts)
     code, out, err = run(capsys, "eval-has", arch, str(path), "--mode", "both", "--max-len", "2")
     assert (code, out, err) == (exit_code, "deduce: derivable\n" + enumerate_line, stderr)
 

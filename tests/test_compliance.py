@@ -135,6 +135,23 @@ def test_c3_owner_always_sanctioned():
     assert check_rule("C3", base_trace(), SETS) == []
 
 
+def test_unaction_withdraws_through_its_declared_pair():
+    """``defav`` takes back ``fav`` though its name does not start with ``un``.
+    The un-action comes at an earlier time than the grant, so a holder it
+    failed to withdraw would hold the datum before any sanction: C3 shows it,
+    as the control with an un-action of another pair does."""
+    sets = ActivitySets(unary=(("fav", "defav"), ("pin", "unpin")))
+    pol = replace(POL, perms=Perms({name: frozenset({"bob"}) for name in sets.names()},
+                                   by={"fav": {"bob": frozenset({"carol"})}}))
+    trace = [AbstractEvent(kind=OWN, t=1, dt=DT, actor="alice", value="v", policy=pol),
+             AbstractEvent(kind=ACT1, t=10, dt=DT, actor="bob", action="fav")]
+    undo = AbstractEvent(kind=UNACT1, t=2, dt=DT, actor="bob", action="defav")
+    assert check_trace(trace + [undo], sets) == ComplianceReport()
+    report = check_trace(trace + [undo._replace(action="unpin")], sets)
+    assert [(v.rule, v.event_index, v.detail) for v in report.violations] == [
+        ("C3", 3, "'carol' holds the datum without ownership or a sanctioning action")]
+
+
 def test_c4_flags_provider_without_readable_storage():
     trace = base_trace() + [
         AbstractEvent(kind=GROUPHAS, t=2, dt=DT, actor="alice", tar=SP)
@@ -226,7 +243,7 @@ def test_injections_detected_with_exact_rule():
 # --- differential oracle: the rules judged on every prefix state -------------
 
 
-def _sanctioned(trace, states, sets, i, dt, user, t):
+def _sanctioned(trace, states, i, dt, user, t):
     """Whether a declared action at a position <= i and a time <= t, whose
     guard held, added ``user`` to the holders of ``dt``."""
     for k, a in enumerate(trace[:i], start=1):
@@ -235,10 +252,9 @@ def _sanctioned(trace, states, sets, i, dt, user, t):
         pol = states[k - 1].get(dt).policy
         if a.actor not in pol.perms.can_do(a.action):
             continue
-        base = a.action if sets is None else (sets.base_of(a.action) or a.action)
-        gained = pol.perms.by.get(base, {}).get(a.actor, frozenset())
+        gained = pol.perms.by.get(a.action, {}).get(a.actor, frozenset())
         if a.kind == ACT2:
-            gained &= pol.perms.been.get(base, {}).get(a.tar, frozenset())
+            gained &= pol.perms.been.get(a.action, {}).get(a.tar, frozenset())
         if user in gained:
             return True
     return False
@@ -271,12 +287,12 @@ def reference_audit(trace, sets):
             elif actor not in pol.perms.can_do(action):
                 found["C2"].append(Violation(
                     "C2", e.dt, f"{actor!r} not permitted to perform {action!r}", i))
-        for dt, entry in states[i].entries.items():
+        for dt, entry in states[i].items():
             if entry is None:
                 continue
             for tar in sorted(entry.h_has - {SP, dt.ow}):
                 if (dt, tar) not in c3_seen and not _sanctioned(
-                        trace, states, sets, i, dt, tar, entry.t):
+                        trace, states, i, dt, tar, entry.t):
                     c3_seen.add((dt, tar))
                     found["C3"].append(Violation(
                         "C3", dt, f"{tar!r} holds the datum without ownership"

@@ -1,5 +1,6 @@
 """Source hygiene: the package imports only the standard library and itself,
-every module-level import in the package is used, every name the package
+no module takes another's private names, every module-level import in the
+package is used, every name the package
 defines is named somewhere besides its definition, every parameter of a
 function in the package is read, no regex the package compiles needs a newer
 Python than the one it declares, the command line prints the same under that
@@ -50,6 +51,48 @@ def test_foreign_import_is_reported():
               "from datactl.model import SP\n\n\ndef load():\n    from yaml import safe_load\n"
               "    import xml.etree.ElementTree\n")
     assert foreign_imports(source) == ["line 2: numpy", "line 8: yaml"]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore-prefixed names the source takes from another module of the
+    package: imported by name, or read off an imported module."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "datactl"):
+            for alias in node.names:
+                if _is_private(alias.name):
+                    found.append((node.lineno, f"{node.module or '.'}.{alias.name}"))
+                modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name.split(".")[0] == "datactl"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _is_private(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_another_modules_private_names(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_import_is_reported():
+    source = ("import re\nfrom .dsl import _perm_lines, serialize_set\n"
+              "from . import architecture as arch_mod\nfrom datactl.model import _Hidden\n"
+              "from os import _exit\nfrom .model import __version__\n\n\n"
+              "def f(self):\n    return arch_mod._Kernel, arch_mod.search_states, re._compile,"
+              " self._cache\n")
+    assert private_imports(source) == [
+        "line 2: dsl._perm_lines", "line 4: datactl.model._Hidden", "line 10: arch_mod._Kernel",
+    ]
 
 
 def unused_imports(source: str) -> list[str]:

@@ -307,6 +307,22 @@ def test_semantic_conjunction():
     assert v.holds and v.bounded
 
 
+def test_refuted_part_refutes_its_conjunction_outright():
+    """A conjunction that fails is bounded only if each failing part is: one
+    part refuted by a reachable state refutes the whole, whatever the bound
+    says of the other parts."""
+    pa = Architecture(activities=frozenset({Own("alice", X), Possess(X)}))
+    refuted, unwitnessed = HasNever("alice", X), Has("bob", X, 1)
+    assert eval_semantic(pa, refuted, UNIVERSE, max_len=2) == SemanticVerdict(
+        False, False, "a reachable state defines the variable")
+    assert eval_semantic(pa, unwitnessed, UNIVERSE, max_len=2).bounded
+    for prop in (And((refuted, unwitnessed)), And((unwitnessed, refuted))):
+        v = eval_semantic(pa, prop, UNIVERSE, max_len=2)
+        assert (v.holds, v.bounded) == (False, False), prop
+    v = eval_semantic(pa, And((Has("alice", X, 1), unwitnessed)), UNIVERSE, max_len=2)
+    assert (v.holds, v.bounded) == (False, True)
+
+
 def test_conjunction_enumerates_once(monkeypatch):
     """The parts of a conjunction are judged against one search."""
     import datactl.logic

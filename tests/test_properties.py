@@ -18,11 +18,10 @@ from datactl.semantics import (
     UNGROUPACT,
     UNGROUPHAS,
     AbstractEvent,
-    apply_event,
     iter_states,
     possible_events,
     run_trace,
-    state_at,
+    step,
 )
 
 from modelgen import compliant_trace, inject_c2, random_model
@@ -43,12 +42,15 @@ def _model_and_trace(seed):
 @given(seeds)
 @settings(max_examples=60, deadline=None)
 def test_prefix_coherence(seed):
+    """Each prefix state is its predecessor with one ``step`` on the event's
+    datum, and the fold of that prefix."""
     model, trace = _model_and_trace(seed)
     states = list(iter_states(trace, model.sets))
     for i, e in enumerate(trace):
-        assert states[i + 1] == apply_event(states[i], e, i + 1, model.sets)
-        assert state_at(trace, i, model.sets) == states[i]
-    assert state_at(trace, len(trace), model.sets) == run_trace(trace, model.sets)
+        entry = step(states[i].get(e.dt), e, i + 1, model.sets)
+        assert states[i + 1] == {**states[i], e.dt: entry}
+        assert run_trace(trace[:i], model.sets) == states[i]
+    assert run_trace(trace, model.sets) == states[-1]
 
 
 @given(seeds)
@@ -59,11 +61,11 @@ def test_frame_property(seed):
     states = list(iter_states(trace, model.sets))
     for i, e in enumerate(trace):
         before, after = states[i], states[i + 1]
-        for dt in set(before.entries) | set(after.entries):
+        for dt in set(before) | set(after):
             if dt != e.dt:
                 assert before.get(dt) == after.get(dt)
     for state in states:
-        for dt, entry in state.entries.items():
+        for dt, entry in state.items():
             if entry is not None:
                 assert dt == model.data[dt.ident]
 
@@ -83,7 +85,7 @@ def test_guard_fallthrough(seed):
             tar = dt.ow if template.binary else None
             e = AbstractEvent(kind=template.kind, t=10_000, dt=dt, actor="stranger",
                               tar=tar, action=template.action)
-            assert apply_event(state, e, sets=model.sets) == state
+            assert step(state[dt], e, len(trace) + 1, model.sets) is state[dt]
 
 
 @given(seeds, USERS)
@@ -107,9 +109,8 @@ def test_group_inverse(seed, tar):
                                   tar=tar, action=edited)
             revoke = AbstractEvent(kind=revoke_kind, t=10_001, dt=dt, actor=dt.ow,
                                    tar=tar, action=edited)
-            granted = apply_event(state, grant, sets=model.sets)
-            restored = apply_event(granted, revoke, sets=model.sets)
-            out = restored.get(dt)
+            granted = step(entry, grant, len(trace) + 1, model.sets)
+            out = step(granted, revoke, len(trace) + 2, model.sets)
             assert out.h_has == entry.h_has
             assert out.policy.perms.can_do(action) == perms.can_do(action)
             assert out.policy.perms.group == perms.group

@@ -1,5 +1,5 @@
-"""One dedicated test per transition case, plus trace folding and the
-event-inventory counts."""
+"""One dedicated test per transition case, un-actions resolved through the
+declared pairs, trace folding and the event-inventory counts."""
 
 import pytest
 
@@ -19,7 +19,6 @@ from datactl.semantics import (
     DELETEREQ,
     GROUPACT,
     GROUPHAS,
-    INITIAL_STATE,
     OWN,
     STORE,
     UNACT1,
@@ -29,11 +28,10 @@ from datactl.semantics import (
     USE,
     AbstractEvent,
     SemanticsError,
-    apply_event,
     iter_states,
     possible_events,
     run_trace,
-    state_at,
+    step,
 )
 
 SETS = ActivitySets(unary=(("fav", "unfav"),), binary=(("link", "unlink"),))
@@ -62,135 +60,150 @@ def own_event(t=1, pol=POL):
     return AbstractEvent(kind=OWN, t=t, dt=DT, actor="alice", value="v0", policy=pol)
 
 
-def owned_state(pol=POL):
-    return apply_event(INITIAL_STATE, own_event(pol=pol))
+def owned(pol=POL):
+    """The datum's entry after it is owned."""
+    return step(None, own_event(pol=pol), 1, SETS)
+
+
+def after(entry, e):
+    """The entry after ``e``, the trace's second event."""
+    return step(entry, e, 2, SETS)
 
 
 # --- the twelve transition cases -------------------------------------------
 
 
 def test_case_own_initializes_entry():
-    state = owned_state()
-    entry = state.get(DT)
+    entry = owned()
     assert entry.t == 1 and entry.v == "v0"
     assert entry.h_has == frozenset({"alice"})
     assert entry.policy is POL
 
 
 def test_case_store_adds_provider_when_readable():
-    state = apply_event(owned_state(), AbstractEvent(kind=STORE, t=2, dt=DT))
-    assert SP in state.get(DT).h_has
+    assert SP in after(owned(), AbstractEvent(kind=STORE, t=2, dt=DT)).h_has
 
     clkey = Policy(
         ap=POL.ap, dm=POL.dm,
         storage=StorageSpec(wh=frozenset({"sploc"}), ho=frozenset({("enc", "clkey")})),
         perms=POL.perms,
     )
-    state = apply_event(owned_state(pol=clkey), AbstractEvent(kind=STORE, t=2, dt=DT))
-    assert SP not in state.get(DT).h_has
-    assert state.get(DT).t == 1  # unreadable storage leaves the entry untouched
+    entry = after(owned(pol=clkey), AbstractEvent(kind=STORE, t=2, dt=DT))
+    assert SP not in entry.h_has
+    assert entry.t == 1  # unreadable storage leaves the entry untouched
 
 
 def test_case_use_is_identity():
-    before = owned_state()
-    after = apply_event(before, AbstractEvent(kind=USE, t=2, dt=DT,
-                                              purposes=frozenset({"billing"})))
-    assert after.get(DT) == before.get(DT)
+    before = owned()
+    assert after(before, AbstractEvent(kind=USE, t=2, dt=DT,
+                                       purposes=frozenset({"billing"}))) == before
 
 
 def test_case_deletereq_identity_with_manual_mode():
-    before = owned_state()
-    after = apply_event(before, AbstractEvent(kind=DELETEREQ, t=2, dt=DT, actor="alice"))
-    assert after.get(DT) == before.get(DT)
+    before = owned()
+    assert after(before, AbstractEvent(kind=DELETEREQ, t=2, dt=DT, actor="alice")) == before
 
 
 def test_case_deletereq_rejected_without_manual_mode():
     aut_only = Policy(ap=POL.ap, dm=DeletionSpec((("aut", 5),)),
                       storage=POL.storage, perms=POL.perms)
     with pytest.raises(SemanticsError):
-        apply_event(owned_state(pol=aut_only),
-                    AbstractEvent(kind=DELETEREQ, t=2, dt=DT, actor="alice"))
+        after(owned(pol=aut_only), AbstractEvent(kind=DELETEREQ, t=2, dt=DT, actor="alice"))
 
 
 def test_case_delete_maps_to_undefined():
-    state = apply_event(owned_state(), AbstractEvent(kind=DELETE, t=2, dt=DT))
-    assert state.get(DT) is None
+    assert after(owned(), AbstractEvent(kind=DELETE, t=2, dt=DT)) is None
 
 
 def test_case_groupact_grants_and_adds_holder():
     e = AbstractEvent(kind=GROUPACT, t=2, dt=DT, actor="alice", tar="dave", action="fav")
-    entry = apply_event(owned_state(), e).get(DT)
+    entry = after(owned(), e)
     assert "dave" in entry.policy.perms.can_do("fav")
     assert "dave" in entry.h_has and entry.t == 2
 
 
 def test_case_ungroupact_revokes_and_removes_holder():
-    state = apply_event(owned_state(), AbstractEvent(
+    entry = after(owned(), AbstractEvent(
         kind=GROUPACT, t=2, dt=DT, actor="alice", tar="dave", action="fav"))
-    entry = apply_event(state, AbstractEvent(
-        kind=UNGROUPACT, t=3, dt=DT, actor="alice", tar="dave", action="fav")).get(DT)
+    entry = step(entry, AbstractEvent(
+        kind=UNGROUPACT, t=3, dt=DT, actor="alice", tar="dave", action="fav"), 3, SETS)
     assert "dave" not in entry.policy.perms.can_do("fav")
     assert "dave" not in entry.h_has
 
 
 def test_case_grouphas_adds_to_group_and_holders():
-    entry = apply_event(owned_state(), AbstractEvent(
-        kind=GROUPHAS, t=2, dt=DT, actor="alice", tar="dave")).get(DT)
+    entry = after(owned(), AbstractEvent(kind=GROUPHAS, t=2, dt=DT, actor="alice", tar="dave"))
     assert "dave" in entry.policy.perms.group
     assert "dave" in entry.h_has
 
 
 def test_case_ungrouphas_removes_from_group_and_holders():
-    state = apply_event(owned_state(), AbstractEvent(
-        kind=GROUPHAS, t=2, dt=DT, actor="alice", tar="dave"))
-    entry = apply_event(state, AbstractEvent(
-        kind=UNGROUPHAS, t=3, dt=DT, actor="alice", tar="dave")).get(DT)
+    entry = after(owned(), AbstractEvent(kind=GROUPHAS, t=2, dt=DT, actor="alice", tar="dave"))
+    entry = step(entry, AbstractEvent(
+        kind=UNGROUPHAS, t=3, dt=DT, actor="alice", tar="dave"), 3, SETS)
     assert "dave" not in entry.policy.perms.group
     assert "dave" not in entry.h_has
 
 
 def test_case_act1_guarded_update():
-    e = AbstractEvent(kind=ACT1, t=2, dt=DT, actor="bob", action="fav")
-    entry = apply_event(owned_state(), e, sets=SETS).get(DT)
+    entry = after(owned(), AbstractEvent(kind=ACT1, t=2, dt=DT, actor="bob", action="fav"))
     assert entry.h_has >= frozenset({"bob", "carol"})
 
-    # guard fall-through: an unpermitted performer leaves the state unchanged
-    before = owned_state()
-    after = apply_event(before, AbstractEvent(kind=ACT1, t=2, dt=DT,
-                                              actor="carol", action="fav"), sets=SETS)
-    assert after.get(DT) == before.get(DT)
+    # guard fall-through: an unpermitted performer leaves the entry unchanged
+    before = owned()
+    assert after(before, AbstractEvent(kind=ACT1, t=2, dt=DT,
+                                       actor="carol", action="fav")) is before
 
 
 def test_case_unact1_reverses_update():
-    state = apply_event(owned_state(), AbstractEvent(
-        kind=ACT1, t=2, dt=DT, actor="bob", action="fav"), sets=SETS)
-    entry = apply_event(state, AbstractEvent(
-        kind=UNACT1, t=3, dt=DT, actor="bob", action="unfav"), sets=SETS).get(DT)
+    entry = after(owned(), AbstractEvent(kind=ACT1, t=2, dt=DT, actor="bob", action="fav"))
+    entry = step(entry, AbstractEvent(
+        kind=UNACT1, t=3, dt=DT, actor="bob", action="unfav"), 3, SETS)
     assert "carol" not in entry.h_has
 
 
 def test_case_act2_intersection_update():
-    e = AbstractEvent(kind=ACT2, t=2, dt=DT, actor="alice", tar="bob", action="link")
-    entry = apply_event(owned_state(), e, sets=SETS).get(DT)
+    entry = after(owned(), AbstractEvent(kind=ACT2, t=2, dt=DT, actor="alice", tar="bob",
+                                         action="link"))
     # by(alice) = {bob, carol}; been(bob) = {carol}; intersection = {carol},
     # held besides the owner
     assert entry.h_has == frozenset({"alice", "carol"})
 
     # guard fall-through for the binary family
-    before = owned_state()
-    after = apply_event(before, AbstractEvent(kind=ACT2, t=2, dt=DT,
-                                              actor="bob", tar="alice", action="link"),
-                        sets=SETS)
-    assert after.get(DT) == before.get(DT)
+    before = owned()
+    assert after(before, AbstractEvent(kind=ACT2, t=2, dt=DT,
+                                       actor="bob", tar="alice", action="link")) is before
 
 
 def test_case_unact2_reverses_update():
-    state = apply_event(owned_state(), AbstractEvent(
-        kind=ACT2, t=2, dt=DT, actor="alice", tar="bob", action="link"), sets=SETS)
-    entry = apply_event(state, AbstractEvent(
-        kind=UNACT2, t=3, dt=DT, actor="alice", tar="bob", action="unlink"),
-        sets=SETS).get(DT)
+    entry = after(owned(), AbstractEvent(
+        kind=ACT2, t=2, dt=DT, actor="alice", tar="bob", action="link"))
+    entry = step(entry, AbstractEvent(
+        kind=UNACT2, t=3, dt=DT, actor="alice", tar="bob", action="unlink"), 3, SETS)
     assert "carol" not in entry.h_has
+
+
+# --- un-actions resolve through the declared pairs -------------------------
+
+# ``defav`` takes back ``fav`` though its name does not start with ``un``.
+DEFAV_SETS = ActivitySets(unary=(("fav", "defav"),))
+DEFAV_POL = Policy(
+    ap=POL.ap, dm=POL.dm, storage=POL.storage,
+    perms=Perms({"fav": frozenset({"bob"}), "defav": frozenset({"bob"})},
+                by={"fav": {"bob": frozenset({"bob", "carol"})}}),
+)
+
+
+def test_unaction_clears_what_its_declared_action_granted():
+    fav = AbstractEvent(kind=ACT1, t=2, dt=DT, actor="bob", action="fav")
+    defav = AbstractEvent(kind=UNACT1, t=3, dt=DT, actor="bob", action="defav")
+    entry = step(None, own_event(pol=DEFAV_POL), 1, DEFAV_SETS)
+    entry = step(entry, fav, 2, DEFAV_SETS)
+    assert entry.h_has == frozenset({"alice", "bob", "carol"})
+    entry = step(entry, defav, 3, DEFAV_SETS)
+    assert (entry.t, entry.h_has) == (3, frozenset({"alice"}))
+    trace = [own_event(pol=DEFAV_POL), fav, defav]
+    assert run_trace(trace, DEFAV_SETS) == {DT: entry}
 
 
 # --- folds, errors, inventory ----------------------------------------------
@@ -198,17 +211,17 @@ def test_case_unact2_reverses_update():
 
 def test_duplicate_own_rejected():
     with pytest.raises(SemanticsError):
-        apply_event(owned_state(), own_event(t=2))
+        after(owned(), own_event(t=2))
 
 
 def test_own_without_policy_rejected():
     with pytest.raises(SemanticsError, match="own event carries no policy"):
-        apply_event(INITIAL_STATE, own_event(pol=None))
+        step(None, own_event(pol=None), 1, SETS)
 
 
 def test_event_on_undefined_datum_rejected():
     with pytest.raises(SemanticsError):
-        apply_event(INITIAL_STATE, AbstractEvent(kind=STORE, t=1, dt=DT))
+        step(None, AbstractEvent(kind=STORE, t=1, dt=DT), 1, SETS)
 
 
 def test_run_trace_reports_failing_position():
@@ -220,13 +233,16 @@ def test_run_trace_reports_failing_position():
 
 
 def test_state_at_prefix_semantics():
-    trace = [own_event(), AbstractEvent(kind=STORE, t=2, dt=DT)]
-    assert state_at(trace, 0, SETS).get(DT) is None
-    assert SP not in state_at(trace, 1, SETS).get(DT).h_has
-    assert SP in state_at(trace, 2, SETS).get(DT).h_has
-    for i in (-1, 3):
-        with pytest.raises(IndexError, match=f"prefix length {i} out of range"):
-            state_at(trace, i, SETS)
+    """The i-th state is the fold of the first i events: a plain map, in which
+    a deleted datum maps to None and a datum never owned is absent."""
+    trace = [own_event(), AbstractEvent(kind=STORE, t=2, dt=DT),
+             AbstractEvent(kind=DELETE, t=3, dt=DT)]
+    states = list(iter_states(trace, SETS))
+    assert states[0] == {}
+    assert SP not in states[1][DT].h_has
+    assert SP in states[2][DT].h_has
+    assert states[3] == {DT: None}
+    assert [run_trace(trace[:i], SETS) for i in range(4)] == states
 
 
 def test_iter_states_length():
