@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, NoReturn, Sequence, TypeVar
+from operator import attrgetter
+from typing import Any, Callable, Iterable, NoReturn, Sequence, TypeVar
 
 from .architecture import (
     ACTIVITIES,
@@ -300,8 +301,32 @@ def _parse_fields(
     return fields
 
 
+# A field table maps each key of a field list to the one entry that reads and
+# prints it: (the reader of the value after ``key =``, the printer of the value
+# from the record printed, None leaving the field out, and the event kinds that
+# carry the field, None for every kind).
+_Fields = dict[str, tuple[Callable[[_Parser], object], Callable[[Any], object], Any]]
+
+
+def _event_fields(table: _Fields) -> tuple[dict[str, Callable[[_Parser], object]], dict]:
+    """The readers of an event's field table, as ``_parse_fields`` takes them,
+    and per event kind of either level, the printers of the fields it carries."""
+    kinds = {schema.kind for schema in ACTIVITIES.values()} | {STORE, USE}
+    return {key: read for key, (read, _, _) in table.items()}, {
+        kind: {key: show for key, (_, show, carriers) in table.items()
+               if carriers is None or kind in carriers} for kind in kinds}
+
+
 # ---------------------------------------------------------------------------
 # Policy documents
+
+
+# The fields of a datum besides its policy block.
+_DATUM_FIELDS: _Fields = {
+    "ow": (_ident("owner"), attrgetter("ow"), None),
+    "ds": (_Parser.name_set, lambda dt: serialize_set(dt.ds), None),
+    "type": (_ident("type name"), attrgetter("dtype"), None),
+}
 
 
 def parse_policy(text: str, file: str = "<input>") -> PolicyModel:
@@ -342,37 +367,27 @@ def parse_policy(text: str, file: str = "<input>") -> PolicyModel:
         at = p.pos
         ident = p.ident("datum id")
         p.expect("{")
-        ow = ds = dtype = None
-        pol = None
-        seen = set()
+        fields: dict = {}
         while p.current != "}":
             key = p.ident("datum field")
-            if key in seen:
+            if key in fields:
                 p.fail_previous(f"repeated datum field {key!r}")
-            seen.add(key)
-            if key == "ow":
-                p.expect("=")
-                ow = p.ident("owner")
-                p.expect(";")
-            elif key == "ds":
-                p.expect("=")
-                ds = p.name_set()
-                p.expect(";")
-            elif key == "type":
-                p.expect("=")
-                dtype = p.ident("type name")
-                p.expect(";")
-            elif key == "policy":
-                pol = _shared_policy_block(p, blocks)
-            else:
-                p.fail_previous(f"unknown datum field {key!r}", {"ow", "ds", "type", "policy"})
+            if key == "policy":
+                fields[key] = _shared_policy_block(p, blocks)
+                continue
+            field = _DATUM_FIELDS.get(key)
+            if field is None:
+                p.fail_previous(f"unknown datum field {key!r}", {*_DATUM_FIELDS, "policy"})
+            p.expect("=")
+            fields[key] = field[0](p)
+            p.expect(";")
         p.expect("}")
-        if ow is None or ds is None or dtype is None or pol is None:
+        if len(fields) <= len(_DATUM_FIELDS):
             p.error(f"datum {ident!r} is missing ow/ds/type/policy", at)
         if ident in model.data:
             p.error(f"duplicate datum {ident!r}", at)
-        model.data[ident] = DataRef(ow=ow, ds=ds, dtype=dtype, ident=ident)
-        model.policies[ident] = pol
+        model.data[ident] = DataRef(fields["ow"], fields["ds"], fields["type"], ident)
+        model.policies[ident] = fields["policy"]
     p.eof()
 
     errors = validate_model(model) + _event_table(model)[1]
@@ -399,13 +414,15 @@ def _storage_form(p: _Parser) -> tuple[str, str]:
     return ("enc", key_kind)
 
 
-# How to read the value after ``key =`` of each policy field other than the
-# permission lines.
-_POLICY_FIELDS: dict[str, Callable[[_Parser], object]] = {
-    "purposes": _Parser.name_set,
-    "delete": lambda p: DeletionSpec(tuple(sorted(p.items("{", "}", _deletion_mode)))),
-    "where": _Parser.name_set,
-    "how": lambda p: frozenset(p.items("{", "}", _storage_form)),
+# The fields of a policy block besides its permission lines.
+_POLICY_FIELDS: _Fields = {
+    "purposes": (_Parser.name_set, lambda pol: serialize_set(pol.ap), None),
+    "delete": (lambda p: DeletionSpec(tuple(sorted(p.items("{", "}", _deletion_mode)))),
+               lambda pol: "{" + ", ".join(f"{m}:{dd}" for m, dd in sorted(pol.dm.modes)) + "}", None),
+    "where": (_Parser.name_set, lambda pol: serialize_set(pol.storage.wh), None),
+    "how": (lambda p: frozenset(p.items("{", "}", _storage_form)),
+            lambda pol: "{" + ", ".join("plain" if form == ("plain", "none") else f"enc({form[1]})"
+                                        for form in sorted(pol.storage.ho)) + "}", None),
 }
 
 
@@ -438,29 +455,37 @@ def _shared_policy_block(p: _Parser, blocks: dict[tuple[str, ...], Policy]) -> P
 
 
 def _parse_policy_block(p: _Parser) -> Policy:
-    p.expect("{")
-    fields: dict = {}
-    tables: dict = {"can": {}, "by": {}, "been": {}}  # Perms fields
-    while p.current != "}":
-        key = p.ident("policy field")
-        if key == "can" or key == "has":  # the most frequent lines
-            _parse_perm_line(p, key, tables)
-        else:
-            read = _POLICY_FIELDS.get(key)
-            if read is None:
-                p.fail_previous(f"unknown policy field {key!r}", {*_POLICY_FIELDS, "can", "has"})
-            if key in fields:
-                p.fail_previous(f"repeated policy field {key!r}")
-            p.expect("=")
-            fields[key] = read(p)
-        p.expect(";")
-    p.expect("}")
+    fields, perms = _parse_block(p, "policy", _POLICY_FIELDS)
     return Policy(
         ap=fields.get("purposes", frozenset()),
         dm=fields.get("delete", DeletionSpec()),
         storage=StorageSpec(wh=fields.get("where", frozenset()), ho=fields.get("how", frozenset())),
-        perms=Perms(**tables),
+        perms=perms,
     )
+
+
+def _parse_block(p: _Parser, what: str, table: _Fields) -> tuple[dict, Perms]:
+    """``{ line; ... }`` of a policy block, or of a perms block, which has no
+    fields: its permission lines, and each field of ``table`` at most once."""
+    label = what + " field"
+    p.expect("{")
+    fields: dict = {}
+    tables: dict = {"can": {}, "by": {}, "been": {}}  # Perms fields
+    while p.current != "}":
+        key = p.ident(label)
+        if key == "can" or key == "has":  # the most frequent lines
+            _parse_perm_line(p, key, tables)
+        else:
+            field = table.get(key)
+            if field is None:
+                p.fail_previous(f"unknown {label} {key!r}", {*table, "can", "has"})
+            if key in fields:
+                p.fail_previous(f"repeated {label} {key!r}")
+            p.expect("=")
+            fields[key] = field[0](p)
+        p.expect(";")
+    p.expect("}")
+    return fields, Perms(**tables)
 
 
 def _parse_perm_line(p: _Parser, key: str, tables: dict) -> None:
@@ -496,13 +521,14 @@ class _Reject(Exception):
 
 
 def _read_events(
-    p: _Parser, head: str, readers: dict[str, Callable[[_Parser], object]], strict: bool,
-    build: Callable[[str, int, dict], Sequence[T]],
+    p: _Parser, head: str, readers: dict[str, Callable[[_Parser], object]],
+    printers: dict[str, dict], strict: bool, build: Callable[[str, int, dict], Sequence[T]],
 ) -> list[T]:
     """``head { name(field=value, ...); ... }`` at both trace levels.  Each
     event needs a timestamp, strictly increasing if ``strict``, else
     non-decreasing; ``build(name, t, fields)`` returns the events it stands
-    for, and a ``_Reject`` it raises is reported at the event's name."""
+    for.  A ``_Reject`` it raises, and a field that their kind does not
+    carry, are reported at the event's name."""
     p.expect(head)
     p.expect("{")
     events: list[T] = []
@@ -520,9 +546,14 @@ def _read_events(
             p.error(f"timestamps must be {order}: {t} after {last_t}", at)
         last_t = t
         try:
-            events += build(name, t, fields)
+            built = build(name, t, fields)
+            carried = printers[built[0].kind]
+            if not fields.keys() <= carried.keys():
+                key = next(key for key in fields if key not in carried)
+                raise _Reject(f"event {name!r} does not take {key}=...")
         except _Reject as err:
             p.error(str(err), at)
+        events += built
     p.expect("}")
     p.eof()
     return events
@@ -548,14 +579,16 @@ def _event_table(model: PolicyModel) -> tuple[dict[str, EventTemplate], list[str
     return table, errors
 
 
-_TRACE_FIELDS: dict[str, Callable[[_Parser], object]] = {
-    "t": _Parser.number,
-    "or": _ident("name"),
-    "tar": _ident("name"),
-    "dt": _ident("name"),
-    "purposes": _Parser.name_set,
-    "value": _Parser.string,
+_TRACE_FIELDS: _Fields = {
+    "t": (_Parser.number, attrgetter("t"), None),
+    "or": (_ident("name"), attrgetter("actor"), None),
+    "tar": (_ident("name"), attrgetter("tar"), None),
+    "dt": (_ident("name"), attrgetter("dt.ident"), None),
+    "purposes": (_Parser.name_set, lambda e: None if e.purposes is None else serialize_set(e.purposes),
+                 frozenset({USE})),
+    "value": (_Parser.string, lambda e: None if e.value is None else f'"{e.value}"', frozenset({OWN})),
 }
+_TRACE_READERS, _TRACE_PRINTERS = _event_fields(_TRACE_FIELDS)
 
 
 def parse_trace(text: str, model: PolicyModel, file: str = "<input>") -> list[AbstractEvent]:
@@ -586,15 +619,10 @@ def parse_trace(text: str, model: PolicyModel, file: str = "<input>") -> list[Ab
             raise _Reject("binary event requires a target (tar=...)")
         if not binary and tar is not None:
             raise _Reject("unary event does not take a target")
-        own = kind == OWN
-        return (AbstractEvent(
-            kind, t, dt, actor, tar, template.action,
-            purposes=fields.get("purposes") if kind == USE else None,
-            value=fields.get("value") if own else None,
-            policy=model.policy_of(dt) if own else None,
-        ),)
+        return (AbstractEvent(kind, t, dt, actor, tar, template.action, fields.get("purposes"),
+                              fields.get("value"), model.policy_of(dt) if kind == OWN else None),)
 
-    return _read_events(_Parser(text, file), "trace", _TRACE_FIELDS, True, build)
+    return _read_events(_Parser(text, file), "trace", _TRACE_READERS, _TRACE_PRINTERS, True, build)
 
 
 def _alias_run(
@@ -624,7 +652,14 @@ _VAR_FIELDS: dict[str, Callable[[_Parser], object]] = {
 }
 
 
-def _parse_term(p: _Parser) -> Term:
+# The most function applications a term nests.  Printing, matching and the
+# deduction rules recurse a few frames per level, so the limit keeps them far
+# below the interpreter's recursion limit.
+MAX_TERM_DEPTH = 100
+
+
+def _parse_term(p: _Parser, depth: int = 0) -> Term:
+    """A term, read inside ``depth`` function applications."""
     head = p.ident("term")
     if head == "X":
         fields = _parse_fields(p, "variable", _VAR_FIELDS, "{}")
@@ -637,8 +672,12 @@ def _parse_term(p: _Parser) -> Term:
         p.expect("]")
         return KeyVar(owner)
     if head in ("enc", "hash", "sig"):
+        if depth == MAX_TERM_DEPTH:
+            p.fail_previous(f"term nests more than {MAX_TERM_DEPTH} function applications")
         p.expect("(")
-        args = _parse_list(p, _parse_term)
+        args = [_parse_term(p, depth + 1)]
+        while p.accept(","):
+            args.append(_parse_term(p, depth + 1))
         p.expect(")")
         return Func(head, tuple(args))
     p.fail_previous(f"unknown term head {head!r}", {"X", "key", "enc", "hash", "sig"})
@@ -710,7 +749,7 @@ def parse_architecture(text: str, file: str = "<input>") -> Architecture:
     perms = Perms()
     while p.current != "}":
         if p.accept("perms"):
-            perms = _parse_perms_block(p)
+            perms = _parse_block(p, "perms", {})[1]
             continue
         activities.add(_parse_activity(p))
         p.expect(";")
@@ -723,19 +762,6 @@ def parse_architecture(text: str, file: str = "<input>") -> Architecture:
     return pa
 
 
-def _parse_perms_block(p: _Parser) -> Perms:
-    p.expect("{")
-    tables: dict = {"can": {}, "by": {}, "been": {}}  # Perms fields
-    while p.current != "}":
-        key = p.ident("perms field")
-        if key not in ("can", "has"):
-            p.fail_previous(f"unknown perms field {key!r}", {"can", "has"})
-        _parse_perm_line(p, key, tables)
-        p.expect(";")
-    p.expect("}")
-    return Perms(**tables)
-
-
 # ---------------------------------------------------------------------------
 # Architecture trace documents
 
@@ -746,14 +772,23 @@ _ACTION_FREE = {schema.kind: (schema.kind, None)
                 for schema in ACTIVITIES.values() if "action" not in schema.args}
 
 
-_ARCH_TRACE_FIELDS: dict[str, Callable[[_Parser], object]] = {
-    "t": _Parser.number,
-    "user": _ident("user"),
-    "tar": _ident("user"),
-    "var": _parse_term,
-    "value": _Parser.string,
-    "actions": lambda p: tuple(sorted(p.name_set())),
+def _kinds_with(*slots: str) -> frozenset[str]:
+    """The kinds of the activities that have one of ``slots``."""
+    return frozenset(s.kind for s in ACTIVITIES.values() if set(slots) & {*s.index, *s.args})
+
+
+_ARCH_TRACE_FIELDS: _Fields = {
+    "t": (_Parser.number, attrgetter("t"), None),
+    "user": (_ident("user"), attrgetter("user"), _kinds_with("user")),
+    "tar": (_ident("user"), attrgetter("tar"), _kinds_with("tar")),
+    "var": (_parse_term, lambda e: None if e.term is None else serialize_term(e.term),
+            _kinds_with("term", "terms")),
+    "value": (_Parser.string, lambda e: None if e.value is None else f'"{e.value}"',
+              _kinds_with("term", "terms")),
+    "actions": (lambda p: tuple(sorted(p.name_set())),
+                lambda e: serialize_set(e.actions) if e.actions else None, _kinds_with("actions")),
 }
+_ARCH_TRACE_READERS, _ARCH_TRACE_PRINTERS = _event_fields(_ARCH_TRACE_FIELDS)
 
 
 def parse_arch_trace(
@@ -781,7 +816,9 @@ def parse_arch_trace(
             actions=fields.get("actions", ()),
         ),)
 
-    return _read_events(_Parser(text, file), "archtrace", _ARCH_TRACE_FIELDS, False, build)
+    return _read_events(
+        _Parser(text, file), "archtrace", _ARCH_TRACE_READERS, _ARCH_TRACE_PRINTERS, False, build
+    )
 
 
 def _arch_event_by_shape(name: str, tar: str | None) -> tuple[str, str | None] | None:
@@ -840,14 +877,9 @@ def _parse_query_atom(p: _Parser) -> HasProperty:
         p.expect("=")
         values["t"] = p.number()
     p.expect(")")
-    return cls(var=_require_var(p, term, at), **values)
-
-
-def _require_var(p: _Parser, term: Term, at: int) -> Var:
-    """``term``, which starts at token number ``at``, if it is a variable."""
     if not isinstance(term, Var):
         p.error("possession queries take a plain variable", at)
-    return term  # type: ignore[return-value]
+    return cls(var=term, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -866,33 +898,27 @@ def serialize_policy(model: PolicyModel) -> str:
             f" = groupact({actions}) + grouphas;"
         )
     for ident in sorted(model.data):
-        dt = model.data[ident]
         pol = model.policies[ident]
         lines.append(f"data {ident} {{")
-        lines.append(f"  ow = {dt.ow};")
-        lines.append(f"  ds = {serialize_set(dt.ds)};")
-        lines.append(f"  type = {dt.dtype};")
+        lines += [f"  {key} = {show(model.data[ident])};" for key, (_, show, _) in _DATUM_FIELDS.items()]
         lines.append("  policy {")
-        lines.append(f"    purposes = {serialize_set(pol.ap)};")
-        modes = ", ".join(f"{m}:{dd}" for m, dd in sorted(pol.dm.modes))
-        lines.append(f"    delete = {{{modes}}};")
-        lines.append(f"    where = {serialize_set(pol.storage.wh)};")
-        forms = ", ".join(
-            "plain" if form == ("plain", "none") else f"enc({form[1]})"
-            for form in sorted(pol.storage.ho)
-        )
-        lines.append(f"    how = {{{forms}}};")
+        lines += [f"    {key} = {show(pol)};" for key, (_, show, _) in _POLICY_FIELDS.items()]
         lines += [f"    {line}" for line in perm_lines(pol.perms)]
         lines.append("  }")
         lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _print_events(head: str, events: Iterable[tuple[str, list[str]]]) -> str:
-    """``head { name(field, ...); ... }`` from (name, fields) pairs; both trace
-    levels print through it."""
+def _print_events(head: str, printers: dict, events: Iterable[tuple[str, Any]]) -> str:
+    """``head { name(field, ...); ... }`` from (name, event) pairs, at both trace levels."""
     lines = [f"{head} {{"]
-    lines += [f"  {name}({', '.join(fields)});" for name, fields in events]
+    for name, e in events:
+        fields = []
+        for key, show in printers[e.kind].items():
+            value = show(e)
+            if value is not None:
+                fields.append(f"{key}={value}")
+        lines.append(f"  {name}({', '.join(fields)});")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -919,24 +945,8 @@ def _surface_events(
     return out
 
 
-def _trace_fields(e: AbstractEvent) -> list[str]:
-    fields = [f"t={e.t}"]
-    if e.actor is not None:
-        fields.append(f"or={e.actor}")
-    if e.tar is not None:
-        fields.append(f"tar={e.tar}")
-    fields.append(f"dt={e.dt.ident}")
-    if e.kind == USE and e.purposes is not None:
-        fields.append(f"purposes={serialize_set(e.purposes)}")
-    if e.kind == OWN and e.value is not None:
-        fields.append(f'value="{e.value}"')
-    return fields
-
-
 def serialize_trace(events: Sequence[AbstractEvent], model: PolicyModel) -> str:
-    return _print_events(
-        "trace", [(name, _trace_fields(e)) for name, e in _surface_events(events, model)]
-    )
+    return _print_events("trace", _TRACE_PRINTERS, _surface_events(events, model))
 
 
 def serialize_architecture(pa: Architecture) -> str:
@@ -953,25 +963,9 @@ def serialize_architecture(pa: Architecture) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _arch_trace_fields(e: ArchEvent) -> list[str]:
-    fields = [f"t={e.t}"]
-    if e.user is not None and e.kind != "possess":
-        fields.append(f"user={e.user}")
-    if e.tar is not None:
-        fields.append(f"tar={e.tar}")
-    if e.term is not None:
-        fields.append(f"var={serialize_term(e.term)}")
-    if e.value is not None:
-        fields.append(f'value="{e.value}"')
-    if e.actions:
-        fields.append(f"actions={serialize_set(e.actions)}")
-    return fields
-
-
 def serialize_arch_trace(events: Sequence[ArchEvent]) -> str:
-    return _print_events(
-        "archtrace", [(event_name(e.kind, e.action), _arch_trace_fields(e)) for e in events]
-    )
+    named = [(event_name(e.kind, e.action), e) for e in events]
+    return _print_events("archtrace", _ARCH_TRACE_PRINTERS, named)
 
 
 def serialize_query(prop: HasProperty) -> str:

@@ -7,7 +7,7 @@ Everything here is an immutable value; well-formedness is checked by the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 # Distinguished principal for the service provider / data controller.
 SP = "sp"
@@ -57,9 +57,9 @@ class ActivitySets:
         return None
 
 
-@dataclass(frozen=True)
-class DataRef:
-    """A governed datum.  The tuple (ow, ds, dtype, ident) is fixed for its lifetime."""
+class DataRef(NamedTuple):
+    """A governed datum.  The tuple (ow, ds, dtype, ident) is fixed for its
+    lifetime; a named tuple, so the audit's lookups hash and compare it in C."""
 
     ow: str
     ds: frozenset[str]
@@ -68,11 +68,6 @@ class DataRef:
 
     def __str__(self) -> str:
         return self.ident
-
-    def __hash__(self) -> int:
-        # Equal refs have equal idents, so this agrees with the generated
-        # ``__eq__``; it spares the audit hashing ``ds`` on every lookup.
-        return hash(self.ident)
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,25 @@ def test_validate_rejects_a_non_ascii_digit(capsys, tmp_path, digit):
     assert err == f"error: {doc}:1:19: unexpected character {digit!r}\n"
 
 
+@pytest.mark.parametrize("name, text, where", [
+    ("like.dct", 'trace {\n  like(t=2, or=alice, dt=photo1, value="zzz", purposes={ads});\n}\n',
+     "2:3: event 'like' does not take value=..."),
+    ("possess.dct", "archtrace {\n  possess(t=1, user=bob, var=X{ow=alice, ds={alice}, id=p});\n}\n",
+     "2:3: event 'possess' does not take user=..."),
+    ("deep.dca", "architecture {\n  Possess(" + "enc(" * 2000 + "\n",
+     "2:411: term nests more than 100 function applications"),
+    ("deep.dcq", "HAS_sp(" + "enc(" * 2000 + "\n", "1:408: term nests more than 100 function applications"),
+    ("deep.dct", "archtrace {\n  possess(t=1, var=" + "enc(" * 2000 + "\n",
+     "2:420: term nests more than 100 function applications"),
+], ids=["field a kind does not carry", "user on a possess", "nested architecture term",
+        "nested query term", "nested arch-trace term"])
+def test_validate_rejects_with_one_error_line(capsys, tmp_path, name, text, where):
+    doc = tmp_path / name
+    doc.write_text(text)
+    policy = ["--policy", DCP] if name.endswith(".dct") else []
+    assert run(capsys, "validate", str(doc), *policy) == (2, "", f"error: {doc}:{where}\n")
+
+
 def test_validate_errors_do_not_depend_on_the_hash_seed(tmp_path):
     policy = tmp_path / "places.dcp"
     policy.write_text(

@@ -23,6 +23,7 @@ from datactl.architecture import (
     enc,
 )
 from datactl.dsl import (
+    MAX_TERM_DEPTH,
     ParseError,
     SourceSpan,
     locate,
@@ -392,12 +393,28 @@ DATUM = ("data d1 { ow = a; ds = {a}; type = Notes;\n"
      " var=X{ow=alice, ds={alice}, id=photo1});\n}", "2:28: repeated event field 'user'"),
     (parse_has_query, "HAS_sp(X{ow=alice, ow=bob, ds={alice}, id=d1})",
      "1:20: repeated variable field 'ow'"),
+    (parse_facebook_trace, 'trace {\n  like(t=2, or=alice, dt=photo1, value="zzz", purposes={ads});\n}',
+     "2:3: event 'like' does not take value=..."),
+    (parse_facebook_trace, "trace {\n  store(t=1, dt=photo1, purposes={ads});\n}",
+     "2:3: event 'store' does not take purposes=..."),
+    (parse_facebook_trace, "trace {\n  addfriends(t=1, or=alice, tar=bob, dt=photo1, value=\"v\");\n}",
+     "2:3: event 'addfriends' does not take value=..."),
+    (parse_arch_trace, "archtrace {\n  possess(t=1, user=bob, var=X{ow=alice, ds={alice}, id=photo1});\n}",
+     "2:3: event 'possess' does not take user=..."),
+    (parse_arch_trace, "archtrace {\n  delete(t=1, user=sp, var=X{ow=alice, ds={alice}, id=photo1});\n}",
+     "2:3: event 'delete' does not take user=..."),
+    (parse_arch_trace, "archtrace {\n  like(t=1, user=alice, var=X{ow=alice, ds={alice}, id=photo1},"
+     " actions={a});\n}", "2:3: event 'like' does not take actions=..."),
+    (parse_arch_trace, "archtrace {\n  grouplike(t=1, user=alice, tar=bob, value=\"v\");\n}",
+     "2:3: event 'grouplike' does not take value=..."),
 ], ids=["no datum", "alias without tar", "no performer", "binary without tar",
         "unary with tar", "no timestamp", "duplicate datum", "empty document", "query term",
         "found a string", "found a number", "found end of input", "trailing input",
         "repeated datum field", "repeated policy field", "repeated can line",
         "repeated has-by line", "repeated has-group line", "repeated trace event field",
-        "repeated arch-trace event field", "repeated variable field"])
+        "repeated arch-trace event field", "repeated variable field", "value on a like",
+        "purposes on a store", "value on an alias event", "user on a possess", "user on a delete",
+        "actions on an action", "value on a group event"])
 def test_rejected_document_is_located(parse, document, where):
     with pytest.raises(ParseError) as err:
         parse(document, file="f")
@@ -696,10 +713,11 @@ ARCH_TRACE = [
 def test_arch_trace_round_trip():
     text = serialize_arch_trace(ARCH_TRACE)
     reparsed = parse_arch_trace(text)
-    # the possess/delete events come back with the provider principal filled in
+    # The possess event comes back with the provider filled in; a delete
+    # carries no user, so it prints and comes back without one.
     normalized = [e for e in ARCH_TRACE]
     normalized[7] = ArchEvent("delete", 8, user=None, term=X)
-    assert [e.kind for e in reparsed] == [e.kind for e in ARCH_TRACE]
+    assert reparsed == normalized
     assert serialize_arch_trace(reparsed) == text
 
 
@@ -721,13 +739,42 @@ def test_every_arch_event_name_round_trips():
         named = [(t.name, t.kind, t.action)
                  for t in possible_events(model.sets) if t.action is not None]
         for name, kind, action in dict.fromkeys(free + named):  # two kinds are possess
-            user = "" if kind == "possess" else ", user=u1"
+            user = "" if kind in ("possess", "delete") else ", user=u1"  # the provider's
             tar = ", tar=u2" if kind in ("groupact", "ungroupact", "act2", "unact2") else ""
             text = f"archtrace {{\n  {name}(t=1{user}{tar});\n}}\n"
             for sets in (model.sets, None):
                 events = parse_arch_trace(text, sets)
                 assert [(e.kind, e.action) for e in events] == [(kind, action)], (label, name, sets)
                 assert serialize_arch_trace(events) == text, (label, name, sets)
+
+
+def nested(depth: int) -> str:
+    """A term with ``depth`` function applications nested in one another."""
+    return "enc(" * depth + "X{ow=alice, ds={alice}, id=d1}" + ", key[sp])" * depth
+
+
+@pytest.mark.parametrize("parse, head, tail", [
+    (parse_architecture, "architecture {\n  Possess(", ");\n}\n"),
+    (parse_has_query, "HAS_sp(", ")\n"),
+    (parse_arch_trace, "archtrace {\n  possess(t=1, var=", ");\n}\n"),
+], ids=["architecture", "query", "arch trace"])
+def test_term_nesting_is_limited(parse, head, tail):
+    """A term nests up to MAX_TERM_DEPTH function applications; one more is
+    an error at the head that goes past the limit, not a RecursionError."""
+    text = head + nested(MAX_TERM_DEPTH) + tail
+    if parse is parse_has_query:
+        with pytest.raises(ParseError, match="take a plain variable"):
+            parse(text)
+    else:
+        doc = parse(text)
+        printed = serialize_architecture(doc) if parse is parse_architecture else serialize_arch_trace(doc)
+        assert nested(MAX_TERM_DEPTH) in printed
+    with pytest.raises(ParseError) as err:
+        parse(head + nested(MAX_TERM_DEPTH + 1) + tail, file="f")
+    column = len(head.rpartition("\n")[2]) + 1 + 4 * MAX_TERM_DEPTH
+    line = head.count("\n") + 1
+    assert str(err.value) == (f"f:{line}:{column}: term nests more than {MAX_TERM_DEPTH}"
+                              " function applications")
 
 
 @pytest.mark.parametrize("name", ["groupbogus", "groupunlike", "group"])

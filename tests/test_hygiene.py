@@ -4,8 +4,9 @@ package is used, every name the package
 defines is named somewhere besides its definition, every parameter of a
 function in the package is read, no regex the package compiles needs a newer
 Python than the one it declares, the command line prints the same under that
-oldest Python as under the one running the tests, and no test asserts a
-condition that cannot fail."""
+oldest Python as under the one running the tests, no test asserts a
+condition that cannot fail, and the grammar's field rules list the keys of
+the parser's field tables."""
 
 import ast
 import importlib
@@ -15,6 +16,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
@@ -374,3 +376,55 @@ def test_vacuous_assert_is_reported():
     source = ("def test():\n    assert x or True\n    assert x or 0\n"
               "    assert (x and y) or 'yes'\n    assert x or y\n    assert True\n")
     assert vacuous_asserts(source) == ["line 2", "line 4"]
+
+
+GRAMMAR = ROOT / "docs" / "grammar.md"
+# Each field rule of the grammar, and the field table in dsl.py that reads and
+# prints the fields it lists.
+FIELD_RULES = {"datum_field": "_DATUM_FIELDS", "policy_field": "_POLICY_FIELDS",
+               "field": "_TRACE_FIELDS", "afield": "_ARCH_TRACE_FIELDS"}
+
+
+def rule_keys(grammar: str, rule: str) -> list[str]:
+    """The keys that the EBNF rule ``rule`` writes before an ``"="``:
+    ``"t" , "=" , number`` gives t and ``( "or" | "tar" ) , "="`` gives or
+    and tar.  An alternative without one, a nested block or another rule
+    such as ``perm_line``, gives none."""
+    body = re.search(rf"^{rule}\s*=(.*?)(?=^\S)", grammar, re.M | re.S)[1]
+    body = re.sub(r"\(\*.*?\*\)", "", body, flags=re.S)  # comments
+    return [key for m in re.finditer(r'((?:"[a-z]+"\s*\|\s*)*"[a-z]+")\s*\)?\s*,\s*"="', body)
+            for key in re.findall(r'"([a-z]+)"', m[1])]
+
+
+def field_rule_mismatches(grammar: str, tables: dict[str, Iterable[str]]) -> list[str]:
+    """Keys that a field rule of ``grammar`` and its table do not share."""
+    found = []
+    for rule, table in tables.items():
+        keys, listed = set(table), set(rule_keys(grammar, rule))
+        found += [f"{rule}: {key!r} is in the table, not in the grammar" for key in sorted(keys - listed)]
+        found += [f"{rule}: {key!r} is in the grammar, not in the table" for key in sorted(listed - keys)]
+    return found
+
+
+def test_grammar_field_rules_list_the_field_tables():
+    dsl = importlib.import_module("datactl.dsl")
+    tables = {rule: getattr(dsl, name) for rule, name in FIELD_RULES.items()}
+    assert field_rule_mismatches(GRAMMAR.read_text(encoding="utf-8"), tables) == []
+
+
+def test_field_rule_mismatch_is_reported():
+    grammar = (
+        "```ebnf\n"
+        'field        = "t" , "=" , number\n'
+        '             | ( "or" | "dt" ) , "=" , ident    (* "tar" , "=" is a comment *)\n'
+        '             | "policy" , block | perm_line\n'
+        '             | "value" , "=" , string ;          (* own only *)\n'
+        'afield       = "t" , "=" , number ;\n'
+        "```\n"
+    )
+    assert rule_keys(grammar, "field") == ["t", "or", "dt", "value"]
+    assert field_rule_mismatches(grammar, {"field": ["t", "or", "tar", "dt", "value"],
+                                           "afield": ["t"]}) == [
+        "field: 'tar' is in the table, not in the grammar"]
+    assert field_rule_mismatches(grammar, {"afield": []}) == [
+        "afield: 't' is in the grammar, not in the table"]
