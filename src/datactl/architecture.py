@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union, get_args
 
-from .model import SP, Perms
+from .model import SP, Perms, record
 
 BOTTOM = None  # undefined variable value
 
@@ -30,7 +29,7 @@ def match_token(pattern: str, concrete: str) -> bool:
 # Terms
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     """A data variable, indexed by owner, subject set, and identifier.
 
@@ -52,7 +51,7 @@ class Var:
         return match_token(self.ident, other.ident)
 
 
-@dataclass(frozen=True)
+@record
 class KeyVar:
     """A principal's key variable."""
 
@@ -62,7 +61,7 @@ class KeyVar:
         return match_token(self.owner, other.owner)
 
 
-@dataclass(frozen=True)
+@record
 class Func:
     """A symbolic function application (enc, hash, sig) over terms."""
 
@@ -94,89 +93,80 @@ def enc(payload: Term, key: Term) -> Func:
 # Activities
 
 
-@dataclass(frozen=True)
+def _twin(cls: type, name: str) -> type:
+    """The un-activity ``name`` of the activity ``cls``: its fields, in a class
+    of its own, so that the two never compare equal."""
+    return record(type(name, (), {"__annotations__": cls.__annotations__, "__module__": __name__}))
+
+
+@record
 class Own:
     user: str
     term: Term
 
 
-@dataclass(frozen=True)
+@record
 class Possess:
     term: Term  # possession is always the provider's
 
 
-@dataclass(frozen=True)
+@record
 class PossessOneOf:
     terms: frozenset[Term]
 
 
-@dataclass(frozen=True)
+@record
 class GroupAct:
     user: str
     tar: str
     action: str
 
 
-@dataclass(frozen=True)
-class UnGroupAct:
-    user: str
-    tar: str
-    action: str
+UnGroupAct = _twin(GroupAct, "UnGroupAct")
 
 
-@dataclass(frozen=True)
+@record
 class GroupHas:
     user: str
     tar: str
 
 
-@dataclass(frozen=True)
-class UnGroupHas:
-    user: str
-    tar: str
+UnGroupHas = _twin(GroupHas, "UnGroupHas")
 
 
-@dataclass(frozen=True)
+@record
 class AddFriends:
     user: str
     tar: str
     actions: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class UnFriends:
-    user: str
-    tar: str
-    actions: tuple[str, ...]
+UnFriends = _twin(AddFriends, "UnFriends")
 
 
-@dataclass(frozen=True)
+@record
 class DeleteReq:
     user: str
     term: Term
 
 
-@dataclass(frozen=True)
+@record
 class Delete:
     term: Term
     dd: int  # executed by the provider within this delay
 
 
-@dataclass(frozen=True)
+@record
 class Act1:
     user: str
     action: str
     term: Term
 
 
-@dataclass(frozen=True)
-class UnAct1:
-    user: str
-    action: str
-    term: Term
+UnAct1 = _twin(Act1, "UnAct1")
 
 
-@dataclass(frozen=True)
+@record
 class Act2:
     user: str
     tar: str
@@ -184,38 +174,18 @@ class Act2:
     term: Term
 
 
-@dataclass(frozen=True)
-class UnAct2:
-    user: str
-    tar: str
-    action: str
-    term: Term
+UnAct2 = _twin(Act2, "UnAct2")
 
 
-Activity = Union[
-    Own,
-    Possess,
-    PossessOneOf,
-    GroupAct,
-    UnGroupAct,
-    GroupHas,
-    UnGroupHas,
-    AddFriends,
-    UnFriends,
-    DeleteReq,
-    Delete,
-    Act1,
-    UnAct1,
-    Act2,
-    UnAct2,
-]
+Activity = Union[Own, Possess, PossessOneOf, GroupAct, UnGroupAct, GroupHas, UnGroupHas,
+                 AddFriends, UnFriends, DeleteReq, Delete, Act1, UnAct1, Act2, UnAct2]
 
 
 # ---------------------------------------------------------------------------
 # The activity schema
 #
 # Every activity has the surface shape ``Head[index...](args...)`` and its
-# dataclass fields are that shape: ``user`` and ``tar`` are index slots, and
+# record fields are that shape: ``user`` and ``tar`` are index slots, and
 # ``action``, ``actions``, ``term``, ``terms`` and ``dd`` are argument slots,
 # in field order.  Parsing, printing, matching and instantiation read the
 # slots from the registry below.
@@ -239,7 +209,7 @@ class ActivitySchema(NamedTuple):
 
 
 def _schema(cls: type) -> ActivitySchema:
-    names = tuple(f.name for f in fields(cls))
+    names = cls._fields
     schema = ActivitySchema(
         cls=cls,
         kind="possess" if cls is PossessOneOf else cls.__name__.lower(),
@@ -340,7 +310,7 @@ ArchPerms = Perms
 copies each datum's tables unchanged, so both levels share one type."""
 
 
-@dataclass(frozen=True)
+@record
 class Architecture:
     activities: frozenset[Activity] = frozenset()
     perms: Perms = Perms()
@@ -365,7 +335,7 @@ def is_consistent(pa: Architecture) -> tuple[bool, Term | None]:
 # Events and states
 
 
-@dataclass(frozen=True)
+@record
 class ArchEvent:
     """An instantiated activity with bound values at a point in time."""
 
@@ -409,7 +379,7 @@ class UserState(NamedTuple):
         return UserState(self.user, bindings, t)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GlobalState:
     """Per-user variable states plus the permission state.
 
@@ -425,8 +395,14 @@ class GlobalState:
     users: tuple[UserState, ...]  # one per user, sorted by user
     can: frozenset[tuple[str, str]]  # (action, user) grants
     group: frozenset[str]
-    perms: Perms = field(compare=False)
-    slot: Mapping[str, int] = field(compare=False)
+    perms: Perms
+    slot: Mapping[str, int]
+
+    def __eq__(self, other: object) -> bool:
+        return self[:3] == other[:3] if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
 
     def user(self, name: str) -> UserState:
         """``name``'s variable state.  A user outside the universe takes part
@@ -600,7 +576,7 @@ class EnumerationLimit(Exception):
     """The state-space guard tripped."""
 
 
-@dataclass(frozen=True)
+@record
 class Universe:
     users: tuple[str, ...]
     values: tuple[str, ...] = ("v",)
@@ -617,7 +593,7 @@ def _concrete_terms(term: Term, universe: Universe) -> list[Term]:
     # identifiers stay symbolic (one variable per declared id pattern).
     if isinstance(term, Var):
         ows = _instantiate_users(term.ow, universe)
-        return [replace(term, ow=ow) for ow in ows] if is_pattern(term.ow) else [term]
+        return [term._replace(ow=ow) for ow in ows] if is_pattern(term.ow) else [term]
     return [term]
 
 

@@ -32,10 +32,9 @@ state for a rule it does not judge.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Iterable
 
-from .model import SP, ActivitySets, DataRef
+from .model import SP, ActivitySets, DataRef, MutableRecord, record
 from .semantics import (
     ACT1,
     ACT2,
@@ -72,7 +71,7 @@ _JUDGED_KINDS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     rule: str
     datum: DataRef
@@ -84,10 +83,11 @@ class Violation:
         return f"{self.rule}\t{self.event_index}\t{self.datum.ident}\t{self.detail}"
 
 
-@dataclass
-class ComplianceReport:
-    violations: list[Violation] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+class ComplianceReport(MutableRecord):
+    def __init__(self, violations: list[Violation] | None = None,
+                 warnings: list[str] | None = None):
+        self.violations = [] if violations is None else violations
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def compliant(self) -> bool:

@@ -10,7 +10,6 @@ and parse∘serialize is the identity on every valid document.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter
 from typing import Any, Callable, Iterable, NoReturn, Sequence, TypeVar
@@ -41,6 +40,7 @@ from .model import (
     Policy,
     PolicyModel,
     StorageSpec,
+    record,
     validate_model,
 )
 from .semantics import (
@@ -66,7 +66,7 @@ from .semantics import (
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
+@record
 class SourceSpan:
     file: str
     line: int
@@ -259,6 +259,13 @@ class _Parser:
         self.expect(right)
         return out
 
+    def one_or_more(self, left: str, right: str, read: Callable[[_Parser], T]) -> list[T]:
+        """``left item, item, ... right``: at least one item, no trailing comma."""
+        self.expect(left)
+        out = _parse_list(self, read)
+        self.expect(right)
+        return out
+
     def name_set(self) -> frozenset[str]:
         """`{ a, b, c }` (possibly empty)."""
         return frozenset(self.items("{", "}", _set_element))
@@ -355,7 +362,7 @@ def parse_policy(text: str, file: str = "<input>") -> PolicyModel:
         remove_name = p.ident("alias name")
         p.expect("=")
         p.expect("groupact")
-        actions = p.items("(", ")", _action_name)
+        actions = p.one_or_more("(", ")", _action_name)
         p.expect("+")
         p.expect("grouphas")
         p.expect(";")
@@ -417,7 +424,7 @@ def _storage_form(p: _Parser) -> tuple[str, str]:
 # The fields of a policy block besides its permission lines.
 _POLICY_FIELDS: _Fields = {
     "purposes": (_Parser.name_set, lambda pol: serialize_set(pol.ap), None),
-    "delete": (lambda p: DeletionSpec(tuple(sorted(p.items("{", "}", _deletion_mode)))),
+    "delete": (lambda p: DeletionSpec(tuple(sorted(p.one_or_more("{", "}", _deletion_mode)))),
                lambda pol: "{" + ", ".join(f"{m}:{dd}" for m, dd in sorted(pol.dm.modes)) + "}", None),
     "where": (_Parser.name_set, lambda pol: serialize_set(pol.storage.wh), None),
     "how": (lambda p: frozenset(p.items("{", "}", _storage_form)),
@@ -485,7 +492,12 @@ def _parse_block(p: _Parser, what: str, table: _Fields) -> tuple[dict, Perms]:
             fields[key] = field[0](p)
         p.expect(";")
     p.expect("}")
-    return fields, Perms(**tables)
+    # An empty grant reads as absent, as the printer leaves it out.
+    can = {action: users for action, users in tables["can"].items() if users}
+    by, been = ({action: held for action, per_user in tables[which].items()
+                 if (held := {user: users for user, users in per_user.items() if users})}
+                for which in ("by", "been"))
+    return fields, Perms(can, by, been, tables.get("group", frozenset()))
 
 
 def _parse_perm_line(p: _Parser, key: str, tables: dict) -> None:
@@ -674,12 +686,7 @@ def _parse_term(p: _Parser, depth: int = 0) -> Term:
     if head in ("enc", "hash", "sig"):
         if depth == MAX_TERM_DEPTH:
             p.fail_previous(f"term nests more than {MAX_TERM_DEPTH} function applications")
-        p.expect("(")
-        args = [_parse_term(p, depth + 1)]
-        while p.accept(","):
-            args.append(_parse_term(p, depth + 1))
-        p.expect(")")
-        return Func(head, tuple(args))
+        return Func(head, tuple(p.one_or_more("(", ")", lambda p: _parse_term(p, depth + 1))))
     p.fail_previous(f"unknown term head {head!r}", {"X", "key", "enc", "hash", "sig"})
 
 
@@ -950,15 +957,13 @@ def serialize_trace(events: Sequence[AbstractEvent], model: PolicyModel) -> str:
 
 
 def serialize_architecture(pa: Architecture) -> str:
-    if not pa.activities and pa.perms.is_empty():
+    perms = perm_lines(pa.perms)
+    if not pa.activities and not perms:
         return "architecture {}\n"
     lines = ["architecture {"]
-    for text in sorted(map(serialize_activity, pa.activities)):
-        lines.append(f"  {text};")
-    if not pa.perms.is_empty():
-        lines.append("  perms {")
-        lines += [f"    {line}" for line in perm_lines(pa.perms)]
-        lines.append("  }")
+    lines += [f"  {text};" for text in sorted(map(serialize_activity, pa.activities))]
+    if perms:
+        lines += ["  perms {", *(f"    {line}" for line in perms), "  }"]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -11,7 +11,6 @@ until it is settled, from each form's decision about one state (``witness``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from typing import Iterable, Union
 
 from .architecture import (
@@ -40,7 +39,7 @@ from .architecture import (
     schema_of,
     search_states,
 )
-from .model import SP
+from .model import SP, record
 
 # ---------------------------------------------------------------------------
 # Properties
@@ -52,6 +51,7 @@ class _Form:
     whether it is the state the search looks for: one proves an existential
     form and refutes the ``universal`` one, ``HAS_never``."""
 
+    __slots__ = ()
     universal = False
 
     def render(self) -> str:
@@ -59,7 +59,7 @@ class _Form:
         return f"{self.label}_{self.user}({self.var.ident}{t})"
 
 
-@dataclass(frozen=True)
+@record
 class HasSp(_Form):
     var: Var
     head, label, user = "HAS_sp", "HAS", SP
@@ -73,7 +73,7 @@ class HasSp(_Form):
         return sp.value(Func("enc", (self.var, key))) is not None and sp.value(key) is not None
 
 
-@dataclass(frozen=True)
+@record
 class Has(_Form):
     user: str
     var: Var
@@ -85,7 +85,7 @@ class Has(_Form):
         return st.t == self.t and st.value(self.var) is not None
 
 
-@dataclass(frozen=True)
+@record
 class HasNot(_Form):
     user: str
     var: Var
@@ -97,7 +97,7 @@ class HasNot(_Form):
         return st.t == self.t and st.value(self.var) is None
 
 
-@dataclass(frozen=True)
+@record
 class HasNever(_Form):
     user: str
     var: Var
@@ -110,10 +110,10 @@ class HasNever(_Form):
 # Each form by its ``.dcq`` head, and the fields it carries: the parser, the
 # printer and ``render`` read the optional ``user`` and ``t`` slots from them.
 FORMS = {cls.head: cls for cls in (HasSp, Has, HasNot, HasNever)}
-SLOTS = {cls: frozenset(f.name for f in fields(cls)) for cls in FORMS.values()}
+SLOTS = {cls: frozenset(cls._fields) for cls in FORMS.values()}
 
 
-@dataclass(frozen=True)
+@record
 class And:
     parts: tuple[_Form, ...]
 
@@ -127,7 +127,7 @@ HasProperty = Union[HasSp, Has, HasNot, HasNever, And]
 # ---------------------------------------------------------------------------
 # Deduction
 
-@dataclass(frozen=True)
+@record
 class DeductionResult:
     rule: str
     conclusion: HasProperty
@@ -158,11 +158,8 @@ def h8_conclusions(pa: Architecture) -> list[DeductionResult]:
     """H8: the provider reads each variable it possesses in the clear, or
     under its own key when it also possesses that key."""
     out = []
-    possessed: set[Term] = set()
-    for act in pa.of_type(Possess):
-        possessed.add(act.term)
-    for act in pa.of_type(PossessOneOf):
-        possessed.update(act.terms)
+    possessed = {term for act in pa.of_type((Possess, PossessOneOf))
+                 for term in schema_of(act).terms(act)}
     sp_key = KeyVar(SP)
     for term in sorted(possessed, key=repr):
         if isinstance(term, Var):
@@ -265,11 +262,8 @@ def deduce(
         if rule is None or not isinstance(e.term, Var) or not is_compatible([e], pa)[0]:
             continue
         if rule == "H1":
-            results.append(
-                DeductionResult(
-                    "H1", Has(e.user, e.term, e.t), f"owner {e.user!r} input the value at t={e.t}"
-                )
-            )
+            results.append(DeductionResult("H1", Has(e.user, e.term, e.t),
+                                           f"owner {e.user!r} input the value at t={e.t}"))
             continue
         if e.user not in pa.perms.can_do(e.action):
             continue
@@ -297,19 +291,12 @@ def deduce(
                 continue
             if not match_term(act.term, req.term):
                 continue
+            within = range(req.t, req.t + act.dd + 1)  # the delete times it sanctions
+            why = f"deletion honoured within {act.dd} of the request at t={req.t}"
             for dele in trace:
-                if dele.kind != "delete" or dele.term != req.term:
-                    continue
-                if not 0 <= dele.t - req.t <= act.dd:
-                    continue
-                for j in users:
-                    results.append(
-                        DeductionResult(
-                            "H10",
-                            HasNot(j, req.term, dele.t),
-                            f"deletion honoured within {act.dd} of the request at t={req.t}",
-                        )
-                    )
+                if dele.kind == "delete" and dele.term == req.term and dele.t in within:
+                    results += [DeductionResult("H10", HasNot(j, req.term, dele.t), why)
+                                for j in users]
 
     # H9: no grant path at all for (user, variable) pairs.
     h8_vars = {r.conclusion.var for r in results if r.rule == "H8"}
@@ -317,13 +304,8 @@ def deduce(
         if not isinstance(var, Var) or is_pattern(var.ow):
             continue
         for j in users:
-            if h1_applicable(pa, j, var):
-                continue
-            if h2_applicable(pa, j, var, users):
-                continue
-            if h3_applicable(pa, j, var, users):
-                continue
-            if j == SP and var in h8_vars:
+            if (h1_applicable(pa, j, var) or h2_applicable(pa, j, var, users)
+                    or h3_applicable(pa, j, var, users) or (j == SP and var in h8_vars)):
                 continue
             results.append(
                 DeductionResult(
@@ -343,7 +325,7 @@ def conclusions(results: Iterable[DeductionResult]) -> frozenset[HasProperty]:
 # Bounded semantic evaluation
 
 
-@dataclass(frozen=True)
+@record
 class SemanticVerdict:
     holds: bool
     bounded: bool  # True when a longer trace could still change the answer

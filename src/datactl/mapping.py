@@ -5,7 +5,6 @@ comparison orders for policies and architectures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .architecture import (
@@ -36,7 +35,7 @@ from .architecture import (
     serialize_activity,
 )
 from .logic import h1_applicable, h2_applicable, h3_applicable, h8_conclusions
-from .model import SP, DataRef, FriendAlias, Perms, Policy, PolicyModel
+from .model import SP, DataRef, FriendAlias, MutableRecord, Perms, Policy, PolicyModel, record
 from .semantics import (
     ACT1,
     ACT2,
@@ -101,10 +100,10 @@ def map_storage(dt: DataRef, pol: Policy) -> frozenset[Activity]:
 # Event-driven derivation
 
 
-@dataclass
-class MappingContext:
-    model: PolicyModel
-    simplify_friends: bool = False
+class MappingContext(MutableRecord):
+    def __init__(self, model: PolicyModel, simplify_friends: bool = False):
+        self.model = model
+        self.simplify_friends = simplify_friends
 
     def policy(self, dt: DataRef) -> Policy:
         try:
@@ -247,7 +246,7 @@ def image_trace(trace: Sequence[AbstractEvent], ctx: MappingContext) -> list[Arc
 # Correspondence
 
 
-@dataclass(frozen=True)
+@record
 class CorrespondenceResult:
     prop: str
     user: str | None
@@ -260,9 +259,9 @@ class CorrespondenceResult:
         return f"{self.prop}\t{who}\t{self.datum}\t{self.status}\t{self.detail}"
 
 
-@dataclass
-class CorrespondenceReport:
-    results: list[CorrespondenceResult] = field(default_factory=list)
+class CorrespondenceReport(MutableRecord):
+    def __init__(self, results: list[CorrespondenceResult] | None = None):
+        self.results = [] if results is None else results
 
     @property
     def holds(self) -> bool:
@@ -417,7 +416,7 @@ LOOSER = "looser"
 INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
+@record
 class PolicyComparison:
     overall: str
     components: Mapping[str, str]
@@ -434,17 +433,11 @@ def _set_relation(a: frozenset, b: frozenset) -> str:
 
 
 def _grant_relation(a: Mapping, b: Mapping) -> str:
-    keys = set(a) | set(b)
-    rels = {
-        _set_relation(a.get(k, frozenset()), b.get(k, frozenset())) for k in keys
-    }
-    return _combine(rels)
+    return _combine({_set_relation(a.get(k, frozenset()), b.get(k, frozenset())) for k in {*a, *b}})
 
 
 def _nested_relation(a: Mapping, b: Mapping) -> str:
-    keys = set(a) | set(b)
-    rels = {_grant_relation(a.get(k, {}), b.get(k, {})) for k in keys}
-    return _combine(rels)
+    return _combine({_grant_relation(a.get(k, {}), b.get(k, {})) for k in {*a, *b}})
 
 
 def _combine(rels: set[str]) -> str:
@@ -496,7 +489,7 @@ def compare_policies(p1: Policy, p2: Policy) -> PolicyComparison:
     return PolicyComparison(overall=overall, components=components)
 
 
-@dataclass(frozen=True)
+@record
 class ArchComparison:
     overall: str  # equal / subset / superset / incomparable
     only_first: tuple[Activity, ...]

@@ -6,7 +6,7 @@ Everything here is an immutable value; well-formedness is checked by the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Iterable, Mapping, NamedTuple
 
 # Distinguished principal for the service provider / data controller.
@@ -31,7 +31,37 @@ STORAGE_FORMS = frozenset({("plain", "none"), ("enc", "spkey"), ("enc", "clkey")
 DELETION_MODES = frozenset({"man", "aut"})
 
 
-@dataclass(frozen=True)
+class Record(tuple):
+    """The immutable base of the package's records, named tuples built by
+    :func:`record` that equal only records of their own class, so twins such as
+    ``GroupAct`` and ``UnGroupAct`` stay apart in one set.  The hash is that of
+    the fields' tuple, as a frozen dataclass's is, so set orders do not move."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return tuple.__eq__(self, other) if other.__class__ is self.__class__ else NotImplemented
+
+    # ``!=`` inverts ``__eq__``, as object's does; tuple's would ignore the class.
+    __ne__ = object.__ne__
+    __hash__ = tuple.__hash__
+
+
+def record(cls: type) -> type:
+    """``cls`` rebuilt as a :class:`Record`: its annotated class attributes, in
+    order, are the fields, and a field's class value is its default."""
+    body = dict(cls.__dict__)
+    names = tuple(body.get("__annotations__", ()))
+    required = [name for name in names if name not in body]
+    defaults = [body.pop(name) for name in names[len(required):]]  # KeyError: a default not last
+    for name in ("__dict__", "__weakref__"):
+        body.pop(name, None)
+    bases = tuple(base for base in cls.__bases__ if base is not object)
+    fields = namedtuple(cls.__name__, names, defaults=defaults)
+    return type(cls.__name__, (fields, Record, *bases), {**body, "__slots__": ()})
+
+
+@record
 class ActivitySets:
     """The declared actions, each paired with the un-action that takes it back:
     ``(action, un-action)`` names per arity, in declaration order."""
@@ -70,7 +100,7 @@ class DataRef(NamedTuple):
         return self.ident
 
 
-@dataclass(frozen=True)
+@record
 class DeletionSpec:
     """Deletion modes with their delays, at most one entry per mode."""
 
@@ -83,7 +113,7 @@ class DeletionSpec:
         return None
 
 
-@dataclass(frozen=True)
+@record
 class StorageSpec:
     wh: frozenset[str] = frozenset()
     ho: frozenset[tuple[str, str]] = frozenset()
@@ -95,7 +125,7 @@ class StorageSpec:
         )
 
 
-@dataclass(frozen=True)
+@record
 class Perms:
     """The permission table of a datum: who may perform each action, and who
     may come to hold the datum through an action or through grouping.
@@ -108,9 +138,9 @@ class Perms:
     user, so the architecture's per-granter family of tables is this one table.
     """
 
-    can: Mapping[str, frozenset[str]] = field(default_factory=dict)
-    by: Mapping[str, Mapping[str, frozenset[str]]] = field(default_factory=dict)
-    been: Mapping[str, Mapping[str, frozenset[str]]] = field(default_factory=dict)
+    can: Mapping[str, frozenset[str]] = {}
+    by: Mapping[str, Mapping[str, frozenset[str]]] = {}
+    been: Mapping[str, Mapping[str, frozenset[str]]] = {}
     group: frozenset[str] = frozenset()
 
     def can_do(self, action: str) -> frozenset[str]:
@@ -174,7 +204,7 @@ def _union_into(acc: dict[str, frozenset[str]], table: Mapping[str, frozenset[st
         acc[key] = acc.get(key, frozenset()) | users
 
 
-@dataclass(frozen=True)
+@record
 class Policy:
     """The per-datum control tuple: purposes, deletion, storage and permissions."""
 
@@ -184,7 +214,7 @@ class Policy:
     perms: Perms = Perms()
 
 
-@dataclass(frozen=True)
+@record
 class FriendAlias:
     """A shorthand pair (e.g. addfriends/unfriends) expanding to per-action
     group/ungroup events plus grouphas/ungrouphas."""
@@ -194,14 +224,26 @@ class FriendAlias:
     actions: tuple[str, ...]
 
 
-@dataclass
-class PolicyModel:
+class MutableRecord:
+    """Equality and repr from the attributes that ``__init__`` sets, for the
+    records that callers fill in or rebind."""
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
+class PolicyModel(MutableRecord):
     """A parsed model: activity declarations plus the governed data and policies."""
 
-    sets: ActivitySets
-    data: dict[str, DataRef] = field(default_factory=dict)
-    policies: dict[str, Policy] = field(default_factory=dict)  # keyed by DataRef.ident
-    alias: FriendAlias | None = None
+    def __init__(self, sets: ActivitySets, data: dict[str, DataRef] | None = None,
+                 policies: dict[str, Policy] | None = None, alias: FriendAlias | None = None):
+        self.sets = sets
+        self.data = {} if data is None else data
+        self.policies = {} if policies is None else policies  # keyed by DataRef.ident
+        self.alias = alias
 
     def policy_of(self, dt: DataRef) -> Policy:
         return self.policies[dt.ident]

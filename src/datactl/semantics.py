@@ -10,10 +10,9 @@ step reads that pair from the model's activity sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
-from .model import SP, ActivitySets, DataRef, Policy
+from .model import SP, ActivitySets, DataRef, Policy, record
 
 # Event kinds.  ``act1``/``unact1``/``act2``/``unact2`` carry the declared
 # action name; ``groupact``/``ungroupact`` carry the action whose can-group is
@@ -79,7 +78,7 @@ class AbstractEvent(NamedTuple):
         return event_name(self.kind, self.action)
 
 
-@dataclass(frozen=True)
+@record
 class EventTemplate:
     """One entry of the possible-event inventory."""
 
@@ -168,10 +167,10 @@ def step(
     if kind in GROUP_KINDS:
         perms, tar = pol.perms, {e.tar}
         if kind in (GROUPACT, UNGROUPACT):
-            perms = replace(perms, can={**perms.can, e.action: move(perms.can_do(e.action), tar)})
+            perms = perms._replace(can={**perms.can, e.action: move(perms.can_do(e.action), tar)})
         else:
-            perms = replace(perms, group=move(perms.group, tar))
-        return StateEntry(e.t, entry.v, replace(pol, perms=perms), move(entry.h_has, tar))
+            perms = perms._replace(group=move(perms.group, tar))
+        return StateEntry(e.t, entry.v, pol._replace(perms=perms), move(entry.h_has, tar))
 
     if kind in ACT_KINDS:
         if e.actor not in pol.perms.can_do(e.action):

@@ -2,7 +2,6 @@
 differential check of the one-pass auditor against the rules read literally."""
 
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -141,7 +140,7 @@ def test_unaction_withdraws_through_its_declared_pair():
     failed to withdraw would hold the datum before any sanction: C3 shows it,
     as the control with an un-action of another pair does."""
     sets = ActivitySets(unary=(("fav", "defav"), ("pin", "unpin")))
-    pol = replace(POL, perms=Perms({name: frozenset({"bob"}) for name in sets.names()},
+    pol = POL._replace(perms=Perms({name: frozenset({"bob"}) for name in sets.names()},
                                    by={"fav": {"bob": frozenset({"carol"})}}))
     trace = [AbstractEvent(kind=OWN, t=1, dt=DT, actor="alice", value="v", policy=pol),
              AbstractEvent(kind=ACT1, t=10, dt=DT, actor="bob", action="fav")]
@@ -488,7 +487,7 @@ def _broken_copies(model, trace, rng):
         rng.shuffle(rest)
         copies.append(owns + rest)
     no_manual = DeletionSpec(())
-    copies.append([e._replace(policy=replace(e.policy, dm=no_manual)) if e.kind == OWN else e
+    copies.append([e._replace(policy=e.policy._replace(dm=no_manual)) if e.kind == OWN else e
                    for e in trace])
     copies.append(trace + owns)
     return copies

@@ -407,6 +407,12 @@ DATUM = ("data d1 { ow = a; ds = {a}; type = Notes;\n"
      " actions={a});\n}", "2:3: event 'like' does not take actions=..."),
     (parse_arch_trace, "archtrace {\n  grouplike(t=1, user=alice, tar=bob, value=\"v\");\n}",
      "2:3: event 'grouplike' does not take value=..."),
+    (parse_policy, "actions { unary fav/unfav; }\nalias a/b = groupact() + grouphas;\n",
+     "2:22: found ')' (expected action name)"),
+    (parse_policy, "actions { unary fav/unfav; }\nalias a/b = groupact(fav,) + grouphas;\n",
+     "2:26: found ')' (expected action name)"),
+    (parse_policy, "actions { unary fav/unfav; }\ndata d1 { ow = a; ds = {a}; type = Notes;\n"
+     "  policy { delete = {}; } }\n", "3:22: found '}' (expected deletion mode)"),
 ], ids=["no datum", "alias without tar", "no performer", "binary without tar",
         "unary with tar", "no timestamp", "duplicate datum", "empty document", "query term",
         "found a string", "found a number", "found end of input", "trailing input",
@@ -414,7 +420,8 @@ DATUM = ("data d1 { ow = a; ds = {a}; type = Notes;\n"
         "repeated has-by line", "repeated has-group line", "repeated trace event field",
         "repeated arch-trace event field", "repeated variable field", "value on a like",
         "purposes on a store", "value on an alias event", "user on a possess", "user on a delete",
-        "actions on an action", "value on a group event"])
+        "actions on an action", "value on a group event", "alias of no action",
+        "alias with a trailing comma", "no deletion mode"])
 def test_rejected_document_is_located(parse, document, where):
     with pytest.raises(ParseError) as err:
         parse(document, file="f")
@@ -660,6 +667,32 @@ def test_empty_architecture_round_trip():
     pa = parse_architecture("architecture {}")
     assert pa.activities == frozenset() and pa.perms.is_empty()
     assert serialize_architecture(pa) == "architecture {}\n"
+
+
+POLICY_HEADER = "actions { unary fav/unfav; binary link/unlink; }\n"
+POLICY_DATUM = ("data d1 { ow = a; ds = {a, b}; type = Notes; policy {\n"
+                "  purposes = {p}; delete = {man:1}; where = {sploc}; how = {plain};\n%s} }\n")
+
+
+@pytest.mark.parametrize("parse, serialize, empty, kept", [
+    (parse_architecture, serialize_architecture, "architecture {\n  perms {\n%s  }\n}\n", ""),
+    (parse_architecture, serialize_architecture, "architecture {\n  perms {\n%s  }\n}\n",
+     "has by fav b = {a};\n"),
+    (parse_policy, serialize_policy, POLICY_HEADER + POLICY_DATUM, ""),
+    (parse_policy, serialize_policy, POLICY_HEADER + POLICY_DATUM, "can link = {a};\n"),
+], ids=["perms block", "perms block with a grant", "policy block", "policy block with a grant"])
+def test_empty_grant_reads_as_absent(parse, serialize, empty, kept):
+    """``can``, ``has by`` and ``has been`` lines with an empty set parse as
+    if absent, so printing is a fixpoint and no empty ``perms`` block prints."""
+    lines = "can fav = {};\nhas by fav a = {};\nhas been link b = {};\nhas group = {};\n"
+    parsed = parse(empty % (lines + kept))
+    assert parsed == parse(empty % kept)
+    text = serialize(parsed)
+    assert parse(text) == parsed and serialize(parse(text)) == text
+    if parse is parse_architecture and not kept:
+        assert text == "architecture {}\n"
+    assert serialize_architecture(Architecture(perms=Perms(can={"fav": frozenset()}))) == \
+        "architecture {}\n"
 
 
 def test_pattern_ds_round_trip():

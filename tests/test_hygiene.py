@@ -5,8 +5,9 @@ defines is named somewhere besides its definition, every parameter of a
 function in the package is read, no regex the package compiles needs a newer
 Python than the one it declares, the command line prints the same under that
 oldest Python as under the one running the tests, no test asserts a
-condition that cannot fail, and the grammar's field rules list the keys of
-the parser's field tables."""
+condition that cannot fail, the grammar's field rules list the keys of
+the parser's field tables, the command line starts without the modules
+that ``dataclasses`` pulls in, and no record instance carries a ``__dict__``."""
 
 import ast
 import importlib
@@ -14,11 +15,14 @@ import os
 import re
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 from typing import Iterable
 
 import pytest
+
+from datactl.model import record
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "datactl"
@@ -428,3 +432,57 @@ def test_field_rule_mismatch_is_reported():
         "field: 'tar' is in the table, not in the grammar"]
     assert field_rule_mismatches(grammar, {"afield": []}) == [
         "afield: 't' is in the grammar, not in the table"]
+
+
+# Modules whose import dominated the command line's start-up: ``dataclasses``
+# and what it pulls in.  Every datactl command is a fresh process.
+HEAVY = ("dataclasses", "inspect", "ast")
+
+
+def heavy_imports(path: Path, module: str) -> list[str]:
+    """The modules of HEAVY that a fresh ``python -E`` has loaded once it has
+    imported ``module`` from the directory ``path``."""
+    probe = (f"import sys; sys.path.insert(0, {str(path)!r}); import {module}; "
+             f"print(*[m for m in {HEAVY!r} if m in sys.modules])")
+    return subprocess.run([sys.executable, "-E", "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=60).stdout.split()
+
+
+def test_command_line_starts_without_dataclasses():
+    assert heavy_imports(ROOT / "src", "datactl.cli") == []
+
+
+def test_heavy_import_is_reported(tmp_path):
+    for name, source in (("slow", "import dataclasses\n"), ("quick", "import collections\n")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "__init__.py").write_text(source, encoding="utf-8")
+    assert heavy_imports(tmp_path, "slow") == list(HEAVY)
+    assert heavy_imports(tmp_path, "quick") == []
+
+
+def records_with_instance_dicts(modules: Iterable[types.ModuleType]) -> list[str]:
+    """The record classes (tuple subclasses) defined in ``modules`` whose
+    instances carry a ``__dict__``, which a mixin without ``__slots__`` adds."""
+    return [f"{module.__name__}.{name}" for module in modules for name, cls in vars(module).items()
+            if isinstance(cls, type) and cls.__module__ == module.__name__
+            and issubclass(cls, tuple) and cls.__dictoffset__]
+
+
+def test_no_record_instance_carries_a_dict():
+    modules = [importlib.import_module(f"datactl.{path.stem}") for path in MODULES]
+    assert records_with_instance_dicts(modules) == []
+
+
+def test_record_instance_dict_is_reported():
+    module = types.ModuleType("synthetic")
+
+    class Mixin:
+        pass
+
+    class SlottedMixin:
+        __slots__ = ()
+
+    for name, base in (("Leaky", Mixin), ("Tight", SlottedMixin)):
+        cls = record(type(name, (base,), {"__annotations__": {"x": "int"}, "__module__": "synthetic"}))
+        setattr(module, name, cls)
+    assert records_with_instance_dicts([module]) == ["synthetic.Leaky"]

@@ -1,7 +1,6 @@
 """Deduction rules over architectures and the bounded semantic oracle."""
 
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -378,7 +377,7 @@ def test_deduction_witnessed_on_generated_models(monkeypatch):
         trace = compliant_trace(model, rng)
         ctx = MappingContext(model)
         pa = derive_architecture(trace, ctx)
-        image = [replace(e, t=i) for i, e in enumerate(image_trace(trace, ctx)[:4], start=1)]
+        image = [e._replace(t=i) for i, e in enumerate(image_trace(trace, ctx)[:4], start=1)]
         users = sorted(model.users())
         universe = Universe(users=tuple(users))
         found = [r for r in deduce(pa, image, users)
