@@ -624,13 +624,15 @@ def instantiate_events(pa: Architecture, t: int, universe: Universe) -> list[Arc
 
 class _Field(dict):
     """One field of a kernel state: one bit per label, for the labels held,
-    then ``tail`` bits that hold the user's ``t``.  It maps each value read to
-    the part of a :class:`GlobalState` that the value stands for, built once,
-    so equal values decode to one shared part."""
+    then ``tail`` bits that hold the user's ``t``.  The ``fixed`` labels are
+    held in every state, so they get no bit and each part adds them back.
+    It maps each value read to the part of a :class:`GlobalState` that the
+    value stands for, built once, so equal values decode to one shared part."""
 
-    def __init__(self, offset: int, labels: Iterable, tail: int = 0, user: str | None = None):
+    def __init__(self, offset: int, labels: Iterable, tail: int = 0, user: str | None = None,
+                 fixed: frozenset = frozenset()):
         super().__init__()
-        self.labels, self.user = tuple(labels), user
+        self.labels, self.user, self.fixed = tuple(labels), user, fixed
         self.bit = {label: 1 << offset + j for j, label in enumerate(self.labels)}
         self.t_unit = 1 << offset + len(self.labels)  # the lowest bit of ``t``
         self.t_mask = ((1 << tail) - 1) * self.t_unit
@@ -639,7 +641,8 @@ class _Field(dict):
 
     def __missing__(self, f: int):
         held = frozenset(label for j, label in enumerate(self.labels) if f >> j & 1)
-        part = held if self.user is None else UserState(self.user, held, f >> len(self.labels))
+        part = (held | self.fixed if self.user is None
+                else UserState(self.user, held, f >> len(self.labels)))
         self[f] = part
         return part
 
@@ -652,12 +655,17 @@ class _Kernel:
     binding that some step writes there, then the user's ``t``, wide enough
     for ``max_len``; then come a field with one bit per ``can`` grant and one
     with one bit per ``group`` member that the initial state holds or some
-    step adds.  Nothing else can ever be held, so nothing else needs a bit.
+    step adds.  Nothing else can ever be held, so nothing else needs a bit,
+    and a step guarded by a grant that is never held is dropped.  Nor does a
+    grant or member that the initial state holds and no step removes: it is
+    held in every reachable state, so it is a fixed part of its field, and
+    a guard on it is always met (guard 0).
     """
 
     def __init__(self, init: GlobalState, steps: list[Step], max_len: int):
         writes = [{} for _ in init.users]
         grants, members = dict.fromkeys(init.can), dict.fromkeys(init.group)
+        removed: set = set()  # the grants and members some step takes away
         for st in steps:
             if st.term is not None and st.value is not BOTTOM:
                 for i in st.slots:
@@ -665,21 +673,26 @@ class _Kernel:
             if st.adds:
                 grants.update(dict.fromkeys(st.grants))
                 members.update(dict.fromkeys(st.members))
+            else:
+                removed.update(st.grants, st.members)
         width = max(1, max_len.bit_length())
         users, offset = [], 0
         for u, labels in zip(init.users, writes):
             users.append(_Field(offset, labels, width, u.user))
             offset = users[-1].end
-        can = _Field(offset, grants)
-        group = _Field(can.end, members)
+        fixed_can, fixed_group = init.can - removed, init.group - removed
+        can = _Field(offset, (g for g in grants if g not in fixed_can), fixed=fixed_can)
+        group = _Field(can.end, (m for m in members if m not in fixed_group), fixed=fixed_group)
         self.reads = [f.read for f in users + [can, group]]
         self.perms, self.slot = init.perms, init.slot
         # The initial state binds nothing and has every t at 0.
-        self.init = sum(can.bit[g] for g in init.can) | sum(group.bit[m] for m in init.group)
+        self.init = (sum(can.bit.get(g, 0) for g in init.can)
+                     | sum(group.bit.get(m, 0) for m in init.group))
 
         self.steps = []  # (guard, keep, set, t unit): a depth adds depth * t unit to set
+        self.guards = 0  # every bit some guard tests
         for st in steps:
-            guard = 0 if st.guard is None else can.bit.get(st.guard)
+            guard = 0 if st.guard is None or st.guard in fixed_can else can.bit.get(st.guard)
             if guard is None or not st.slots:
                 continue  # its grant is never held, or it touches nobody
             clear = put = unit = 0  # the bits of a field are distinct, so a sum is their union
@@ -688,13 +701,15 @@ class _Kernel:
                 clear |= user.t_mask | sum(b for (term, _), b in user.bit.items() if term == st.term)
                 unit |= user.t_unit
                 put |= user.bit.get((st.term, st.value), 0)
-            moved = (sum(can.bit.get(g, 0) for g in st.grants)
-                     | sum(group.bit.get(m, 0) for m in st.members))
-            if st.adds:
-                put |= moved
-            else:
-                clear |= moved
+            if st.grants or st.members:
+                moved = (sum(can.bit.get(g, 0) for g in st.grants)
+                         | sum(group.bit.get(m, 0) for m in st.members))
+                if st.adds:
+                    put |= moved
+                else:
+                    clear |= moved
             self.steps.append((guard, ~clear, put, unit))
+            self.guards |= guard
 
     def moves(self, depth: int) -> list[tuple[int, int, int]]:
         """``(guard, keep, set)`` of each step taken at ``t = depth``."""
@@ -707,26 +722,36 @@ class _Kernel:
 
     def search(self, max_len: int, max_states: int) -> Iterator[int]:
         """Breadth-first from ``init``: each state within ``max_len`` steps, in the
-        order first reached, a whole depth at once, so the cap trips by depth counts."""
-        seen, frontier = {self.init}, [self.init]
+        order first reached, a whole depth at once, so the cap trips by depth counts.
+
+        Every step sets the ``t`` of each user it touches to the depth it is
+        taken at, so the largest ``t`` of a state is the depth it is first
+        reached at: no state is reached at two depths, and a new state can
+        only repeat one of its own depth.  The steps a state can take depend
+        only on its guard bits, so each depth lists the moves they enable
+        once per guard value it meets.
+        """
+        guards, frontier, count = self.guards, [self.init], 1
         yield self.init
         for depth in range(1, max_len + 1):
             moves = self.moves(depth)
-            next_frontier = []
+            enabled = {guards: moves}  # guard bits -> the moves they enable
+            layer = {}  # the states first reached at this depth, in that order
+            room = max(max_states - count, 0)  # a depth with no new state never trips
             for s in frontier:
-                for guard, keep, put in moves:
-                    if s & guard == guard:
-                        nxt = s & keep | put
-                        if nxt not in seen:
-                            if len(seen) >= max_states:
-                                raise EnumerationLimit(
-                                    f"more than {max_states} states within bound {max_len}")
-                            seen.add(nxt)
-                            next_frontier.append(nxt)
-            yield from next_frontier
-            frontier = next_frontier
-            if not frontier:
+                g = s & guards
+                pairs = enabled.get(g)
+                if pairs is None:
+                    pairs = enabled[g] = [m for m in moves if g & m[0] == m[0]]
+                for _, keep, put in pairs:
+                    layer[s & keep | put] = None
+                if len(layer) > room:
+                    raise EnumerationLimit(f"more than {max_states} states within bound {max_len}")
+            count += len(layer)
+            yield from layer
+            if not layer:
                 break
+            frontier = layer
 
 
 class StateView(NamedTuple):

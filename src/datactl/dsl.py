@@ -427,7 +427,7 @@ _POLICY_FIELDS: _Fields = {
     "delete": (lambda p: DeletionSpec(tuple(sorted(p.one_or_more("{", "}", _deletion_mode)))),
                lambda pol: "{" + ", ".join(f"{m}:{dd}" for m, dd in sorted(pol.dm.modes)) + "}", None),
     "where": (_Parser.name_set, lambda pol: serialize_set(pol.storage.wh), None),
-    "how": (lambda p: frozenset(p.items("{", "}", _storage_form)),
+    "how": (lambda p: frozenset(p.one_or_more("{", "}", _storage_form)),
             lambda pol: "{" + ", ".join("plain" if form == ("plain", "none") else f"enc({form[1]})"
                                         for form in sorted(pol.storage.ho)) + "}", None),
 }

@@ -167,9 +167,6 @@ class Perms:
                     seen.update(granted)
         return frozenset(seen)
 
-    def is_empty(self) -> bool:
-        return not (self.can or self.by or self.been or self.group)
-
     def only(self, action: str, holders: bool) -> "Perms":
         """The part of the table about ``action``: its ``can`` set and, with
         ``holders``, its ``by`` and ``been`` tables.  Empty entries are dropped."""

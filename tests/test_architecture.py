@@ -2,6 +2,7 @@
 bounded enumerator checked against a naive per-depth oracle and against the
 fold of every trace."""
 
+import hashlib
 import itertools
 import os
 import random
@@ -45,6 +46,7 @@ from datactl.architecture import (
     is_compatible,
     is_consistent,
     run_arch_trace,
+    search_states,
 )
 from datactl.cli import _concrete_users
 from datactl.dsl import parse_architecture, serialize_architecture
@@ -482,7 +484,7 @@ def test_fixture_state_counts(name, max_len, count):
     assert states == naive_reachable(pa, max_len, universe)
 
 
-# Prints the states of simplified.dca at bound 2 in the search's order, each
+# Prints the states of an architecture at a bound in the search's order, each
 # set sorted, so that two runs print the same text exactly when the search
 # visits the same states in the same order.
 _PRINT_STATES = """
@@ -492,7 +494,7 @@ from datactl.architecture import Universe, enumerate_states, serialize_term
 from datactl.cli import _concrete_users
 from datactl.dsl import parse_architecture
 pa = parse_architecture(Path(sys.argv[1]).read_text(encoding="utf-8"))
-for s in enumerate_states(pa, 2, Universe(users=tuple(sorted(_concrete_users(pa))))):
+for s in enumerate_states(pa, int(sys.argv[2]), Universe(users=tuple(sorted(_concrete_users(pa))))):
     print([(u.user, sorted((serialize_term(term), v) for term, v in u.bindings), u.t)
            for u in s.users], sorted(s.can), sorted(s.group))
 """
@@ -500,16 +502,20 @@ for s in enumerate_states(pa, 2, Universe(users=tuple(sorted(_concrete_users(pa)
 
 def test_search_order_does_not_depend_on_the_hash_seed():
     """Each interpreter salts string hashes with its own seed; the order of
-    the search comes from the architecture's text alone."""
+    the search comes from the architecture's text alone.  The grant bits are
+    laid out from a frozenset, so full.dca also covers that layout and the
+    per-guard-value step lists."""
     src = Path(__file__).resolve().parent.parent / "src"
-    printed = [
-        subprocess.run([sys.executable, "-c", _PRINT_STATES, str(FIXTURES / "simplified.dca")],
-                       env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
-                       capture_output=True, text=True, check=True, timeout=120).stdout
-        for seed in ("0", "1", "2")
-    ]
-    assert printed[0].count("\n") == 105
-    assert printed[0] == printed[1] == printed[2]
+    for name, bound, count in (("simplified.dca", "2", 105), ("full.dca", "3", 7932)):
+        printed = [
+            subprocess.run([sys.executable, "-c", _PRINT_STATES, str(FIXTURES / name), bound],
+                           env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+                           capture_output=True, text=True, check=True, timeout=120).stdout
+            for seed in ("0", "1", "2")
+        ]
+        assert printed[0].count("\n") == count, name
+        digests = {hashlib.sha256(text.encode()).hexdigest() for text in printed}
+        assert len(digests) == 1, name
 
 
 def test_full_fixture_state_count_at_length_4():
@@ -523,6 +529,38 @@ def test_enumeration_limit_is_the_state_count():
     assert len(enumerate_states(pa, 4, universe, max_states=1688)) == 1688
     with pytest.raises(EnumerationLimit, match="more than 1687 states within bound 4"):
         enumerate_states(pa, 4, universe, max_states=1687)
+
+
+# simplified.dca at bound 4: the number of states reached within each depth.
+RUNNING_COUNTS = (1, 13, 105, 532, 1688)
+
+
+def searched_until_the_cap(pa, universe, bound, max_states):
+    """How many states the search yields, and the cap's message if it trips."""
+    _, reached = search_states(pa, bound, universe, max_states)
+    count = 0
+    try:
+        for _ in reached:
+            count += 1
+    except EnumerationLimit as err:
+        return count, str(err)
+    return count, None
+
+
+def test_the_cap_trips_only_on_a_new_state_past_it():
+    """The initial state is always yielded; a depth that reaches no new state
+    never trips the cap; a depth trips it when its new states take the count
+    past it, after every shallower state has been yielded."""
+    for cap in (0, 1):
+        assert searched_until_the_cap(Architecture(), Universe(users=("u1",)), 2, cap) == (1, None)
+    pa, universe = _fixture("simplified.dca")
+    assert searched_until_the_cap(pa, universe, 4, 0) == (1, "more than 0 states within bound 4")
+    for depth, total in enumerate(RUNNING_COUNTS):
+        tripped = None if depth == 4 else f"more than {total} states within bound 4"
+        assert searched_until_the_cap(pa, universe, 4, total) == (total, tripped), depth
+        if depth:
+            assert searched_until_the_cap(pa, universe, 4, total - 1) == (
+                RUNNING_COUNTS[depth - 1], f"more than {total - 1} states within bound 4"), depth
 
 
 def test_enumeration_limit_trips():
@@ -541,3 +579,71 @@ def test_instantiation_expands_patterns_over_universe():
     pa = Architecture(activities=frozenset({DeleteReq("?i", X)}))
     events = instantiate_events(pa, 1, Universe(users=("alice", "bob")))
     assert {e.user for e in events} == {"alice", "bob"}
+
+
+# --- kernel invariants -------------------------------------------------------
+
+
+def assert_first_reached_at_the_largest_t(pa, bound, universe):
+    """The search at each smaller bound lists a prefix of the states at
+    ``bound``, so the depth a state is first reached at is the smallest bound
+    whose list holds it.  That depth is the state's largest user ``t``, which
+    therefore never decreases along the search order."""
+    states = enumerate_states(pa, bound, universe)
+    within = [len(enumerate_states(pa, d, universe)) for d in range(bound + 1)]
+    depths = [next(d for d, n in enumerate(within) if i < n) for i in range(len(states))]
+    assert [max(u.t for u in s.users) for s in states] == depths
+    assert depths == sorted(depths)
+    for d, n in enumerate(within):
+        assert enumerate_states(pa, d, universe) == states[:n]
+
+
+@pytest.mark.parametrize("name", ["simplified.dca", "full.dca"])
+def test_each_fixture_state_is_first_reached_at_its_largest_t(name):
+    pa, universe = _fixture(name)
+    assert_first_reached_at_the_largest_t(pa, 3, universe)
+
+
+def test_each_generated_state_is_first_reached_at_its_largest_t():
+    for seed in range(100):
+        rng = random.Random(seed)
+        model = random_model(rng)
+        pa = derive_architecture(compliant_trace(model, rng), MappingContext(model))
+        assert_first_reached_at_the_largest_t(pa, 3, Universe(users=tuple(sorted(model.users()))))
+
+
+def test_grants_get_bits_only_when_some_state_lacks_them():
+    """``fav`` for alice is held initially and no step moves it: it gets no
+    bit, every state holds it and the step it guards is always enabled.
+    ``share`` for bob is held initially and a group event takes it away: it
+    keeps its bit.  ``tag`` for bob is never held and never added: the step
+    it guards is dropped."""
+    pa = Architecture(
+        activities=frozenset({Own("alice", X), Act1("alice", "fav", X), Act1("bob", "share", X),
+                              UnGroupAct("alice", "bob", "share"), Act1("bob", "tag", X)}),
+        perms=Perms(can={"fav": frozenset({"alice"}), "share": frozenset({"bob"})},
+                    by={"fav": {"alice": frozenset({"bob"})}, "share": {"bob": frozenset({"alice"})},
+                        "tag": {"bob": frozenset({"alice"})}}),
+    )
+    universe = Universe(users=("alice", "bob"))
+    kernel, _ = search_states(pa, 3, universe)
+    _, _, can = kernel.reads[-2]
+    assert can.labels == (("share", "bob"),)
+    assert can.fixed == {("fav", "alice")}
+    # own, fav (guard 0), share (guarded by its bit) and the group event; no tag step.
+    assert sorted(guard for guard, *_ in kernel.steps) == [0, 0, 0, can.bit["share", "bob"]]
+    states = enumerate_states(pa, 3, universe)
+    assert states == naive_reachable(pa, 3, universe)
+    assert all(("fav", "alice") in s.can for s in states)
+    assert any(s.user("bob").value(X) == "v" for s in states)  # alice took fav
+    assert any(("share", "bob") not in s.can for s in states)
+
+
+@pytest.mark.parametrize("name", ["simplified.dca", "full.dca"])
+def test_fixture_kernel_width(name):
+    """A state of either fixture at bound 5 is 26 bits wide: 12 binding and
+    t bits, 12 grant bits and 2 member bits.  Twelve of the grants the
+    initial state holds no step moves, so they get no bit."""
+    pa, universe = _fixture(name)
+    kernel, _ = search_states(pa, 5, universe)
+    assert max(offset + mask.bit_length() for offset, mask, _ in kernel.reads) == 26

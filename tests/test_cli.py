@@ -538,6 +538,19 @@ def test_enumerate_decodes_no_state(capsys, monkeypatch):
         0, "7932 reachable states within 3 events\n", "")
 
 
+def test_enumerate_state_limit_of_zero_and_one(capsys, tmp_path):
+    """The cap trips only on a new state past it: an architecture with no
+    activity reaches no new state, so even a cap of 0 lets its one state through."""
+    empty = tmp_path / "empty.dca"
+    empty.write_text("architecture {}\n")
+    simplified = f"{FIX}/simplified.dca"
+    for cap in ("0", "1"):
+        assert run(capsys, "enumerate", str(empty), "--max-len", "2", "--max-states", cap) == (
+            0, "1 reachable states within 2 events\n", "")
+        assert run(capsys, "enumerate", simplified, "--max-len", "4", "--max-states", cap) == (
+            3, "", f"limit reached: more than {cap} states within bound 4\n")
+
+
 def test_enumerate_state_limit(capsys, tmp_path):
     arch = write_small_arch(tmp_path)
     code, _, err = run(capsys, "enumerate", arch, "--max-len", "4", "--max-states", "2")

@@ -413,6 +413,10 @@ DATUM = ("data d1 { ow = a; ds = {a}; type = Notes;\n"
      "2:26: found ')' (expected action name)"),
     (parse_policy, "actions { unary fav/unfav; }\ndata d1 { ow = a; ds = {a}; type = Notes;\n"
      "  policy { delete = {}; } }\n", "3:22: found '}' (expected deletion mode)"),
+    (parse_policy, "actions { unary fav/unfav; }\ndata d1 { ow = a; ds = {a}; type = Notes;\n"
+     "  policy { how = {}; } }\n", "3:19: found '}' (expected storage form)"),
+    (parse_policy, "actions { unary fav/unfav; }\ndata d1 { ow = a; ds = {a}; type = Notes;\n"
+     "  policy { how = {plain,}; } }\n", "3:25: found '}' (expected storage form)"),
 ], ids=["no datum", "alias without tar", "no performer", "binary without tar",
         "unary with tar", "no timestamp", "duplicate datum", "empty document", "query term",
         "found a string", "found a number", "found end of input", "trailing input",
@@ -421,7 +425,8 @@ DATUM = ("data d1 { ow = a; ds = {a}; type = Notes;\n"
         "repeated arch-trace event field", "repeated variable field", "value on a like",
         "purposes on a store", "value on an alias event", "user on a possess", "user on a delete",
         "actions on an action", "value on a group event", "alias of no action",
-        "alias with a trailing comma", "no deletion mode"])
+        "alias with a trailing comma", "no deletion mode", "no storage form",
+        "storage forms with a trailing comma"])
 def test_rejected_document_is_located(parse, document, where):
     with pytest.raises(ParseError) as err:
         parse(document, file="f")
@@ -665,7 +670,7 @@ def test_architecture_round_trip_fixtures():
 
 def test_empty_architecture_round_trip():
     pa = parse_architecture("architecture {}")
-    assert pa.activities == frozenset() and pa.perms.is_empty()
+    assert pa.activities == frozenset() and pa.perms == Perms()
     assert serialize_architecture(pa) == "architecture {}\n"
 
 
