@@ -12,7 +12,7 @@ import itertools
 import operator
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Union, get_args
 
-from .model import SP, Perms, record
+from .model import SP, ActivitySets, Perms, record
 
 BOTTOM = None  # undefined variable value
 
@@ -287,6 +287,13 @@ def serialize_activity(act: Activity) -> str:
     return out
 
 
+def pair_lines(sets: ActivitySets) -> list[str]:
+    """The ``unary`` and ``binary`` lines of an actions block, in declaration
+    order; policies, architectures and ``compare-archs`` share this printer."""
+    return ([f"unary {base}/{undo};" for base, undo in sets.unary]
+            + [f"binary {base}/{undo};" for base, undo in sets.binary])
+
+
 def perm_lines(perms: Perms) -> list[str]:
     """The ``can`` and ``has`` lines of a permission table, in canonical order;
     policy blocks, perms blocks and ``compare-archs`` share this printer."""
@@ -314,6 +321,7 @@ copies each datum's tables unchanged, so both levels share one type."""
 class Architecture:
     activities: frozenset[Activity] = frozenset()
     perms: Perms = Perms()
+    sets: ActivitySets = ActivitySets()  # the declared (action, un-action) pairs
 
     def of_type(self, cls) -> list[Activity]:
         return [a for a in self.activities if isinstance(a, cls)]
@@ -387,15 +395,16 @@ class GlobalState:
     search in :func:`search_states` dedupes on its kernel's ints): two
     states are equal when their users' defined bindings and times, their
     ``can`` grants and their ``group`` agree.  ``can`` and ``group`` change as
-    group events run; the holder tables never change, so ``perms`` (the
-    architecture's) and ``slot`` (each user's position in ``users``) stay out
-    of the comparison.
+    group events run; the holder tables and the action pairs never change, so
+    ``perms`` and ``sets`` (the architecture's) and ``slot`` (each user's
+    position in ``users``) stay out of the comparison.
     """
 
     users: tuple[UserState, ...]  # one per user, sorted by user
     can: frozenset[tuple[str, str]]  # (action, user) grants
     group: frozenset[str]
     perms: Perms
+    sets: ActivitySets
     slot: Mapping[str, int]
 
     def __eq__(self, other: object) -> bool:
@@ -419,6 +428,7 @@ def initial_state(pa: Architecture, users: Iterable[str]) -> GlobalState:
         can=frozenset((a, u) for a, granted in pa.perms.can.items() for u in granted),
         group=pa.perms.group,
         perms=pa.perms,
+        sets=pa.sets,
         slot={u: i for i, u in enumerate(names)},
     )
 
@@ -428,24 +438,9 @@ def initial_state(pa: Architecture, users: Iterable[str]) -> GlobalState:
 _BY_USER = {schema.kind: "user" in schema.index for schema in ACTIVITIES.values()}
 
 
-def base_action(by: Mapping[str, object], un_action: str) -> str:
-    """The action whose ``has by/been`` tables the un-action ``un_action`` reads.
-
-    The tables are keyed by base action, so an un-action clears the holders its
-    base action granted; when the un-action has its own entry in ``by`` that
-    one wins.  This is the one place that resolves it, for the step function
-    and for deduction rules H5/H6 alike.
-    """
-    if un_action in by:
-        return un_action
-    if un_action.startswith("un") and un_action[2:] in by:
-        return un_action[2:]
-    return un_action
-
-
 class Step(NamedTuple):
-    """An event resolved against the user slots and holder tables, which no
-    step changes: what taking it does to any state that shares them."""
+    """An event resolved against what no step changes, the user slots, holder
+    tables and action pairs: what taking it does to any state that shares them."""
 
     guard: tuple[str, str] | None  # the (action, performer) grant it needs in ``can``
     slots: tuple[int, ...]  # the users it touches (see :meth:`UserState.at`)
@@ -467,12 +462,13 @@ class Step(NamedTuple):
         if self.grants or self.members:
             move = frozenset.union if self.adds else frozenset.difference
             can, group = move(can, self.grants), move(group, self.members)
-        return GlobalState(tuple(users), can, group, sigma.perms, sigma.slot)
+        return GlobalState(tuple(users), can, group, sigma.perms, sigma.sets, sigma.slot)
 
 
 def resolve_event(sigma: GlobalState, e: ArchEvent, index: int | None = None) -> Step:
-    """``e`` as a :class:`Step` on the states that share ``sigma``'s slots and
-    tables, which are all the states one trace or one enumeration reaches."""
+    """``e`` as a :class:`Step` on the states that share ``sigma``'s slots,
+    tables and pairs, as all the states of one trace or enumeration do.  An
+    un-action clears the holders of the action that ``sets`` pairs it with."""
     kind, slot = e.kind, sigma.slot
     named = [e.user if _BY_USER[kind] else SP] if kind in _BY_USER else []
     for user in named + ([] if e.tar is None else [e.tar]):
@@ -490,7 +486,7 @@ def resolve_event(sigma: GlobalState, e: ArchEvent, index: int | None = None) ->
 
     if kind in ("act1", "unact1", "act2", "unact2"):
         granting = kind in ("act1", "act2")
-        base = e.action if granting else base_action(sigma.perms.by, e.action)
+        base = e.action if granting else sigma.sets.base_of(e.action)
         tar = e.tar if kind in ("act2", "unact2") else None
         holders = sigma.perms.holders(base, e.user, tar)
         return Step((e.action, e.user), tuple(slot[j] for j in holders if j in slot),
@@ -684,7 +680,7 @@ class _Kernel:
         can = _Field(offset, (g for g in grants if g not in fixed_can), fixed=fixed_can)
         group = _Field(can.end, (m for m in members if m not in fixed_group), fixed=fixed_group)
         self.reads = [f.read for f in users + [can, group]]
-        self.perms, self.slot = init.perms, init.slot
+        self.perms, self.sets, self.slot = init.perms, init.sets, init.slot
         # The initial state binds nothing and has every t at 0.
         self.init = (sum(can.bit.get(g, 0) for g in init.can)
                      | sum(group.bit.get(m, 0) for m in init.group))
@@ -718,7 +714,7 @@ class _Kernel:
     def decode(self, s: int) -> GlobalState:
         """The state ``s`` encodes."""
         *users, can, group = [field[s >> offset & mask] for offset, mask, field in self.reads]
-        return GlobalState(tuple(users), can, group, self.perms, self.slot)
+        return GlobalState(tuple(users), can, group, self.perms, self.sets, self.slot)
 
     def search(self, max_len: int, max_states: int) -> Iterator[int]:
         """Breadth-first from ``init``: each state within ``max_len`` steps, in the

@@ -100,15 +100,15 @@ def cmd_validate(args) -> int:
         parse_policy(text, file=args.file)
     elif kind == "architecture":
         parse_architecture(text, file=args.file)
-    elif kind == "arch-trace":
-        sets = _load_policy(args.policy).sets if args.policy else None
-        parse_arch_trace(text, sets, file=args.file)
+    elif kind == "query":
+        parse_has_query(text, file=args.file)
+    elif not args.policy:
+        raise SystemExit2(f"validating {'an arch' if kind == 'arch-trace' else 'a'} trace"
+                          " requires --policy")
     elif kind == "trace":
-        if not args.policy:
-            raise SystemExit2("validating a trace requires --policy")
         parse_trace(text, _load_policy(args.policy), file=args.file)
     else:
-        parse_has_query(text, file=args.file)
+        parse_arch_trace(text, _load_policy(args.policy).sets, file=args.file)
     if args.policy and kind not in ("trace", "arch-trace"):
         raise SystemExit2(f"--policy applies to traces and arch traces, not to {kind} documents")
     print(f"{args.file}: valid {kind} document")
@@ -160,7 +160,8 @@ def cmd_eval_has(args) -> int:
 
     holds_deduce = holds_semantic = None
     if args.mode in ("deduce", "both"):
-        trace = parse_arch_trace(_read(args.archtrace), file=args.archtrace) if args.archtrace else []
+        trace = (parse_arch_trace(_read(args.archtrace), pa.sets, file=args.archtrace)
+                 if args.archtrace else [])
         index = arch_mod.is_compatible(trace, pa)[1]
         if index is not None:
             raise SystemExit2(
@@ -279,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", allow_abbrev=False, help="parse a document and report errors")
     p.add_argument("file")
-    p.add_argument("--policy", help="model file, required when validating a trace "
-                   "and used to check an arch trace's event names")
+    p.add_argument("--policy", help="model file, required when validating a trace or an "
+                   "arch trace, whose event names it declares")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("check-trace", allow_abbrev=False,

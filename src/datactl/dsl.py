@@ -24,6 +24,7 @@ from .architecture import (
     Term,
     Var,
     is_consistent,
+    pair_lines,
     perm_lines,
     serialize_activity,
     serialize_set,
@@ -40,19 +41,18 @@ from .model import (
     Policy,
     PolicyModel,
     StorageSpec,
+    perms_errors,
     record,
+    validate_activity_sets,
     validate_model,
 )
 from .semantics import (
-    ACT1,
     ACT2,
     DELETE,
-    GROUP_PREFIX,
     GROUPACT,
     GROUPHAS,
     OWN,
     STORE,
-    UNACT1,
     UNACT2,
     UNGROUPACT,
     UNGROUPHAS,
@@ -340,20 +340,7 @@ def parse_policy(text: str, file: str = "<input>") -> PolicyModel:
     p = _Parser(text, file)
     if not p.current:
         p.fail("empty document", {"actions"})
-    p.expect("actions")
-    p.expect("{")
-    pairs: dict[str, list[tuple[str, str]]] = {"unary": [], "binary": []}
-    while p.current != "}":
-        family = p.ident("unary or binary")
-        if family not in pairs:
-            p.fail_previous(f"unknown action family {family!r}", pairs)
-        base = p.ident("action name")
-        p.expect("/")
-        rev = p.ident("revoke action name")
-        p.expect(";")
-        pairs[family].append((base, rev))
-    p.expect("}")
-    sets = ActivitySets(unary=tuple(pairs["unary"]), binary=tuple(pairs["binary"]))
+    sets = _parse_actions(p)
 
     alias = None
     if p.accept("alias"):
@@ -397,10 +384,29 @@ def parse_policy(text: str, file: str = "<input>") -> PolicyModel:
         model.policies[ident] = fields["policy"]
     p.eof()
 
-    errors = validate_model(model) + _event_table(model)[1]
+    errors = validate_model(model) + _event_table(sets, alias)[1]
     if errors:
         p.error("; ".join(errors), None)
     return model
+
+
+def _parse_actions(p: _Parser) -> ActivitySets:
+    """``actions { unary a/una; binary b/unb; ... }``, which policies and
+    architectures share."""
+    p.expect("actions")
+    p.expect("{")
+    pairs: dict[str, list[tuple[str, str]]] = {"unary": [], "binary": []}
+    while p.current != "}":
+        family = p.ident("unary or binary")
+        if family not in pairs:
+            p.fail_previous(f"unknown action family {family!r}", pairs)
+        base = p.ident("action name")
+        p.expect("/")
+        rev = p.ident("revoke action name")
+        p.expect(";")
+        pairs[family].append((base, rev))
+    p.expect("}")
+    return ActivitySets(unary=tuple(pairs["unary"]), binary=tuple(pairs["binary"]))
 
 
 def _deletion_mode(p: _Parser) -> tuple[str, int]:
@@ -571,23 +577,24 @@ def _read_events(
     return events
 
 
-def _event_table(model: PolicyModel) -> tuple[dict[str, EventTemplate], list[str]]:
-    """The model's event inventory by name, and the names that would make a
-    trace ambiguous: one that two templates share, one that a template with
+def _event_table(sets: ActivitySets,
+                 alias: FriendAlias | None = None) -> tuple[dict[str, EventTemplate], list[str]]:
+    """The event inventory of ``sets`` by name, and the names that would make
+    a trace ambiguous: one that two templates share, one that a template with
     an action shares with an action-free architecture event, or an alias name
     that is also a template's.  Each name is reported once."""
     table: dict[str, EventTemplate] = {}
     clashes: dict[str, str] = {}
-    for template in possible_events(model.sets):
+    for template in possible_events(sets):
         name = template.name
         if table.setdefault(name, template) is not template:
             clashes[name] = f"two events are named {name!r}"
         elif template.action is not None and name in _ACTION_FREE:
             clashes[name] = f"event {name!r} is also an architecture event name"
     errors = list(clashes.values())
-    if model.alias is not None:
+    if alias is not None:
         errors += [f"alias name {name!r} is also an event name"
-                   for name in (model.alias.add_name, model.alias.remove_name) if name in table]
+                   for name in (alias.add_name, alias.remove_name) if name in table]
     return table, errors
 
 
@@ -604,7 +611,7 @@ _TRACE_READERS, _TRACE_PRINTERS = _event_fields(_TRACE_FIELDS)
 
 
 def parse_trace(text: str, model: PolicyModel, file: str = "<input>") -> list[AbstractEvent]:
-    table = _event_table(model)[0]
+    table = _event_table(model.sets)[0]
     alias = model.alias
     actions = () if alias is None else alias.actions
     adds = {} if alias is None else {alias.add_name: True, alias.remove_name: False}
@@ -748,21 +755,46 @@ def _parse_activity(p: _Parser) -> Activity:
     return cls(*values)
 
 
+# Per activity class that names actions: the event kind that declares them.
+# The friends activities name base actions, as ``groupact`` does.
+_ACTION_KINDS = {schema.cls: GROUPACT if "actions" in schema.args else schema.kind
+                 for schema in ACTIVITIES.values() if {"action", "actions"} & {*schema.args}}
+
+
 def parse_architecture(text: str, file: str = "<input>") -> Architecture:
+    """An architecture, whose activities and permission lines name only the
+    actions that its actions block, first if given, declares for them."""
     p = _Parser(text, file)
     p.expect("architecture")
     p.expect("{")
+    sets = _parse_actions(p) if p.current == "actions" else ActivitySets()
+    inventory, clashes = _event_table(sets)
+    errors = validate_activity_sets(sets) + clashes
+    if errors:
+        p.error("; ".join(errors), None)
+    declared = {(t.kind, t.action) for t in inventory.values()}
     activities: set[Activity] = set()
     perms = Perms()
     while p.current != "}":
+        at = p.pos
         if p.accept("perms"):
             perms = _parse_block(p, "perms", {})[1]
+            for head, message in perms_errors(perms, sets):  # located at the action
+                words = head.split()
+                p.error(message, next(i for i in range(at, p.pos)
+                                      if p.tokens[i:i + len(words)] == words) + len(words) - 1)
             continue
-        activities.add(_parse_activity(p))
+        act = _parse_activity(p)
+        kind = _ACTION_KINDS.get(type(act))
+        for action in () if kind is None else getattr(act, "actions", ()) or (act.action,):
+            if (kind, action) not in declared:  # located at the action
+                p.error(f"action {action!r} is not declared for {type(act).__name__}",
+                        p.tokens.index(action, p.tokens.index("(", at)))
+        activities.add(act)
         p.expect(";")
     p.expect("}")
     p.eof()
-    pa = Architecture(activities=frozenset(activities), perms=perms)
+    pa = Architecture(activities=frozenset(activities), perms=perms, sets=sets)
     ok, witness = is_consistent(pa)
     if not ok:
         p.error(f"inconsistent architecture: {witness} is owned by two users", None)
@@ -798,20 +830,14 @@ _ARCH_TRACE_FIELDS: _Fields = {
 _ARCH_TRACE_READERS, _ARCH_TRACE_PRINTERS = _event_fields(_ARCH_TRACE_FIELDS)
 
 
-def parse_arch_trace(
-    text: str, sets: ActivitySets | None = None, file: str = "<input>"
-) -> list[ArchEvent]:
-    """An architecture trace.  With ``sets``, an event name is an action-free
-    kind or the name of one of the inventory's group or declared-action
-    events; without, a name is read by its shape."""
-    table = None
-    if sets is not None:
-        table = {t.name: (t.kind, t.action) for t in possible_events(sets) if t.action is not None}
-        table.update(_ACTION_FREE)
+def parse_arch_trace(text: str, sets: ActivitySets, file: str = "<input>") -> list[ArchEvent]:
+    """An architecture trace, whose event names are the action-free kinds and
+    the group and declared-action events of the inventory of ``sets``."""
+    table = {t.name: (t.kind, t.action) for t in possible_events(sets) if t.action is not None}
+    table.update(_ACTION_FREE)
 
     def build(name: str, t: int, fields: dict) -> Sequence[ArchEvent]:
-        tar = fields.get("tar")
-        found = _arch_event_by_shape(name, tar) if table is None else table.get(name)
+        tar, found = fields.get("tar"), table.get(name)
         if found is None:
             raise _Reject(f"unknown event {name!r}")
         kind, action = found
@@ -826,21 +852,6 @@ def parse_arch_trace(
     return _read_events(
         _Parser(text, file), "archtrace", _ARCH_TRACE_READERS, _ARCH_TRACE_PRINTERS, False, build
     )
-
-
-def _arch_event_by_shape(name: str, tar: str | None) -> tuple[str, str | None] | None:
-    """(kind, action) of an event name when no actions are declared: an
-    action-free kind, ``group<act>`` or ``ungroup<act>``, else a declared
-    action whose family the ``un`` prefix and the target tell."""
-    if name in _ACTION_FREE:
-        return _ACTION_FREE[name]
-    for kind, prefix in GROUP_PREFIX.items():
-        if name.startswith(prefix):
-            return (kind, name[len(prefix):]) if name != prefix else None
-    revoke = name.startswith("un")
-    if tar is not None:
-        return (UNACT2 if revoke else ACT2), name
-    return (UNACT1 if revoke else ACT1), name
 
 
 # ---------------------------------------------------------------------------
@@ -894,10 +905,7 @@ def _parse_query_atom(p: _Parser) -> HasProperty:
 
 
 def serialize_policy(model: PolicyModel) -> str:
-    lines = ["actions {"]
-    lines += [f"  unary {base}/{rev};" for base, rev in model.sets.unary]
-    lines += [f"  binary {base}/{rev};" for base, rev in model.sets.binary]
-    lines.append("}")
+    lines = ["actions {", *(f"  {line}" for line in pair_lines(model.sets)), "}"]
     if model.alias is not None:
         actions = ", ".join(model.alias.actions)
         lines.append(
@@ -957,10 +965,12 @@ def serialize_trace(events: Sequence[AbstractEvent], model: PolicyModel) -> str:
 
 
 def serialize_architecture(pa: Architecture) -> str:
-    perms = perm_lines(pa.perms)
-    if not pa.activities and not perms:
+    pairs, perms = pair_lines(pa.sets), perm_lines(pa.perms)
+    if not pairs and not pa.activities and not perms:
         return "architecture {}\n"
     lines = ["architecture {"]
+    if pairs:
+        lines += ["  actions {", *(f"    {line}" for line in pairs), "  }"]
     lines += [f"  {text};" for text in sorted(map(serialize_activity, pa.activities))]
     if perms:
         lines += ["  perms {", *(f"    {line}" for line in perms), "  }"]

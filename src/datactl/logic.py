@@ -31,7 +31,6 @@ from .architecture import (
     Term,
     Universe,
     Var,
-    base_action,
     is_compatible,
     is_pattern,
     match_term,
@@ -239,7 +238,7 @@ def h3_applicable(pa: Architecture, j: str, var: Var, users: Iterable[str]) -> b
 
 # The rule each valued event kind triggers: the owner's input (H1), grants
 # (H2, H3) and withdrawals (H5, H6), the latter reading the holder tables of
-# the base action.
+# the action that the architecture's declared pairs take back.
 _EVENT_RULES = {"own": "H1", "act1": "H2", "act2": "H3", "unact1": "H5", "unact2": "H6"}
 
 
@@ -268,13 +267,10 @@ def deduce(
         if e.user not in pa.perms.can_do(e.action):
             continue
         revokes = rule in ("H5", "H6")
-        action = base_action(pa.perms.by, e.action) if revokes else e.action
-        if rule in ("H2", "H5"):
-            holders = pa.perms.holders(action, e.user)
-            how = f"{e.action!r} by {e.user!r}"
-        else:
-            holders = pa.perms.holders(action, e.user, e.tar)
-            how = f"{e.action!r} by {e.user!r} on {e.tar!r}"
+        action = pa.sets.base_of(e.action) if revokes else e.action
+        tar = e.tar if rule in ("H3", "H6") else None
+        holders = pa.perms.holders(action, e.user, tar)
+        how = f"{e.action!r} by {e.user!r}" + ("" if tar is None else f" on {tar!r}")
         for j in sorted(holders):
             if revokes:
                 conclusion, why = HasNot(j, e.term, e.t), f"{how} withdraws the value from {j!r}"

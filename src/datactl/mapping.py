@@ -31,6 +31,7 @@ from .architecture import (
     enc,
     is_consistent,
     is_pattern,
+    pair_lines,
     perm_lines,
     serialize_activity,
 )
@@ -162,10 +163,10 @@ def derive_architecture(
     events: Iterable[AbstractEvent],
     ctx: MappingContext,
 ) -> Architecture:
-    """Union of the per-event activity and permission contributions.
-
-    Idempotent over the event set.  With ``simplify_friends`` and a declared
-    alias, the whole group/ungroup family collapses to the alias pair.
+    """Union of the per-event activity and permission contributions, with the
+    model's action pairs.  Idempotent over the event set.  With
+    ``simplify_friends`` and a declared alias, the whole group/ungroup family
+    collapses to the alias pair.
     """
     activities: set[Activity] = set()
     parts: dict[tuple, Perms] = {}  # keyed (datum, action, holders), or (datum,) for the group
@@ -188,7 +189,8 @@ def derive_architecture(
                 if key not in parts:
                     parts[key] = pol.perms.only(e.action, holders)
 
-    pa = Architecture(activities=frozenset(activities), perms=Perms.union(parts.values()))
+    pa = Architecture(activities=frozenset(activities), perms=Perms.union(parts.values()),
+                      sets=ctx.model.sets)
     ok, witness = is_consistent(pa)
     if not ok:
         raise MappingError(f"derived architecture is inconsistent: {witness} has two owners")
@@ -494,7 +496,7 @@ class ArchComparison:
     overall: str  # equal / subset / superset / incomparable
     only_first: tuple[Activity, ...]
     only_second: tuple[Activity, ...]
-    perms_first: tuple[str, ...]  # permission lines only the first has
+    perms_first: tuple[str, ...]  # pair and permission lines only the first has
     perms_second: tuple[str, ...]
 
     def render(self) -> str:
@@ -507,11 +509,13 @@ class ArchComparison:
 
 
 def compare_architectures(pa1: Architecture, pa2: Architecture) -> ArchComparison:
-    """Fewer activities and smaller permission tables are a subset; the two
-    orders combine as the components of ``compare_policies`` do."""
+    """Fewer activities, fewer action pairs and smaller permission tables are
+    a subset; the orders combine as the components of ``compare_policies`` do."""
+    pairs1, pairs2 = frozenset(pair_lines(pa1.sets)), frozenset(pair_lines(pa2.sets))
     rels = _perms_relations(pa1.perms, pa2.perms).values()
-    rel = _combine({_set_relation(pa1.activities, pa2.activities), *rels})
-    lines1, lines2 = set(perm_lines(pa1.perms)), set(perm_lines(pa2.perms))
+    rel = _combine({_set_relation(pa1.activities, pa2.activities),
+                    _set_relation(pairs1, pairs2), *rels})
+    lines1, lines2 = pairs1.union(perm_lines(pa1.perms)), pairs2.union(perm_lines(pa2.perms))
     return ArchComparison(
         overall={STRICTER: "subset", LOOSER: "superset"}.get(rel, rel),
         only_first=tuple(sorted(pa1.activities - pa2.activities, key=serialize_activity)),

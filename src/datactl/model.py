@@ -270,33 +270,9 @@ def validate_activity_sets(sets: ActivitySets) -> list[str]:
     return errors
 
 
-def _declared_actions(sets: ActivitySets) -> tuple[frozenset[str], set[str], set[str]]:
-    """The action names a policy's ``can``, ``has by`` and ``has been``
-    tables may use."""
-    pairs = sets.unary + sets.binary
-    return (PREDEFINED_ACTIONS.union(*pairs), {base for base, _ in pairs},
-            {base for base, _ in sets.binary})
-
-
 def validate_policy(pol: Policy, sets: ActivitySets) -> list[str]:
     """Check one policy against the declared activity sets."""
-    return _policy_errors(pol, *_declared_actions(sets))
-
-
-def _policy_errors(
-    pol: Policy, declared: frozenset[str], base_declared: set[str], binary_declared: set[str]
-) -> list[str]:
-    errors: list[str] = []
-    for action in pol.perms.can:
-        if action not in declared:
-            errors.append(f"undeclared action {action!r} in can-groups")
-    for action in pol.perms.by:
-        if action not in base_declared:
-            errors.append(f"has-by group for {action!r}, which is not a declared base action")
-    for action in pol.perms.been:
-        if action not in binary_declared:
-            errors.append(f"has-been group for {action!r}, which is not a declared binary action")
-
+    errors = [message for _, message in perms_errors(pol.perms, sets)]
     if not pol.storage.wh:
         errors.append("storage place set (where) is empty")
     if not pol.storage.ho:
@@ -320,6 +296,21 @@ def _policy_errors(
     return errors
 
 
+def perms_errors(perms: Perms, sets: ActivitySets) -> list[tuple[str, str]]:
+    """Per action that a table of ``perms`` keys but ``sets`` does not declare
+    for that table: the words that start its line, such as ``has by fav``, and
+    the error.  Policies and architectures share this check."""
+    pairs = sets.unary + sets.binary
+    checks = (("can", perms.can, PREDEFINED_ACTIONS.union(*pairs),
+               "undeclared action {!r} in can-groups"),
+              ("has by", perms.by, {a for a, _ in pairs},
+               "has-by group for {!r}, which is not a declared base action"),
+              ("has been", perms.been, {a for a, _ in sets.binary},
+               "has-been group for {!r}, which is not a declared binary action"))
+    return [(f"{words} {a}", message.format(a))
+            for words, table, allowed, message in checks for a in table if a not in allowed]
+
+
 def validate_model(model: PolicyModel) -> list[str]:
     errors = validate_activity_sets(model.sets)
     idents: set[str] = set()
@@ -333,12 +324,11 @@ def validate_model(model: PolicyModel) -> list[str]:
             errors.append(f"datum {ident!r} has no policy")
     # Data often share one ``Policy`` object (the parser shares equal blocks),
     # so each object is checked once and its errors reported under every datum.
-    declared = _declared_actions(model.sets)
     checked: dict[int, list[str]] = {}
     for ident, pol in model.policies.items():
         found = checked.get(id(pol))
         if found is None:
-            found = checked[id(pol)] = _policy_errors(pol, *declared)
+            found = checked[id(pol)] = validate_policy(pol, model.sets)
         errors.extend(f"policy for {ident!r}: {e}" for e in found)
     if model.alias is not None:
         for action in model.alias.actions:

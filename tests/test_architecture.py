@@ -38,7 +38,6 @@ from datactl.architecture import (
     Var,
     KeyVar,
     apply_arch_event,
-    base_action,
     enc,
     enumerate_states,
     initial_state,
@@ -51,10 +50,11 @@ from datactl.architecture import (
 from datactl.cli import _concrete_users
 from datactl.dsl import parse_architecture, serialize_architecture
 from datactl.mapping import MappingContext, derive_architecture
-from datactl.model import SP, Perms
+from datactl.model import SP, ActivitySets, Perms
 from modelgen import compliant_trace, random_model
 
 X = Var(ow="alice", ds=frozenset({"alice", "bob"}), ident="d1")
+SETS = ActivitySets(unary=(("fav", "unfav"),), binary=(("link", "unlink"),))
 X_PAT = Var(ow="?i", ds=frozenset({"alice", "bob"}), ident="d1")
 
 
@@ -69,7 +69,7 @@ def make_arch(extra=(), perms=Perms()):
         }
         | set(extra)
     )
-    return Architecture(activities=activities, perms=perms)
+    return Architecture(activities=activities, perms=perms, sets=SETS)
 
 
 PERMS = Perms(
@@ -184,6 +184,7 @@ def test_unact2_clears_the_holders_of_its_base_action():
     pa = Architecture(
         activities=frozenset({Act2("?i", "?j", "link", X), UnAct2("?i", "?j", "unlink", X)}),
         perms=perms,
+        sets=SETS,
     )
     sigma = initial_state(pa, ["alice", "bob", "carol"])
     sigma = apply_arch_event(
@@ -198,13 +199,6 @@ def test_unact2_clears_the_holders_of_its_base_action():
 
 def test_arch_perms_is_the_model_table():
     assert ArchPerms is Perms
-
-
-def test_base_action_resolution():
-    by = {"fav": {}, "unpin": {}}
-    assert base_action(by, "unfav") == "fav"
-    assert base_action(by, "unpin") == "unpin"  # the un-action's own entry wins
-    assert base_action(by, "unlink") == "unlink"  # no table either way
 
 
 def test_act2_intersection_receivers():
@@ -346,7 +340,7 @@ def test_schema_samples_cover_every_activity_class():
 @pytest.mark.parametrize("cls", list(SCHEMA_SAMPLES), ids=lambda c: c.__name__)
 def test_activity_schema(cls):
     act = SCHEMA_SAMPLES[cls]
-    pa = Architecture(activities=frozenset({act}))
+    pa = Architecture(activities=frozenset({act}), sets=SETS)
     assert parse_architecture(serialize_architecture(pa)) == pa
 
     events = instantiate_events(pa, 1, Universe(users=("alice", "bob"), values=("v", "w")))
@@ -427,6 +421,7 @@ def test_enumeration_matches_naive_oracle_on_two_values_and_friend_events():
                               UnFriends("alice", "?tar", ("fav",)), Delete(X, dd=3)}),
         perms=Perms(can={"fav": frozenset({"alice"}), "unfav": frozenset({"alice", "bob"})},
                     by={"fav": {"alice": frozenset({"bob"}), "bob": frozenset({"alice", "bob"})}}),
+        sets=SETS,
     )
     universe = Universe(users=("alice", "bob"), values=("v", "w"))
     for max_len in range(5):

@@ -16,9 +16,18 @@ import pytest
 from datactl import cli
 from datactl.architecture import Architecture, GroupAct, Own, Var
 from datactl.cli import _concrete_users, build_parser, main
-from datactl.dsl import parse_has_query
+from datactl.dsl import (
+    parse_arch_trace,
+    parse_has_query,
+    parse_policy,
+    parse_trace,
+    serialize_arch_trace,
+)
 from datactl.logic import And
+from datactl.mapping import MappingContext, image_trace
 from datactl.model import SP, Perms
+
+from test_mapping import FAV_DEFAV_POLICY, FAV_DEFAV_TRACE
 
 FIX = Path(__file__).resolve().parent.parent / "fixtures" / "facebook"
 DCP = f"{FIX}/facebook.dcp"
@@ -77,7 +86,7 @@ def test_validate_broken_document(capsys, tmp_path):
 def test_validate_rejects_a_non_ascii_digit(capsys, tmp_path, digit):
     doc = tmp_path / "digit.dct"
     doc.write_text(f"archtrace {{ own(t={digit}, user=a); }}", encoding="utf-8")
-    code, out, err = run(capsys, "validate", str(doc))
+    code, out, err = run(capsys, "validate", str(doc), "--policy", DCP)
     assert (code, out) == (2, "")
     assert err == f"error: {doc}:1:19: unexpected character {digit!r}\n"
 
@@ -147,8 +156,9 @@ def test_validate_rejects_an_ambiguous_model(capsys, tmp_path, declarations, mes
 def test_validate_checks_arch_trace_names_against_the_policy(capsys, tmp_path, name):
     doc = tmp_path / "group.dct"
     doc.write_text(f"archtrace {{\n  {name}(t=1, user=alice, tar=bob);\n}}\n")
-    # Without a model a group name is read by its shape.
-    assert run(capsys, "validate", str(doc)) == (0, f"{doc}: valid arch-trace document\n", "")
+    # Only a model declares the names.
+    assert run(capsys, "validate", str(doc)) == (
+        2, "", "error: validating an arch trace requires --policy\n")
     code, out, err = run(capsys, "validate", str(doc), "--policy", DCP)
     if name == "grouplike":
         assert (code, out, err) == (0, f"{doc}: valid arch-trace document\n", "")
@@ -388,6 +398,28 @@ def test_check_correspondence_tsv(capsys, tmp_path):
 # --- eval-has and enumerate -------------------------------------------------
 
 
+def test_eval_has_withdraws_through_a_declared_pair_not_named_un(capsys, tmp_path):
+    """``defav`` takes back what ``fav`` gives: the derived architecture
+    declares the pair, the arch trace reads ``defav`` as an un-action, and H5
+    derives that carol no longer holds the datum."""
+    policy, events = tmp_path / "fav.dcp", tmp_path / "fav.dct"
+    policy.write_text(FAV_DEFAV_POLICY)
+    events.write_text(FAV_DEFAV_TRACE)
+    derived, image, query = tmp_path / "fav.dca", tmp_path / "image.dct", tmp_path / "q.dcq"
+    assert run(capsys, "derive-arch", str(policy), "--events", str(events), "-o", str(derived)) == (
+        0, f"wrote {derived}\n", "")
+    assert derived.read_text().startswith("architecture {\n  actions {\n    unary fav/defav;\n  }\n")
+    model = parse_policy(FAV_DEFAV_POLICY)
+    image.write_text(serialize_arch_trace(image_trace(parse_trace(FAV_DEFAV_TRACE, model),
+                                                      MappingContext(model))))
+    assert run(capsys, "validate", str(image), "--policy", str(policy)) == (
+        0, f"{image}: valid arch-trace document\n", "")
+    assert [e.kind for e in parse_arch_trace(image.read_text(), model.sets)][-1] == "unact1"
+    query.write_text("HAS_not[carol](X{ow=alice, ds={alice, bob, carol}, id=d1}, t=3)")
+    assert run(capsys, "eval-has", str(derived), str(query), "--mode", "both",
+               "--archtrace", str(image)) == (0, "deduce: derivable\nenumerate: holds\n", "")
+
+
 def write_small_arch(tmp_path):
     path = tmp_path / "small.dca"
     path.write_text(
@@ -453,8 +485,9 @@ def test_eval_has_rejects_an_arch_trace_the_architecture_does_not_admit(capsys, 
     trace.write_text(f"archtrace {{\n  own(t=1, user=alice, {photo1});\n"
                      f"  like(t=2, user=bob, {photo1});\n}}\n")
     assert run(capsys, *argv) == (0, "deduce: derivable\n", "")
+    # a declared group event, but the simplified architecture has no GroupAct
     trace.write_text(f"archtrace {{\n  own(t=1, user=alice, {photo1});\n"
-                     "  groupbogus(t=2, user=alice, tar=bob);\n}\n")
+                     "  grouplike(t=2, user=alice, tar=bob);\n}\n")
     assert run(capsys, *argv) == (
         2, "", f"error: {trace}: event 2 instantiates no activity of {FIX}/simplified.dca\n")
 

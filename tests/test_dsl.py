@@ -42,13 +42,19 @@ from datactl.dsl import (
 )
 from datactl.logic import And, Has, HasNever, HasNot, HasSp
 from datactl.mapping import MappingContext, image_trace
-from datactl.model import SP, Perms, PolicyModel
+from datactl.model import SP, ActivitySets, Perms, PolicyModel
 from datactl.semantics import possible_events
 
 from modelgen import compliant_trace, random_model
 
 FIX = Path(__file__).resolve().parent.parent / "fixtures" / "facebook"
 X = Var(ow="alice", ds=frozenset({"alice", "bob"}), ident="d1")
+SETS = ActivitySets(unary=(("fav", "unfav"),), binary=(("link", "unlink"),))
+FB_SETS = parse_policy((FIX / "facebook.dcp").read_text(encoding="utf-8")).sets
+
+
+def parse_facebook_arch_trace(text, file="<input>"):
+    return parse_arch_trace(text, FB_SETS, file=file)
 
 
 # --- tokens and errors ------------------------------------------------------
@@ -97,7 +103,7 @@ def test_one_eof_token_however_the_text_ends(text):
 
 
 @pytest.mark.parametrize("name, count", [
-    ("facebook.dcp", 318), ("full.dca", 739), ("simplified.dca", 645), ("photo1.dcq", 51),
+    ("facebook.dcp", 318), ("full.dca", 772), ("simplified.dca", 678), ("photo1.dcq", 51),
     ("fb_all.dct", 555),
 ])
 def test_fixture_token_counts(name, count):
@@ -312,8 +318,9 @@ def test_unknown_event_name_rejected():
     (parse_arch_trace, "archtrace { own(t=1 user=alice); }", "1:21: found 'user' (expected ))"),
 ])
 def test_list_items_are_separated_by_commas(parse, document, where):
+    sets = (ActivitySets(),) if parse is parse_arch_trace else ()  # an arch trace's declarations
     with pytest.raises(ParseError) as err:
-        parse(document, file="f")
+        parse(document, *sets, file="f")
     assert str(err.value).startswith(f"f:{where}")
 
 
@@ -325,7 +332,7 @@ def test_end_of_input_after_a_trailing_comment_is_located_at_its_end():
 
 def test_unknown_arch_trace_field_is_located_at_its_equals_sign():
     with pytest.raises(ParseError) as err:
-        parse_arch_trace("archtrace {\n  own(t=1, bogus=2);\n}", file="f.dct")
+        parse_facebook_arch_trace("archtrace {\n  own(t=1, bogus=2);\n}", file="f.dct")
     assert str(err.value).startswith("f.dct:2:17: unknown event field 'bogus'")
 
 
@@ -351,6 +358,7 @@ def parse_facebook_trace(text, file):
     return parse_trace(text, model, file=file)
 
 
+ARCH_HEAD = "architecture {\n  actions { unary like/unlike; binary post/unpost; }\n"
 DATUM = ("data d1 { ow = a; ds = {a}; type = Notes;\n"
          "  policy { purposes = {p}; delete = {man:1}; where = {sploc}; how = {plain}; } }\n")
 
@@ -371,7 +379,8 @@ DATUM = ("data d1 { ow = a; ds = {a}; type = Notes;\n"
     (parse_policy, "", "1:1: empty document"),
     (parse_has_query, "HAS_sp(enc(X{ow=a, ds={a}, id=d1}, key[sp]))",
      "1:8: possession queries take a plain variable"),
-    (parse_arch_trace, 'archtrace {\n  own(t="1 2");\n}', "2:9: found '1 2' (expected number)"),
+    (parse_facebook_arch_trace, 'archtrace {\n  own(t="1 2");\n}',
+     "2:9: found '1 2' (expected number)"),
     (parse_has_query, "HAS_sp(X{ow=42, ds={a}, id=d1})", "1:13: found '42' (expected owner)"),
     (parse_architecture, "architecture {\n  Own[a](X{ow=a, ds={a}, id=d1});\n",
      "3:1: found end of input (expected activity)"),
@@ -389,7 +398,7 @@ DATUM = ("data d1 { ow = a; ds = {a}; type = Notes;\n"
      "2:28: repeated permission 'has group'"),
     (parse_facebook_trace, "trace {\n  like(t=2, or=alice, or=mallory, dt=photo1);\n}",
      "2:23: repeated event field 'or'"),
-    (parse_arch_trace, "archtrace {\n  receive(t=1, user=alice, user=bob,"
+    (parse_facebook_arch_trace, "archtrace {\n  receive(t=1, user=alice, user=bob,"
      " var=X{ow=alice, ds={alice}, id=photo1});\n}", "2:28: repeated event field 'user'"),
     (parse_has_query, "HAS_sp(X{ow=alice, ow=bob, ds={alice}, id=d1})",
      "1:20: repeated variable field 'ow'"),
@@ -399,13 +408,13 @@ DATUM = ("data d1 { ow = a; ds = {a}; type = Notes;\n"
      "2:3: event 'store' does not take purposes=..."),
     (parse_facebook_trace, "trace {\n  addfriends(t=1, or=alice, tar=bob, dt=photo1, value=\"v\");\n}",
      "2:3: event 'addfriends' does not take value=..."),
-    (parse_arch_trace, "archtrace {\n  possess(t=1, user=bob, var=X{ow=alice, ds={alice}, id=photo1});\n}",
+    (parse_facebook_arch_trace, "archtrace {\n  possess(t=1, user=bob, var=X{ow=alice, ds={alice}, id=photo1});\n}",
      "2:3: event 'possess' does not take user=..."),
-    (parse_arch_trace, "archtrace {\n  delete(t=1, user=sp, var=X{ow=alice, ds={alice}, id=photo1});\n}",
+    (parse_facebook_arch_trace, "archtrace {\n  delete(t=1, user=sp, var=X{ow=alice, ds={alice}, id=photo1});\n}",
      "2:3: event 'delete' does not take user=..."),
-    (parse_arch_trace, "archtrace {\n  like(t=1, user=alice, var=X{ow=alice, ds={alice}, id=photo1},"
+    (parse_facebook_arch_trace, "archtrace {\n  like(t=1, user=alice, var=X{ow=alice, ds={alice}, id=photo1},"
      " actions={a});\n}", "2:3: event 'like' does not take actions=..."),
-    (parse_arch_trace, "archtrace {\n  grouplike(t=1, user=alice, tar=bob, value=\"v\");\n}",
+    (parse_facebook_arch_trace, "archtrace {\n  grouplike(t=1, user=alice, tar=bob, value=\"v\");\n}",
      "2:3: event 'grouplike' does not take value=..."),
     (parse_policy, "actions { unary fav/unfav; }\nalias a/b = groupact() + grouphas;\n",
      "2:22: found ')' (expected action name)"),
@@ -417,6 +426,18 @@ DATUM = ("data d1 { ow = a; ds = {a}; type = Notes;\n"
      "  policy { how = {}; } }\n", "3:19: found '}' (expected storage form)"),
     (parse_policy, "actions { unary fav/unfav; }\ndata d1 { ow = a; ds = {a}; type = Notes;\n"
      "  policy { how = {plain,}; } }\n", "3:25: found '}' (expected storage form)"),
+    (parse_architecture, ARCH_HEAD + "  Act1[?i](fav, X{ow=a, ds={a}, id=d1});\n}\n",
+     "3:12: action 'fav' is not declared for Act1"),
+    (parse_architecture, ARCH_HEAD + "  UnAct2[?i, ?j](unfav, X{ow=a, ds={a}, id=d1});\n}\n",
+     "3:18: action 'unfav' is not declared for UnAct2"),
+    (parse_architecture, ARCH_HEAD + "  GroupAct[?i, ?j](fav);\n}\n",
+     "3:20: action 'fav' is not declared for GroupAct"),
+    (parse_architecture, ARCH_HEAD + "  AddFriends[?i, ?j](like, unlike);\n}\n",
+     "3:28: action 'unlike' is not declared for AddFriends"),
+    (parse_architecture, ARCH_HEAD + "  Act1[?i](post, X{ow=a, ds={a}, id=d1});\n}\n",
+     "3:12: action 'post' is not declared for Act1"),
+    (parse_architecture, ARCH_HEAD + "  perms {\n    can unlike = {a};\n    has by unlike a = {b};\n"
+     "  }\n}\n", "5:12: has-by group for 'unlike', which is not a declared base action"),
 ], ids=["no datum", "alias without tar", "no performer", "binary without tar",
         "unary with tar", "no timestamp", "duplicate datum", "empty document", "query term",
         "found a string", "found a number", "found end of input", "trailing input",
@@ -426,7 +447,9 @@ DATUM = ("data d1 { ow = a; ds = {a}; type = Notes;\n"
         "purposes on a store", "value on an alias event", "user on a possess", "user on a delete",
         "actions on an action", "value on a group event", "alias of no action",
         "alias with a trailing comma", "no deletion mode", "no storage form",
-        "storage forms with a trailing comma"])
+        "storage forms with a trailing comma", "undeclared unary action",
+        "undeclared binary un-action", "undeclared group action", "friends of an un-action",
+        "action of the other family", "has by an un-action"])
 def test_rejected_document_is_located(parse, document, where):
     with pytest.raises(ParseError) as err:
         parse(document, file="f")
@@ -650,6 +673,7 @@ SAMPLE_ARCH = Architecture(
         been={"link": {"bob": frozenset({"carol"})}},
         group=frozenset({"bob"}),
     ),
+    sets=SETS,
 )
 
 
@@ -668,6 +692,19 @@ def test_architecture_round_trip_fixtures():
         assert parse_architecture(canonical) == pa, name
 
 
+def test_pairs_alone_round_trip():
+    """An architecture that declares pairs and nothing else prints its actions
+    block, which must come first."""
+    pa = Architecture(sets=SETS)
+    text = serialize_architecture(pa)
+    assert text == ("architecture {\n  actions {\n    unary fav/unfav;\n    binary link/unlink;\n"
+                    "  }\n}\n")
+    assert parse_architecture(text) == pa and sniff_kind(text) == "architecture"
+    with pytest.raises(ParseError) as err:
+        parse_architecture("architecture {\n  Possess(key[sp]);\n  actions { }\n}\n", file="f")
+    assert str(err.value) == "f:3:3: unknown activity 'actions'"
+
+
 def test_empty_architecture_round_trip():
     pa = parse_architecture("architecture {}")
     assert pa.activities == frozenset() and pa.perms == Perms()
@@ -681,8 +718,8 @@ POLICY_DATUM = ("data d1 { ow = a; ds = {a, b}; type = Notes; policy {\n"
 
 @pytest.mark.parametrize("parse, serialize, empty, kept", [
     (parse_architecture, serialize_architecture, "architecture {\n  perms {\n%s  }\n}\n", ""),
-    (parse_architecture, serialize_architecture, "architecture {\n  perms {\n%s  }\n}\n",
-     "has by fav b = {a};\n"),
+    (parse_architecture, serialize_architecture,
+     "architecture {\n  " + POLICY_HEADER + "  perms {\n%s  }\n}\n", "has by fav b = {a};\n"),
     (parse_policy, serialize_policy, POLICY_HEADER + POLICY_DATUM, ""),
     (parse_policy, serialize_policy, POLICY_HEADER + POLICY_DATUM, "can link = {a};\n"),
 ], ids=["perms block", "perms block with a grant", "policy block", "policy block with a grant"])
@@ -750,7 +787,7 @@ ARCH_TRACE = [
 
 def test_arch_trace_round_trip():
     text = serialize_arch_trace(ARCH_TRACE)
-    reparsed = parse_arch_trace(text)
+    reparsed = parse_arch_trace(text, SETS)
     # The possess event comes back with the provider filled in; a delete
     # carries no user, so it prints and comes back without one.
     normalized = [e for e in ARCH_TRACE]
@@ -769,8 +806,7 @@ def test_arch_trace_image_round_trips():
 def test_every_arch_event_name_round_trips():
     """Each action-free activity kind, each group and ungroup event of a base
     action and each declared action, written as a one-event arch trace, parses
-    to its kind and action with and without the declared actions, and prints
-    its name back."""
+    to its kind and action and prints its name back."""
     free = [(schema.kind, schema.kind, None)
             for schema in ACTIVITIES.values() if "action" not in schema.args]
     for label, model in _models():
@@ -780,10 +816,9 @@ def test_every_arch_event_name_round_trips():
             user = "" if kind in ("possess", "delete") else ", user=u1"  # the provider's
             tar = ", tar=u2" if kind in ("groupact", "ungroupact", "act2", "unact2") else ""
             text = f"archtrace {{\n  {name}(t=1{user}{tar});\n}}\n"
-            for sets in (model.sets, None):
-                events = parse_arch_trace(text, sets)
-                assert [(e.kind, e.action) for e in events] == [(kind, action)], (label, name, sets)
-                assert serialize_arch_trace(events) == text, (label, name, sets)
+            events = parse_arch_trace(text, model.sets)
+            assert [(e.kind, e.action) for e in events] == [(kind, action)], (label, name)
+            assert serialize_arch_trace(events) == text, (label, name)
 
 
 def nested(depth: int) -> str:
@@ -794,7 +829,7 @@ def nested(depth: int) -> str:
 @pytest.mark.parametrize("parse, head, tail", [
     (parse_architecture, "architecture {\n  Possess(", ");\n}\n"),
     (parse_has_query, "HAS_sp(", ")\n"),
-    (parse_arch_trace, "archtrace {\n  possess(t=1, var=", ");\n}\n"),
+    (parse_facebook_arch_trace, "archtrace {\n  possess(t=1, var=", ");\n}\n"),
 ], ids=["architecture", "query", "arch trace"])
 def test_term_nesting_is_limited(parse, head, tail):
     """A term nests up to MAX_TERM_DEPTH function applications; one more is
@@ -827,7 +862,8 @@ def test_arch_trace_group_names_must_name_a_base_action(name):
 @pytest.mark.parametrize("name", ["group", "ungroup"])
 def test_arch_trace_group_names_need_an_action(name):
     with pytest.raises(ParseError) as err:
-        parse_arch_trace(f"archtrace {{\n  {name}(t=1, user=alice, tar=bob);\n}}", file="f.dct")
+        parse_facebook_arch_trace(f"archtrace {{\n  {name}(t=1, user=alice, tar=bob);\n}}",
+                                  file="f.dct")
     assert str(err.value) == f"f.dct:2:3: unknown event {name!r}"
 
 
@@ -847,7 +883,7 @@ def test_arch_trace_timestamps_may_repeat_but_not_decrease():
         "}"
     )
     with pytest.raises(ParseError) as err:
-        parse_arch_trace(text)
+        parse_arch_trace(text, ActivitySets())
     assert "non-decreasing" in str(err.value)
 
 
@@ -876,5 +912,6 @@ def test_fields_come_in_any_order_with_a_trailing_comma():
     prop = parse_has_query("HAS_sp(X{id=d1, ds={a}, ow=a,})")
     assert prop == HasSp(Var(ow="a", ds=frozenset({"a"}), ident="d1"))
     assert serialize_query(prop) == "HAS_sp(X{ow=a, ds={a}, id=d1})"
-    events = parse_arch_trace("archtrace { own(var=X{id=d1, ow=a, ds={a}}, user=a, t=1,); }")
+    events = parse_arch_trace("archtrace { own(var=X{id=d1, ow=a, ds={a}}, user=a, t=1,); }",
+                              ActivitySets())
     assert serialize_arch_trace(events) == "archtrace {\n  own(t=1, user=a, var=X{ow=a, ds={a}, id=d1});\n}\n"

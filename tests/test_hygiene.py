@@ -329,6 +329,8 @@ CLI_RUNS = [
     ["check-trace", DCP, str(FIX / "fb_clean.dct")],
     ["check-trace", DCP, str(FIX / "fb_badpurpose.dct")],
     ["enumerate", str(FIX / "simplified.dca"), "--max-len", "3"],
+    ["compare-archs", str(FIX / "full.dca"), str(FIX / "simplified.dca")],
+    ["derive-arch", DCP, "--events", str(FIX / "fb_all.dct")],
 ]
 
 

@@ -44,7 +44,7 @@ from datactl.logic import (
     judge,
 )
 from datactl.mapping import MappingContext, derive_architecture, image_trace
-from datactl.model import SP, Perms
+from datactl.model import SP, ActivitySets, Perms
 
 from modelgen import compliant_trace, random_model
 
@@ -96,6 +96,7 @@ ARCH = Architecture(
         }
     ),
     perms=PERMS,
+    sets=ActivitySets(unary=(("fav", "unfav"),), binary=(("link", "unlink"),)),
 )
 
 
@@ -132,6 +133,7 @@ def test_h5_withdraws_after_unact1():
         perms=Perms(
             can={**PERMS.can, "unfav": frozenset({"bob"})}, by=PERMS.by, been=PERMS.been
         ),
+        sets=ARCH.sets,
     )
     found = results_for("H5", deduce(arch, trace, USERS))
     assert {r.conclusion for r in found} == {HasNot("bob", X, 3), HasNot("carol", X, 3)}

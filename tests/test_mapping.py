@@ -2,6 +2,7 @@
 correspondence, and the comparison orders."""
 
 import random
+import re
 
 import pytest
 
@@ -19,8 +20,19 @@ from datactl.architecture import (
     Possess,
     Var,
     enc,
+    initial_state,
     is_compatible,
+    run_arch_trace,
 )
+from datactl.dsl import (
+    parse_arch_trace,
+    parse_policy,
+    parse_trace,
+    serialize_arch_trace,
+    serialize_policy,
+    serialize_trace,
+)
+from datactl.logic import HasNot, conclusions, deduce
 from datactl.mapping import (
     EQUAL,
     INCOMPARABLE,
@@ -60,6 +72,7 @@ from datactl.semantics import (
     USE,
     AbstractEvent,
     possible_events,
+    run_trace,
 )
 
 from modelgen import compliant_trace, full_events, random_model
@@ -392,3 +405,97 @@ def test_compare_architectures_orders_permissions():
     padded = Perms(can={"like": frozenset({"alice"}), "post": frozenset()}, group=frozenset())
     same = compare_architectures(narrow, Architecture(activities=acts, perms=padded))
     assert same.overall == EQUAL and same.render() == "overall\tequal"
+
+
+# --- un-action names ----------------------------------------------------------
+
+
+def _rename(text, names):
+    """``text`` with each identifier that ``names`` maps replaced by its image."""
+    return re.sub(r"[A-Za-z_?][A-Za-z0-9_?-]*", lambda m: names.get(m[0], m[0]), text)
+
+
+def _image_run(model, trace):
+    """Over the trace's image on the architecture derived from the trace: the
+    (user, term) holders after each image event, and the rendered deductions."""
+    ctx = MappingContext(model)
+    pa = derive_architecture(trace, ctx)
+    image = image_trace(trace, ctx)
+    users = sorted(model.users())
+    init = initial_state(pa, users)
+    holders = [frozenset((u.user, term) for u in run_arch_trace(image[:i], init).users
+                         for term, _ in u.bindings)
+               for i in range(1, len(image) + 1)]
+    return holders, sorted(r.render() for r in deduce(pa, image, users))
+
+
+def test_un_action_names_do_not_change_the_architecture_level():
+    """Renaming every ``un<a>`` to ``de<a>`` in a generated policy and its
+    trace, printed and parsed again, changes neither the holders after any
+    image event nor, with the names mapped back, what the rules deduce: the
+    architecture level reads the declared pairs, not the names."""
+    holder_seeds, deduce_seeds = [], []
+    for seed in range(200):
+        rng = random.Random(seed)
+        model = random_model(rng)
+        trace = compliant_trace(model, rng)
+        names = {undo: "de" + undo[2:] for _, undo in model.sets.unary + model.sets.binary}
+        renamed = parse_policy(_rename(serialize_policy(model), names))
+        retrace = parse_trace(_rename(serialize_trace(trace, model), names), renamed)
+        holders, deduced = _image_run(model, trace)
+        re_holders, re_deduced = _image_run(renamed, retrace)
+        back = {new: old for old, new in names.items()}
+        if holders != re_holders:
+            holder_seeds.append(seed)
+        if deduced != sorted(_rename(line, back) for line in re_deduced):
+            deduce_seeds.append(seed)
+    assert (holder_seeds, deduce_seeds) == ([], [])
+
+
+# A pair not named ``X/unX``: bob's ``fav`` gives carol the datum, ``defav``
+# takes it back.
+FAV_DEFAV_POLICY = (
+    "actions { unary fav/defav; }\n"
+    "data d1 { ow = alice; ds = {alice, bob, carol}; type = Notes; policy {\n"
+    "  purposes = {p}; delete = {man:1}; where = {clientloc}; how = {plain};\n"
+    "  can fav = {bob}; can defav = {bob}; has by fav bob = {carol};\n"
+    "} }\n"
+)
+FAV_DEFAV_TRACE = ('trace {\n  own(t=1, or=alice, dt=d1, value="v");\n'
+                   "  fav(t=2, or=bob, dt=d1);\n  defav(t=3, or=bob, dt=d1);\n}\n")
+
+
+def test_an_un_action_takes_back_its_declared_pair_at_both_levels():
+    model = parse_policy(FAV_DEFAV_POLICY)
+    trace = parse_trace(FAV_DEFAV_TRACE, model)
+    x = var_of(model.data["d1"])
+    assert run_trace(trace, model.sets)[model.data["d1"]].h_has == {"alice"}
+
+    ctx = MappingContext(model)
+    pa = derive_architecture(trace, ctx)
+    image = image_trace(trace, ctx)
+    assert pa.sets == model.sets and [e.kind for e in image] == ["own", "act1", "unact1"]
+    again = parse_arch_trace(serialize_arch_trace(image), pa.sets)
+    assert again == image
+    final = run_arch_trace(again, initial_state(pa, sorted(model.users())))
+    assert {u.user for u in final.users if u.value(x) is not None} == {"alice"}
+    assert HasNot("carol", x, 3) in conclusions(deduce(pa, again, model.users()))
+
+
+def test_compare_architectures_relates_the_declared_pairs():
+    """The same activities and tables with other pairs are not equal: the
+    pairs decide whom each un-action withdraws."""
+    acts = frozenset({Own("alice", X)})
+    first = Architecture(activities=acts, sets=ActivitySets(
+        unary=(("like", "unlike"), ("comment", "uncomment"))))
+    second = Architecture(activities=acts, sets=ActivitySets(
+        unary=(("like", "uncomment"), ("comment", "unlike"))))
+    cmp = compare_architectures(first, second)
+    assert cmp.render() == ("- unary comment/uncomment;\n- unary like/unlike;\n"
+                            "+ unary comment/unlike;\n+ unary like/uncomment;\n"
+                            "overall\tincomparable")
+    fewer = Architecture(activities=acts, sets=ActivitySets(unary=(("like", "unlike"),)))
+    assert compare_architectures(fewer, first).overall == "subset"
+    assert compare_architectures(first, fewer).render() == (
+        "- unary comment/uncomment;\noverall\tsuperset")
+    assert compare_architectures(first, first).overall == EQUAL
